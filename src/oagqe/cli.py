@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from .eliminate import qe_driver
-from .evaluate import evaluate, evaluator
+from .evaluate import evaluate, evaluator, family_evaluator
 from .models import (
     LexModel, parse_model, sample_element, spine as model_spine,
 )
@@ -151,8 +151,7 @@ def cmd_check(args) -> int:
     fv = free_vars(f)
     t0 = time.time()
     fuf = qe_driver(f, max_branches=args.max_branches)
-    clause_evs = [evaluator(model, cl.to_formula(), box=args.box)
-                  for cl in fuf.clauses]
+    output_ev = family_evaluator(model, fuf, box=args.box)
     input_ev = evaluator(model, f, box=args.box)
     t1 = time.time()
     mismatches = unknown = done = 0
@@ -161,7 +160,7 @@ def cmd_check(args) -> int:
         if asg is None:
             continue
         r1 = input_ev(asg)
-        vals = [ev(asg) for ev in clause_evs]
+        vals = output_ev(asg)
         if any(v is True for v in vals):
             r2 = True
         elif all(v is False for v in vals):

@@ -659,19 +659,24 @@ def eval_formula(model: LexModel, asg: Assignment, f: Formula,
 
 def evaluate(model: LexModel, asg: Assignment, f: Formula,
              box: int = DEFAULT_BOX) -> Tri:
-    """Public entry: alpha-renames bound variables first so that shadowing
-    cannot confuse assignment extension."""
+    """Public entry for one-shot evaluation: a throwaway evaluator."""
 
-    memo = {"free": {}, "vals": {}}
-    return eval_formula(model, asg, alpha_rename(f), box, memo)
+    return evaluator(model, f, box)(asg)
 
 
 def evaluator(model: LexModel, f: Formula, box: int = DEFAULT_BOX):
     """A reusable assignment -> truth value function for one formula.
 
-    Renaming happens once and the result memo is shared across calls; the
-    memo keys include the restriction of each assignment to the relevant
-    free variables, so sharing is sound."""
+    Bound variables are alpha-renamed once, so that shadowing cannot
+    confuse assignment extension, and the result memo is shared across
+    calls; the memo keys include the restriction of each assignment to the
+    relevant free variables, so sharing is sound.
+
+    The memo lives as long as the returned function and grows by one entry
+    per node and distinct restricted assignment.  Callers that evaluate at
+    many points keep one evaluator per formula for the length of one job
+    (one `decompose` or `verify_decomposition` call, one `oagqe check`
+    run) and drop it afterwards, which frees the memo."""
 
     g = alpha_rename(f)
     memo = {"free": {}, "vals": {}}

@@ -262,22 +262,22 @@ def _ac_cuts(model: LexModel, n: int) -> tuple[int, ...]:
     return tuple(sorted(cuts))
 
 
-def spine(model: LexModel, sort: Sort) -> list[SpinePoint]:
+@lru_cache(maxsize=None)
+def spine(model: LexModel, sort: Sort) -> tuple[SpinePoint, ...]:
     """The realized spine points of a sort, ascending by group inclusion."""
 
     if sort.is_main:
         raise ValueError("spine is defined for auxiliary sorts only")
     n = sort.n
     if sort.kind == AC:
-        return [SpinePoint(sort, c) for c in _ac_cuts(model, n)]
+        return tuple(SpinePoint(sort, c) for c in _ac_cuts(model, n))
     if sort.kind == AE:
         # the union of Ac-groups avoiding b is again a realized Ac-cut (or
         # {0} for b = 0), and every Ac-cut arises this way
-        return [SpinePoint(sort, c) for c in _ac_cuts(model, n)]
+        return tuple(SpinePoint(sort, c) for c in _ac_cuts(model, n))
     if sort.kind == AEP:
         cuts = _ac_cuts(model, n)
-        succ = list(cuts[1:]) + [model.rank]
-        return [SpinePoint(sort, c) for c in succ]
+        return tuple(SpinePoint(sort, c) for c in cuts[1:] + (model.rank,))
     raise ValueError("unknown sort %r" % (sort,))
 
 

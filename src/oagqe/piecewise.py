@@ -10,14 +10,18 @@ common modulus of the congruence constraints.
 
 The extraction itself reasons over the integers (trivial spine, discrete
 quotient): constant comparisons are folded with that reading.  Verification
-is exact in whatever model it is given.
+is exact in whatever model it is given.  The functionality check and the
+verification compile each formula they evaluate (the graph and every guard)
+once per call and reuse it at every grid point.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .evaluate import evaluate
+# evaluate stays a name of this module: perfbench/tracing.py wraps
+# piecewise.evaluate when it traces a run.
+from .evaluate import evaluate, evaluator
 from .normal import dnf_disjoint_tree
 from .eliminate import _cong_m0, _gather, _scale_records
 from .sexpr import parse_formula, print_formula
@@ -238,6 +242,8 @@ def decompose(model, formula: Formula, value_var: str, args,
 
 
 def _check_function(model, formula, value_var, args, merged, box):
+    graph = evaluator(model, formula)
+    total = evaluator(model, Exists(value_var, SORT_G, formula))
     for point in _sample_points(len(args), box):
         asg = {x: model.element([v]) for x, v in zip(args, point)}
         found = set()
@@ -251,11 +257,10 @@ def _check_function(model, formula, value_var, args, merged, box):
         sats = set()
         for y in sorted(found):
             asg[value_var] = model.element([y])
-            if evaluate(model, asg, formula) is True:
+            if graph(asg) is True:
                 sats.add(y)
         del asg[value_var]
-        total = evaluate(model, asg, Exists(value_var, SORT_G, formula))
-        if len(sats) != 1 or total is not True:
+        if len(sats) != 1 or total(asg) is not True:
             raise FunctionalityError(
                 "argument point %r admits %d sampled values"
                 % (point, len(sats)))
@@ -279,13 +284,15 @@ def verify_decomposition(model, formula: Formula, ps: PieceSet,
     must be integral, and the graph formula must hold at it.  Violations are
     collected, not raised."""
 
+    guards = [evaluator(model, p.guard) for p in ps.pieces]
+    graph = evaluator(model, formula)
     violations = []
     points = 0
     for point in _sample_points(len(ps.args), box):
         points += 1
         asg = {x: model.element([v]) for x, v in zip(ps.args, point)}
-        live = [p for p in ps.pieces
-                if evaluate(model, asg, p.guard) is True]
+        live = [p for p, guard in zip(ps.pieces, guards)
+                if guard(asg) is True]
         if len(live) != 1:
             violations.append({"point": point, "kind": "cover",
                                "count": len(live)})
@@ -296,6 +303,6 @@ def verify_decomposition(model, formula: Formula, ps: PieceSet,
             violations.append({"point": point, "kind": "nonintegral"})
             continue
         asg[ps.value_var] = model.element([y])
-        if evaluate(model, asg, formula) is not True:
+        if graph(asg) is not True:
             violations.append({"point": point, "kind": "value", "value": y})
     return VerifyReport(points, tuple(violations))

@@ -3,8 +3,9 @@
 import pytest
 
 from conftest import Z_MODEL
+from oagqe.evaluate import evaluate
 from oagqe.piecewise import (
-    FunctionalityError, LinearPiece, PieceSet, decompose,
+    FunctionalityError, LinearPiece, PieceSet, _sample_points, decompose,
     verify_decomposition,
 )
 from oagqe.syntax import (
@@ -107,3 +108,63 @@ def test_value_must_use_argument_variables_only():
     f = MainRel("eq", y, LinTerm.var("w"), 0, BOT)
     with pytest.raises(ValueError):
         decompose(None, f, "y", ["x"])
+
+
+def test_partial_graph_fails_functionality_check():
+    # 2y = x pins y only at even x: odd points admit no value at all
+    f = MainRel("eq", LinTerm.var("y", 2), x, 0, BOT)
+    with pytest.raises(FunctionalityError, match="admits 0 sampled values"):
+        decompose(Z_MODEL, f, "y", ["x"])
+    ps = decompose(None, f, "y", ["x"])
+    assert len(ps.pieces) == 1
+    p = ps.pieces[0]
+    assert (p.coeffs, p.denom, p.offset) == ((1,), 2, 0)
+    assert isinstance(p.guard, MainRel)
+    assert (p.guard.op, p.guard.m) == ("cong", 2)
+
+
+def _reference_verify(model, formula, ps, box):
+    """verify_decomposition with a fresh one-shot evaluate at every point
+    and for every guard, sharing nothing between points."""
+
+    points, violations = 0, []
+    for point in _sample_points(len(ps.args), box):
+        points += 1
+        asg = {v: model.element([c]) for v, c in zip(ps.args, point)}
+        live = [p for p in ps.pieces if evaluate(model, asg, p.guard) is True]
+        if len(live) != 1:
+            violations.append({"point": point, "kind": "cover",
+                               "count": len(live)})
+            continue
+        yv = live[0].value_at(point)
+        if yv is None:
+            violations.append({"point": point, "kind": "nonintegral"})
+            continue
+        asg[ps.value_var] = model.element([yv])
+        if evaluate(model, asg, formula) is not True:
+            violations.append({"point": point, "kind": "value", "value": yv})
+    return points, violations
+
+
+@pytest.mark.parametrize("graph, args, box", [
+    (graph_identity, ["x"], 6),
+    (graph_half, ["x"], 8),
+    (graph_max, ["x1", "x2"], 3),
+])
+def test_shared_memo_verification_matches_fresh_evaluation(graph, args, box):
+    f = graph()
+    ps = decompose(Z_MODEL, f, "y", args)
+    p = ps.pieces[0]
+    doubled = PieceSet(ps.args, ps.value_var, (p, p))
+    corrupted = PieceSet(ps.args, ps.value_var, tuple(
+        LinearPiece(q.guard, (q.coeffs[0] + 1,) + q.coeffs[1:], q.denom,
+                    q.offset)
+        for q in ps.pieces))
+    for cand in (ps, doubled, corrupted):
+        rep = verify_decomposition(Z_MODEL, f, cand, box)
+        assert ((rep.points, list(rep.violations))
+                == _reference_verify(Z_MODEL, f, cand, box))
+    rep = verify_decomposition(Z_MODEL, f, doubled, box)
+    assert len(rep.violations) == rep.points
+    assert all(v["kind"] == "cover" for v in rep.violations)
+    assert not verify_decomposition(Z_MODEL, f, corrupted, box).ok

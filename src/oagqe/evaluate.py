@@ -697,9 +697,10 @@ def family_evaluator(model: LexModel, fuf, box: int = DEFAULT_BOX):
 
     matrices = [cl.matrix() for cl in fuf.clauses]
     fresh = Fresh("b")
+    freec: dict = {}
     for m in matrices:
-        fresh.reserve(free_vars(m).keys())
-    walk = _renamer(fresh, {}, {})
+        fresh.reserve(_free_names(m, freec))
+    walk = _renamer(fresh, freec, {})
     renamed = [walk(m, {}) for m in matrices]
     thetas = [cl.theta for cl in fuf.clauses]
     memo = {"free": {}, "vals": {}}

@@ -7,17 +7,25 @@ and any two instantiated clauses are mutually inconsistent.  The theta
 parameters stand for the canonical-map images of main-sort terms; equating
 them with those images inside every psi is what makes distinct instantiations
 clash.
+
+Every case split over the boolean skeleton goes through one Shannon
+splitter (`ShannonSplitter`): the disjoint normal form, the hoisting of
+main-sort atoms out of auxiliary blocks and the truth table of
+`to_family_union`.  Any decision tree over the units gives clauses that
+pairwise contradict each other, which is all a family union form needs.
+The splitter caches, per subformula, the units it mentions and its
+cofactors, keyed by value (every node caches its hash), so a remainder
+reached along several branches is split once.  Its caches live for one
+call of the function that built it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional
 
 from .syntax import (
     FALSE, TRUE, Atom, AuxLe, AuxTerm, AuxVar, Bottom, Exists, Forall,
-    Formula, Fresh, MainRel, Not, And, Or, Sc, Se, Sort, SuccPlus, Top,
+    Formula, Fresh, Not, And, Or, Sc, Se, Sort, SuccPlus, Top,
     atom_aux_terms, atom_lin_terms, atoms_of, aux_term_sort, conj, disj,
     free_vars, has_main_quantifier, neg, subformulas,
 )
@@ -58,27 +66,100 @@ def boolean_units(f: Formula) -> list[Formula]:
     return out
 
 
-def replace_units(f: Formula, val: dict, _memo: dict = None) -> Formula:
-    """f with each unit in val replaced by a formula, simplified on the way
-    up.  Units not in val are kept.  Shared nodes are rewritten once."""
+class ShannonSplitter:
+    """Cofactors of boolean skeletons over one ordered list of units.
 
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(id(f))
-    if hit is not None:
-        return hit[1]
-    if isinstance(f, (Top, Bottom)):
-        out = f
-    elif isinstance(f, Not):
-        out = neg(replace_units(f.arg, val, _memo))
-    elif isinstance(f, And):
-        out = conj(replace_units(g, val, _memo) for g in f.args)
-    elif isinstance(f, Or):
-        out = disj(replace_units(g, val, _memo) for g in f.args)
-    else:
-        out = val.get(f, f)
-    _memo[id(f)] = (f, out)
-    return out
+    Only the listed units are split on; any other unit is an opaque leaf.
+    For every subformula it meets, the splitter caches the set of listed
+    units the subformula mentions (a bit mask of their indices), its
+    cofactor for each (unit, polarity) pair and its split.  The caches are
+    keyed by value, never by identity, and live as long as the splitter,
+    which its callers build once per call.  A subtree that does not mention the split unit is
+    its own cofactor; the others are rebuilt with the smart constructors,
+    which fold the constants.
+    """
+
+    def __init__(self, units):
+        self._index = {u: i for i, u in enumerate(units)}
+        self._mask: dict = {}
+        self._cof: dict = {}
+        self._split: dict = {}
+        self._canon: dict = {}
+
+    def canon(self, f: Formula) -> Formula:
+        """f rebuilt with the smart constructors (constants folded, nested
+        connectives flattened, double negations dropped), as every cofactor
+        is; f itself when it is already in that form.  Parsed formulas may
+        not be."""
+
+        if not isinstance(f, (Not, And, Or)):
+            return f
+        hit = self._canon.get(f)
+        if hit is not None:
+            return hit
+        if isinstance(f, Not):
+            arg = self.canon(f.arg)
+            same = arg is f.arg and not isinstance(arg, (Not, Top, Bottom))
+            out = f if same else neg(arg)
+        else:
+            args = [self.canon(g) for g in f.args]
+            same = len(args) > 1 and all(
+                a is b and not isinstance(a, (type(f), Top, Bottom))
+                for a, b in zip(args, f.args))
+            out = f if same else (conj if isinstance(f, And) else disj)(args)
+        self._canon[f] = out
+        return out
+
+    def mask(self, g: Formula) -> int:
+        """Bit i is set when the listed unit i occurs in g."""
+
+        hit = self._mask.get(g)
+        if hit is not None:
+            return hit
+        if isinstance(g, Not):
+            m = self.mask(g.arg)
+        elif isinstance(g, (And, Or)):
+            m = 0
+            for h in g.args:
+                m |= self.mask(h)
+        else:
+            i = self._index.get(g)
+            m = 0 if i is None else 1 << i
+        self._mask[g] = m
+        return m
+
+    def split(self, g: Formula) -> tuple:
+        """(i, g with unit i true, g with unit i false) for the live listed
+        unit i of g with the lowest index; () when none is live."""
+
+        hit = self._split.get(g)
+        if hit is None:
+            m = self.mask(g)
+            i = (m & -m).bit_length() - 1
+            hit = ((i, self.cofactor(g, i, True), self.cofactor(g, i, False))
+                   if i >= 0 else ())
+            self._split[g] = hit
+        return hit
+
+    def cofactor(self, g: Formula, i: int, pol: bool) -> Formula:
+        """g with the listed unit i set to the truth value pol."""
+
+        if not self.mask(g) >> i & 1:
+            return g
+        key = (g, i, pol)
+        hit = self._cof.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(g, Not):
+            out = neg(self.cofactor(g.arg, i, pol))
+        elif isinstance(g, And):
+            out = conj(self.cofactor(h, i, pol) for h in g.args)
+        elif isinstance(g, Or):
+            out = disj(self.cofactor(h, i, pol) for h in g.args)
+        else:
+            out = TRUE if pol else FALSE
+        self._cof[key] = out
+        return out
 
 
 def atom_involves_main(a: Atom) -> bool:
@@ -94,43 +175,26 @@ def unit_involves_main(u: Formula) -> bool:
     return any(atom_involves_main(a) for a in atoms_of(u))
 
 
-def dnf_pairwise_disjoint(f: Formula, cap: int = 16):
-    """Truth-table disjunctive normal form: one clause per satisfying row,
-    each clause listing every unit with a polarity.  Any two clauses disagree
-    on some unit, so they are pairwise inconsistent."""
-
-    units = boolean_units(f)
-    if len(units) > cap:
-        raise ResourceLimit("%d boolean units in one formula" % len(units))
-    clauses = []
-    for row in product((True, False), repeat=len(units)):
-        val = {u: (TRUE if b else FALSE) for u, b in zip(units, row)}
-        res = replace_units(f, val)
-        if isinstance(res, Top):
-            clauses.append(list(zip(units, row)))
-        elif not isinstance(res, Bottom):
-            raise AssertionError("skeleton did not fully evaluate")
-    return clauses
-
-
 def dnf_disjoint_tree(f: Formula, cap: int = 4096):
     """Pairwise-disjoint disjunctive normal form by decision-tree splitting.
 
-    Units are assigned in a fixed order and a clause is emitted as soon as
-    the rest of the formula is decided, so clauses list only the units up to
-    the decision point.  Two distinct clauses still disagree with opposite
-    polarity on the unit where their branches split.
+    Units are assigned in first-occurrence order, each remainder splitting on
+    its first live unit, and a clause is emitted as soon as the rest of the
+    formula is decided, so clauses list only the units up to the decision
+    point.  Two distinct clauses still disagree with opposite polarity on
+    the unit where their branches split.  The tree is walked depth first,
+    true branch first, and the cap is checked at each emitted clause; the
+    cofactors come from one splitter for this call, so a remainder that
+    recurs on several branches is rewritten once.
     """
 
     units = boolean_units(f)
-    # Canonicalize: every occurrence equal to a listed unit becomes that
-    # exact object, so liveness below can go by identity.
-    f = replace_units(f, {u: u for u in units})
+    sp = ShannonSplitter(units)
     clauses = []
     # explicit stack: the unit list can be long and recursion depth tracks it
-    stack = [(f, 0, [])]
+    stack = [(sp.canon(f), [])]
     while stack:
-        g, i, lits = stack.pop()
+        g, lits = stack.pop()
         if isinstance(g, Bottom):
             continue
         if isinstance(g, Top):
@@ -138,19 +202,17 @@ def dnf_disjoint_tree(f: Formula, cap: int = 4096):
             if len(clauses) > cap:
                 raise ResourceLimit("disjoint clause cap exceeded")
             continue
-        live = {id(x) for x in boolean_units(g)}
-        while i < len(units) and id(units[i]) not in live:
-            i += 1
-        if i >= len(units):
+        node = sp.split(g)
+        if not node:
             raise AssertionError("skeleton did not fully evaluate")
+        i, hi, lo = node
         u = units[i]
-        for pol in (False, True):
-            h = replace_units(g, {u: TRUE if pol else FALSE})
-            stack.append((h, i + 1, lits + [(u, pol)]))
+        stack.append((lo, lits + [(u, False)]))
+        stack.append((hi, lits + [(u, True)]))
     return clauses
 
 
-def hoist_main_units(f: Formula, cap: int = 10, _memo: dict = None) -> Formula:
+def hoist_main_units(f: Formula, cap: int = 10) -> Formula:
     """Shannon-expand main-sort atoms out of auxiliary quantifier blocks.
 
     After canonical-map extraction, a main-sort atom sitting under an
@@ -158,49 +220,70 @@ def hoist_main_units(f: Formula, cap: int = 10, _memo: dict = None) -> Formula:
     equals a case split over the truth values of those atoms, each case
     keeping a purely auxiliary block.  Auxiliary sorts are never empty, so
     a block whose body collapses to a constant is that constant.
+
+    The case split is a shared if-then-else over the live main atoms,
+    (u and H(body|u)) or (not u and H(body|not u)), memoized on the
+    remainder, so the quantifier is put back once per distinct leaf rather
+    than once per row of a truth table.  The memos are keyed by value and
+    live for this call.
     """
 
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(id(f))
-    if hit is not None:
-        return hit[1]
+    memo: dict = {}
 
-    def save(out):
-        _memo[id(f)] = (f, out)
+    def walk(g: Formula) -> Formula:
+        if isinstance(g, (Atom, Top, Bottom)):
+            return g
+        hit = memo.get(g)
+        if hit is not None:
+            return hit
+        if isinstance(g, Not):
+            out = neg(walk(g.arg))
+        elif isinstance(g, And):
+            out = conj(walk(h) for h in g.args)
+        elif isinstance(g, Or):
+            out = disj(walk(h) for h in g.args)
+        else:
+            out = _hoist_block(g, walk(g.body), cap)
+        memo[g] = out
         return out
 
-    if isinstance(f, (Atom, Top, Bottom)):
-        return save(f)
-    if isinstance(f, Not):
-        return save(neg(hoist_main_units(f.arg, cap, _memo)))
-    if isinstance(f, And):
-        return save(conj(hoist_main_units(g, cap, _memo) for g in f.args))
-    if isinstance(f, Or):
-        return save(disj(hoist_main_units(g, cap, _memo) for g in f.args))
-    body = hoist_main_units(f.body, cap, _memo)
-    if f.sort.is_main:
-        return save(type(f)(f.var, f.sort, body))
+    return walk(f)
+
+
+def _hoist_block(q: Formula, body: Formula, cap: int) -> Formula:
+    if q.sort.is_main:
+        return type(q)(q.var, q.sort, body)
     units = [u for u in boolean_units(body) if unit_involves_main(u)]
     if not units:
-        return save(type(f)(f.var, f.sort, body))
+        return type(q)(q.var, q.sort, body)
     for u in units:
-        if f.var in free_vars(u):
+        if q.var in free_vars(u):
             raise ValueError(
                 "main-sort atom depends on an auxiliary bound variable; "
                 "outside the supported fragment")
     if len(units) > cap:
         raise ResourceLimit("%d main-sort atoms under one auxiliary "
                             "quantifier" % len(units))
-    cases = []
-    for row in product((True, False), repeat=len(units)):
-        val = {u: (TRUE if b else FALSE) for u, b in zip(units, row)}
-        reduced = replace_units(body, val)
-        blk = (reduced if isinstance(reduced, (Top, Bottom))
-               else type(f)(f.var, f.sort, reduced))
-        lits = [u if b else neg(u) for u, b in zip(units, row)]
-        cases.append(conj(lits + [blk]))
-    return save(disj(cases))
+    sp = ShannonSplitter(units)
+    memo: dict = {}
+
+    def expand(g: Formula) -> Formula:
+        hit = memo.get(g)
+        if hit is not None:
+            return hit
+        node = sp.split(g)
+        if node:
+            i, hi, lo = node
+            u = units[i]
+            out = disj([conj([u, expand(hi)]), conj([neg(u), expand(lo)])])
+        elif isinstance(g, (Top, Bottom)):
+            out = g
+        else:
+            out = type(q)(q.var, q.sort, g)
+        memo[g] = out
+        return out
+
+    return expand(body)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +313,11 @@ class FamilyUnionForm:
         return disj(cl.to_formula() for cl in self.clauses)
 
     def well_formed(self) -> list[str]:
-        """Structural problems, empty when the form is valid."""
+        """Structural problems, empty when the form is valid.  Guard
+        subformulas shared between clauses are examined once."""
 
         problems = []
+        facts: dict = {}
         for i, cl in enumerate(self.clauses):
             names = [n for n, _ in cl.theta]
             if len(set(names)) != len(names):
@@ -240,23 +325,61 @@ class FamilyUnionForm:
             for s in (s for _, s in cl.theta):
                 if not isinstance(s, Sort) or s.is_main:
                     problems.append("clause %d: non-aux parameter sort" % i)
-            if has_main_quantifier(cl.xi):
+            main_q, touches, fv = _guard_facts(cl.xi, facts)
+            if main_q:
                 problems.append("clause %d: main quantifier in guard" % i)
-            for a in atoms_of(cl.xi):
-                if atom_involves_main(a):
-                    problems.append(
-                        "clause %d: guard atom touches the main sort" % i)
-                    break
-            for v, s in free_vars(cl.xi).items():
-                if s is not None and s.is_main:
+            if touches:
+                problems.append(
+                    "clause %d: guard atom touches the main sort" % i)
+            for v, (s, in_main_term) in fv.items():
+                if in_main_term or (s is not None and s.is_main):
                     problems.append(
                         "clause %d: main variable %s in guard" % (i, v))
             for a, pol in cl.psi:
                 if not isinstance(a, Atom):
                     problems.append("clause %d: non-atomic literal" % i)
-                elif has_main_quantifier(a):
-                    problems.append("clause %d: quantified literal" % i)
         return problems
+
+
+def _guard_facts(g: Formula, cache: dict):
+    """(g has a main-sort quantifier, some atom of g touches the main sort,
+    free variables of g) for `FamilyUnionForm.well_formed`, memoized by value
+    in a cache that lives for one call.  The free variables map each name,
+    in order of first occurrence, to its sort in the first atom where it
+    occurs and whether it occurs in a main-sort term anywhere; `free_vars`
+    gives it the main sort in the second case and that sort otherwise."""
+
+    hit = cache.get(g)
+    if hit is not None:
+        return hit
+    if isinstance(g, Atom):
+        lin_terms = atom_lin_terms(g)
+        lin = {v for lt in lin_terms for v in lt.vars()}
+        fv = {v: (s, v in lin) for v, s in free_vars(g).items()}
+        out = (False, bool(lin_terms), fv)
+    elif isinstance(g, (Top, Bottom)):
+        out = (False, False, {})
+    elif isinstance(g, Not):
+        out = _guard_facts(g.arg, cache)
+    elif isinstance(g, (And, Or)):
+        parts = [_guard_facts(h, cache) for h in g.args]
+        fv = {}
+        for _, _, part in parts:
+            for v, (s, in_main) in part.items():
+                if v in fv:
+                    s0, in_main0 = fv[v]
+                    fv[v] = (s0, in_main0 or in_main)
+                else:
+                    fv[v] = (s, in_main)
+        out = (any(p[0] for p in parts), any(p[1] for p in parts), fv)
+    elif isinstance(g, (Exists, Forall)):
+        main_q, touches, body_fv = _guard_facts(g.body, cache)
+        fv = {v: x for v, x in body_fv.items() if v != g.var}
+        out = (main_q or g.sort.is_main, touches, fv)
+    else:
+        raise TypeError("not a formula: %r" % (g,))
+    cache[g] = out
+    return out
 
 
 def inline_defined_params(f: Formula) -> Formula:
@@ -407,7 +530,9 @@ def to_family_union(f: Formula, cap_atoms: int = 14) -> FamilyUnionForm:
     Canonical-map images of main terms are pulled out into fresh parameters
     theta; every clause carries the defining equations, which is what keeps
     distinct parameter instantiations inconsistent.  The main-sort atoms are
-    then case-split by a full truth table.
+    then case-split by a full truth table: every clause lists every
+    main-sort atom, and its guard is the cofactor of the matrix along the
+    row, taken from one splitter for this call.
     """
 
     if has_main_quantifier(f):
@@ -444,12 +569,21 @@ def to_family_union(f: Formula, cap_atoms: int = 14) -> FamilyUnionForm:
         raise ResourceLimit(
             "%d main-sort atoms in one matrix" % len(main_units))
 
+    # the truth table, rows in lexicographic order with true first; a row
+    # prefix whose remainder is already false is not extended
+    sp = ShannonSplitter(main_units)
     clauses = []
-    for row in product((True, False), repeat=len(main_units)):
-        val = {u: (TRUE if b else FALSE) for u, b in zip(main_units, row)}
-        xi = replace_units(g, val)
+
+    def rows(xi: Formula, row: tuple):
         if isinstance(xi, Bottom):
-            continue
-        psi = tuple(zip(main_units, row)) + tuple(defs)
-        clauses.append(FUClause(theta, xi, psi))
+            return
+        i = len(row)
+        if i == len(main_units):
+            psi = tuple(zip(main_units, row)) + tuple(defs)
+            clauses.append(FUClause(theta, xi, psi))
+            return
+        for b in (True, False):
+            rows(sp.cofactor(xi, i, b), row + (b,))
+
+    rows(g, ())
     return FamilyUnionForm(tuple(clauses))

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 from .normal import (
-    FamilyUnionForm, FUClause, ResourceLimit, all_names, boolean_units,
-    dnf_disjoint_tree, dnf_pairwise_disjoint, extract_can_terms,
-    hoist_main_units, unit_involves_main,
+    FamilyUnionForm, FUClause, ResourceLimit, all_names, dnf_disjoint_tree,
+    extract_can_terms, hoist_main_units, unit_involves_main,
 )
 from .syntax import (
     AC, AEP, FALSE, TRUE, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, CongDot,
@@ -414,11 +412,15 @@ def syn_qf_to_qe_fuf(f: Formula, cap: int = 4096,
     _note(trace, "can-pin", g, matrix)
 
     clauses = []
+    involves = {}   # unit -> whether it touches the main sort
     for row in dnf_disjoint_tree(matrix, cap=cap):
         xi_parts = []
         psi = []
         for u, pol in row:
-            if unit_involves_main(u):
+            main = involves.get(u)
+            if main is None:
+                main = involves[u] = unit_involves_main(u)
+            if main:
                 psi.append((u, pol))
             else:
                 xi_parts.append(u if pol else neg(u))

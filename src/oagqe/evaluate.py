@@ -7,6 +7,13 @@ canonical maps applied to terms containing the bound variable) and running
 the per-coordinate witness search of the solver module.  Only matrices that
 contain further main-sort quantifiers fall back to a bounded candidate search
 and can report Unknown.
+
+A formula is compiled once, when its `evaluator` or `family_evaluator` is
+built, into a tree of closures that is then called at every assignment.
+Compiling an atom reads a main or plain relation as the one difference
+lhs - rhs, resolves a constant anchor and fixes the relation's branch.
+Results are memoized only at the nodes where a lookup can hit (see
+`_compile`), and the memos live as long as the compiled tree.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Optional, Union
 
-from . import solver
+from . import models, solver
 from .models import (
     Element, LexModel, SpinePoint, aep_of, spine, spine_min,
 )
@@ -123,65 +131,147 @@ def resolve_aux(model: LexModel, asg: Assignment, t: AuxTerm) -> SpinePoint:
 
 
 # ---------------------------------------------------------------------------
-# Atom evaluation
+# Atom evaluation, compiled once per atom
+
+def _lin_fn(model: LexModel, t: LinTerm, cancelled=()):
+    """Assignment -> value of t.  The names in cancelled occurred on both
+    sides of a relation and dropped out of t; they must still be assigned."""
+
+    def run(asg: Assignment) -> Element:
+        for v in cancelled:
+            if not isinstance(asg.get(v), tuple):
+                raise KeyError("main-sort variable %r unassigned" % v)
+        return eval_lin(model, asg, t)
+
+    return run
+
+
+def _const_aux(model: LexModel, t: AuxTerm) -> Optional[SpinePoint]:
+    """The point of an anchor that names one (SortMin, a valid SpineRef)."""
+
+    if isinstance(t, (SortMin, SpineRef)):
+        try:
+            return resolve_aux(model, {}, t)
+        except ValueError:
+            return None   # a bad reference raises when it is evaluated
+    return None
+
+
+def _aux_fn(model: LexModel, t: AuxTerm):
+    pt = _const_aux(model, t)
+    if pt is not None:
+        return lambda asg: pt
+    if isinstance(t, AuxVar):
+        name = t.name
+
+        def var(asg: Assignment) -> SpinePoint:
+            val = asg.get(name)
+            if not isinstance(val, SpinePoint):
+                raise KeyError("auxiliary variable %r unassigned" % name)
+            return val
+
+        return var
+    return lambda asg: resolve_aux(model, asg, t)
+
+
+def _rel_test(model: LexModel, a: MainRel):
+    """(difference, cut) -> truth of the relation a.op above the cut."""
+
+    m, mp = a.m, a.mp
+    if a.op == "eq":
+        return model.in_cut
+    if a.op == "lt":
+        return lambda d, c: model.proj_sign(d, c) < 0
+    if a.op == "cong":
+        return lambda d, c: model.member(d, c, m)
+    return lambda d, c: model.member_bracket(d, c, m, mp)
+
+
+def _atom_fn(model: LexModel, a: Atom):
+    """Assignment -> truth value of one atom.
+
+    A main or plain relation is read as one difference lhs - rhs, a constant
+    anchor is resolved here, together with its offset k times the minimal
+    positive element, and the relation's branch is chosen here."""
+
+    if isinstance(a, (MainRel, PlainRel)):
+        diff = dict(a.lhs.coeffs)
+        for v, c in a.rhs.coeffs:
+            diff[v] = diff.get(v, 0) - c
+        lin = _lin_fn(model,
+                      LinTerm(tuple(sorted(p for p in diff.items() if p[1]))),
+                      tuple(sorted(v for v, c in diff.items() if not c)))
+        if isinstance(a, PlainRel):
+            if a.op == "lt":
+                return lambda asg: model.sign(lin(asg)) < 0
+            return lambda asg: model.member(lin(asg), 0, a.m)
+        test, k = _rel_test(model, a), a.k
+        pt = _const_aux(model, a.aux)
+        if pt is not None:
+            c = pt.cut
+            rep = model.minpos_rep(c) if k else None
+            if rep is None:
+                return lambda asg: test(lin(asg), c)
+            off = model.smul(k, rep)
+            return lambda asg: test(model.sub(lin(asg), off), c)
+        aux = _aux_fn(model, a.aux)
+
+        def rel(asg: Assignment) -> bool:
+            c = aux(asg).cut
+            dv = lin(asg)
+            if k:
+                rep = model.minpos_rep(c)
+                if rep is not None:
+                    dv = model.sub(dv, model.smul(k, rep))
+            return test(dv, c)
+
+        return rel
+    if isinstance(a, (AuxLe, AuxAsymp)):
+        lhs, rhs = _aux_fn(model, a.lhs), _aux_fn(model, a.rhs)
+        if isinstance(a, AuxLe):
+            return lambda asg: lhs(asg).cut <= rhs(asg).cut
+        return lambda asg: lhs(asg).cut == rhs(asg).cut
+    if isinstance(a, Discr):
+        aux = _aux_fn(model, a.aux)
+        return lambda asg: model.quotient_discrete(aux(asg).cut)
+    if isinstance(a, (DimSucc, DimFloor)):
+        aux = _aux_fn(model, a.aux)
+        above = a.s + 1 if isinstance(a, DimSucc) else None
+
+        def dim(asg: Assignment) -> bool:
+            alpha = aux(asg)
+            return models.dim_query(model, a.p, (alpha, above),
+                                    (alpha, a.s)) == a.ell
+
+        return dim
+    if isinstance(a, (EqDot, CongDot)):
+        t = _lin_fn(model, a.t)
+        offs = [(c, model.smul(a.k, model.minpos_rep(c)))
+                for c in _discrete_cuts(model)]
+        test = (model.in_cut if isinstance(a, EqDot)
+                else lambda d, c: model.member(d, c, a.m))
+
+        def dotted(asg: Assignment) -> bool:
+            tv = t(asg)
+            return any(test(model.sub(tv, off), c) for c, off in offs)
+
+        return dotted
+    if isinstance(a, DPred):
+        t = _lin_fn(model, a.t)
+        n, ns = a.p ** a.r, a.p ** a.s
+
+        def dpred(asg: Assignment) -> bool:
+            tv = t(asg)
+            c = h_cut(model, tv, n)
+            return (model.member_bracket(tv, c, n, ns)
+                    and not model.member(tv, c, n))
+
+        return dpred
+    raise TypeError("not an atom: %r" % (a,))
+
 
 def eval_atom(model: LexModel, asg: Assignment, a: Atom) -> bool:
-    if isinstance(a, MainRel):
-        alpha = resolve_aux(model, asg, a.aux)
-        c = alpha.cut
-        d = model.sub(eval_lin(model, asg, a.lhs), eval_lin(model, asg, a.rhs))
-        if a.k != 0:
-            rep = model.minpos_rep(c)
-            if rep is not None:
-                d = model.sub(d, model.smul(a.k, rep))
-        if a.op == "eq":
-            return model.in_cut(d, c)
-        if a.op == "lt":
-            return model.proj_sign(d, c) < 0
-        if a.op == "cong":
-            return model.member(d, c, a.m)
-        return model.member_bracket(d, c, a.m, a.mp)
-    if isinstance(a, PlainRel):
-        d = model.sub(eval_lin(model, asg, a.lhs), eval_lin(model, asg, a.rhs))
-        if a.op == "lt":
-            return model.sign(d) < 0
-        return model.member(d, 0, a.m)
-    if isinstance(a, AuxLe):
-        return (resolve_aux(model, asg, a.lhs).cut
-                <= resolve_aux(model, asg, a.rhs).cut)
-    if isinstance(a, AuxAsymp):
-        return (resolve_aux(model, asg, a.lhs).cut
-                == resolve_aux(model, asg, a.rhs).cut)
-    if isinstance(a, Discr):
-        return model.quotient_discrete(resolve_aux(model, asg, a.aux).cut)
-    if isinstance(a, DimSucc):
-        from .models import dim_query
-        alpha = resolve_aux(model, asg, a.aux)
-        return dim_query(model, a.p, (alpha, a.s + 1), (alpha, a.s)) == a.ell
-    if isinstance(a, DimFloor):
-        from .models import dim_query
-        alpha = resolve_aux(model, asg, a.aux)
-        return dim_query(model, a.p, (alpha, None), (alpha, a.s)) == a.ell
-    if isinstance(a, EqDot):
-        t = eval_lin(model, asg, a.t)
-        for c in _discrete_cuts(model):
-            d = model.sub(t, model.smul(a.k, model.minpos_rep(c)))
-            if model.in_cut(d, c):
-                return True
-        return False
-    if isinstance(a, CongDot):
-        t = eval_lin(model, asg, a.t)
-        for c in _discrete_cuts(model):
-            d = model.sub(t, model.smul(a.k, model.minpos_rep(c)))
-            if model.member(d, c, a.m):
-                return True
-        return False
-    if isinstance(a, DPred):
-        t = eval_lin(model, asg, a.t)
-        c = h_cut(model, t, a.p ** a.r)
-        return (model.member_bracket(t, c, a.p ** a.r, a.p ** a.s)
-                and not model.member(t, c, a.p ** a.r))
-    raise TypeError("not an atom: %r" % (a,))
+    return _atom_fn(model, a)(asg)
 
 
 def _discrete_cuts(model: LexModel) -> list[int]:
@@ -254,12 +344,6 @@ def _renamer(fresh: Fresh, freec: dict, memo: dict):
         return out
 
     return walk
-
-
-def alpha_rename(f: Formula) -> Formula:
-    fresh = Fresh("b")
-    fresh.reserve(free_vars(f).keys())
-    return _renamer(fresh, {}, {})(f, {})
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +654,12 @@ DEFAULT_BOX = 8
 
 
 def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
-                       box: int, memo: dict = None) -> Tri:
+                       box: int, run_body) -> Tri:
+    """Exists var. body, for one assignment of the other variables.
+
+    The grounded search is complete.  When the body cannot be grounded, the
+    compiled body run_body is tried at the bounded fallback candidates."""
+
     try:
         g = ground_for_var(model, asg, var, body)
         clauses = dnf_clauses(g)
@@ -586,7 +675,7 @@ def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
     for cand in _fallback_candidates(model, asg, box):
         asg2 = dict(asg)
         asg2[var] = cand
-        if eval_formula(model, asg2, body, box, memo) is True:
+        if run_body(asg2) is True:
             return True
     return None
 
@@ -612,49 +701,150 @@ def _fallback_candidates(model, asg: Assignment, box: int):
 _MISS = object()
 
 
-def eval_formula(model: LexModel, asg: Assignment, f: Formula,
-                 box: int = DEFAULT_BOX, memo: dict = None) -> Tri:
-    """Three-valued evaluation; never returns a wrong definite answer.
+def _memoized(run, names: tuple):
+    """run with its results cached per restriction of the assignment to the
+    sorted names; an unassigned name keys as missing."""
 
-    The optional memo caches results per (node identity, restriction of the
-    assignment to the node's free variables), so shared subformulas of large
-    elimination outputs are evaluated once per distinct environment."""
-
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    if memo is not None:
-        names = _free_names(f, memo["free"])
-        key = (id(f), tuple(sorted((v, asg[v]) for v in names if v in asg)))
-        hit = memo["vals"].get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-    if isinstance(f, Atom):
-        out = eval_atom(model, asg, f)
-    elif isinstance(f, Not):
-        out = k_not(eval_formula(model, asg, f.arg, box, memo))
-    elif isinstance(f, And):
-        out = k_all(eval_formula(model, asg, g, box, memo) for g in f.args)
-    elif isinstance(f, Or):
-        out = k_any(eval_formula(model, asg, g, box, memo) for g in f.args)
-    elif isinstance(f, Exists) and f.sort.is_main:
-        out = decide_exists_main(model, asg, f.var, f.body, box, memo)
-    elif isinstance(f, Forall) and f.sort.is_main:
-        out = k_not(decide_exists_main(model, asg, f.var, Not(f.body),
-                                       box, memo))
-    elif isinstance(f, (Exists, Forall)):
-        vals = []
-        for pt in spine(model, f.sort):
-            asg2 = dict(asg)
-            asg2[f.var] = pt
-            vals.append(eval_formula(model, asg2, f.body, box, memo))
-        out = k_any(vals) if isinstance(f, Exists) else k_all(vals)
+    memo: dict = {}
+    if not names:
+        get = lambda asg: ()
     else:
-        raise TypeError("not a formula: %r" % (f,))
-    if memo is not None:
-        memo["vals"][key] = out
+        get = itemgetter(*names)
+
+    def cached(asg: Assignment) -> Tri:
+        try:
+            key = get(asg)
+        except KeyError:
+            key = tuple([asg.get(v, _MISS) for v in names])
+        out = memo.get(key, _MISS)
+        if out is _MISS:
+            out = memo[key] = run(asg)
+        return out
+
+    return cached
+
+
+def _fold(fns, stop: bool):
+    """Kleene conjunction (stop False) or disjunction (stop True)."""
+
+    def run(asg: Assignment) -> Tri:
+        out: Tri = not stop
+        for fn in fns:
+            v = fn(asg)
+            if v is stop:
+                return stop
+            if v is None:
+                out = None
+        return out
+
+    return run
+
+
+def _compile(model: LexModel, box: int, varied: frozenset, roots) -> list:
+    """Each (formula, its free names or None) in roots compiled into a tree
+    of closures run(assignment) -> Tri; the closures are returned in order.
+
+    Equal subformulas are compiled once, and their names found once, keyed
+    by value across the roots.  A node keeps a memo of its results, keyed
+    by the values of its free variables, only where a lookup can hit: a
+    main-sort quantifier, whose decision is the expensive step, or a node
+    whose free names are a strict subset of the names the caller varies,
+    so that calls differing only outside them share one entry.  The body
+    of a main-sort quantifier is compiled when the bounded fallback first
+    needs it; the complete search grounds the body itself.  The memos live
+    as long as the returned closures, and no closure refers back to the
+    compile caches, so that dropping the closures frees the memos at once."""
+
+    runs: dict = {}
+    known: dict = {}
+
+    def names_of(g: Formula) -> frozenset:
+        names = known.get(g)
+        if names is None:
+            if isinstance(g, Atom):
+                names = frozenset(free_vars(g))
+            elif isinstance(g, (Top, Bottom)):
+                names = frozenset()
+            elif isinstance(g, Not):
+                names = names_of(g.arg)
+            elif isinstance(g, (And, Or)):
+                names = frozenset().union(*map(names_of, g.args))
+            elif isinstance(g, (Exists, Forall)):
+                names = names_of(g.body) - {g.var}
+            else:
+                raise TypeError("not a formula: %r" % (g,))
+            known[g] = names
+        return names
+
+    def comp(g: Formula):
+        run = runs.get(g)
+        if run is not None:
+            return run
+        if isinstance(g, (Top, Bottom)):
+            val = isinstance(g, Top)
+            runs[g] = run = lambda asg: val
+            return run
+        if isinstance(g, Atom):
+            run = _atom_fn(model, g)
+        elif isinstance(g, Not):
+            arg = comp(g.arg)
+            run = lambda asg: k_not(arg(asg))
+        elif isinstance(g, (And, Or)):
+            run = _fold([comp(h) for h in g.args], isinstance(g, Or))
+        elif isinstance(g, (Exists, Forall)) and g.sort.is_main:
+            run = _decide(model, box, varied, g)
+        elif isinstance(g, (Exists, Forall)):
+            run = _sweep(comp(g.body), g.var, spine(model, g.sort),
+                         k_any if isinstance(g, Exists) else k_all)
+        else:
+            raise TypeError("not a formula: %r" % (g,))
+        names = names_of(g)
+        if (isinstance(g, (Exists, Forall)) and g.sort.is_main
+                or names < varied):
+            run = _memoized(run, tuple(sorted(names)))
+        runs[g] = run
+        return run
+
+    for g, names in roots:
+        if names is not None:
+            known[g] = names
+    out = [comp(g) for g, _ in roots]
+    runs.clear()
+    known.clear()
     return out
+
+
+def _decide(model: LexModel, box: int, varied: frozenset, g: Formula):
+    var = g.var
+    body = g.body if isinstance(g, Exists) else Not(g.body)
+    compiled: list = []
+
+    def run_body(asg: Assignment) -> Tri:
+        if not compiled:
+            compiled.extend(_compile(model, box, varied, [(body, None)]))
+        return compiled[0](asg)
+
+    if isinstance(g, Exists):
+        return lambda asg: decide_exists_main(model, asg, var, body, box,
+                                              run_body)
+    return lambda asg: k_not(decide_exists_main(model, asg, var, body, box,
+                                                run_body))
+
+
+def _sweep(run_body, var: str, pts, fold):
+    """An auxiliary quantifier: fold (k_any or k_all) over the spine."""
+
+    def sweep(asg: Assignment) -> Tri:
+        asg2 = dict(asg)
+
+        def vals():
+            for pt in pts:
+                asg2[var] = pt
+                yield run_body(asg2)
+
+        return fold(vals())
+
+    return sweep
 
 
 def evaluate(model: LexModel, asg: Assignment, f: Formula,
@@ -665,56 +855,66 @@ def evaluate(model: LexModel, asg: Assignment, f: Formula,
 
 
 def evaluator(model: LexModel, f: Formula, box: int = DEFAULT_BOX):
-    """A reusable assignment -> truth value function for one formula.
+    """A reusable assignment -> truth value function for one formula;
+    three-valued, it never returns a wrong definite answer.
 
     Bound variables are alpha-renamed once, so that shadowing cannot
-    confuse assignment extension, and the result memo is shared across
-    calls; the memo keys include the restriction of each assignment to the
-    relevant free variables, so sharing is sound.
+    confuse assignment extension, and the renamed formula is compiled once
+    into a tree of closures (see `_compile`).  The caller varies the free
+    variables of f, so a node keeps a memo only when it is a main-sort
+    quantifier or its free variables are a strict subset of those of f:
+    for example a literal over x alone, asked at one x for many y.
 
-    The memo lives as long as the returned function and grows by one entry
-    per node and distinct restricted assignment.  Callers that evaluate at
-    many points keep one evaluator per formula for the length of one job
-    (one `decompose` or `verify_decomposition` call, one `oagqe check`
-    run) and drop it afterwards, which frees the memo."""
+    The memos live as long as the returned function and grow by one entry
+    per memoized node and distinct restricted assignment.  Callers that
+    evaluate at many points keep one evaluator per formula for the length
+    of one job (one `decompose` or `verify_decomposition` call, one
+    `oagqe check` run) and drop it afterwards, which frees the memos."""
 
-    g = alpha_rename(f)
-    memo = {"free": {}, "vals": {}}
-
-    def run(asg: Assignment) -> Tri:
-        return eval_formula(model, asg, g, box, memo)
-
-    return run
+    fresh = Fresh("b")
+    freec: dict = {}
+    varied = _free_names(f, freec)
+    fresh.reserve(varied)
+    g = _renamer(fresh, freec, {})(f, {})
+    return _compile(model, box, varied, [(g, varied)])[0]
 
 
 def family_evaluator(model: LexModel, fuf, box: int = DEFAULT_BOX):
     """Assignment -> list of per-clause truth values for a family union form.
 
-    All clause matrices go through one renaming pass and one shared memo, so
-    literals and guards shared between clauses are evaluated once per
-    assignment.  The theta parameters are swept over the spine points of
-    their sorts directly, clause by clause."""
+    All clause matrices go through one renaming pass and are compiled by one
+    `_compile` call, so literals and guards shared between clauses are compiled
+    once and share one memo.  The caller varies the free variables of the
+    matrices and the theta parameters, which are swept over the spine
+    points of their sorts directly, clause by clause; a node is memoized
+    when it is a main-sort quantifier or its free variables are a strict
+    subset of these, such as a guard literal over theta alone.  The memos
+    live as long as the returned function."""
 
     matrices = [cl.matrix() for cl in fuf.clauses]
     fresh = Fresh("b")
     freec: dict = {}
+    varied = set()
     for m in matrices:
-        fresh.reserve(_free_names(m, freec))
+        varied |= _free_names(m, freec)
+    fresh.reserve(varied)
+    sweeps = []
+    for cl in fuf.clauses:
+        varied.update(name for name, _ in cl.theta)
+        sweeps.append((tuple(name for name, _ in cl.theta),
+                       [spine(model, s) for _, s in cl.theta]))
     walk = _renamer(fresh, freec, {})
-    renamed = [walk(m, {}) for m in matrices]
-    thetas = [cl.theta for cl in fuf.clauses]
-    memo = {"free": {}, "vals": {}}
+    runs = _compile(model, box, frozenset(varied),
+                    [(walk(m, {}), None) for m in matrices])
 
     def run(asg: Assignment) -> list:
         out = []
-        for theta, mat in zip(thetas, renamed):
-            axes = [spine(model, s) for _, s in theta]
+        for (names, axes), mat in zip(sweeps, runs):
+            asg2 = dict(asg)
             val: Tri = False
             for combo in itertools.product(*axes):
-                asg2 = dict(asg)
-                for (name, _), pt in zip(theta, combo):
-                    asg2[name] = pt
-                v = eval_formula(model, asg2, mat, box, memo)
+                asg2.update(zip(names, combo))
+                v = mat(asg2)
                 if v is True:
                     val = True
                     break

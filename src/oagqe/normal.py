@@ -169,10 +169,19 @@ def atom_involves_main(a: Atom) -> bool:
     return bool(atom_lin_terms(a))
 
 
-def unit_involves_main(u: Formula) -> bool:
-    if isinstance(u, Atom):
-        return atom_involves_main(u)
-    return any(atom_involves_main(a) for a in atoms_of(u))
+def unit_involves_main(u: Formula, memo: dict) -> bool:
+    """Whether a boolean unit mentions the main sort anywhere.  memo caches
+    the answer per unit, keyed by value, for the caller's one call, so that
+    a unit shared between blocks is walked once."""
+
+    hit = memo.get(u)
+    if hit is None:
+        if isinstance(u, Atom):
+            hit = atom_involves_main(u)
+        else:
+            hit = any(atom_involves_main(a) for a in atoms_of(u))
+        memo[u] = hit
+    return hit
 
 
 def dnf_disjoint_tree(f: Formula, cap: int = 4096):
@@ -229,6 +238,7 @@ def hoist_main_units(f: Formula, cap: int = 10) -> Formula:
     """
 
     memo: dict = {}
+    involves: dict = {}
 
     def walk(g: Formula) -> Formula:
         if isinstance(g, (Atom, Top, Bottom)):
@@ -243,17 +253,19 @@ def hoist_main_units(f: Formula, cap: int = 10) -> Formula:
         elif isinstance(g, Or):
             out = disj(walk(h) for h in g.args)
         else:
-            out = _hoist_block(g, walk(g.body), cap)
+            out = _hoist_block(g, walk(g.body), cap, involves)
         memo[g] = out
         return out
 
     return walk(f)
 
 
-def _hoist_block(q: Formula, body: Formula, cap: int) -> Formula:
+def _hoist_block(q: Formula, body: Formula, cap: int,
+                 involves: dict) -> Formula:
     if q.sort.is_main:
         return type(q)(q.var, q.sort, body)
-    units = [u for u in boolean_units(body) if unit_involves_main(u)]
+    units = [u for u in boolean_units(body)
+             if unit_involves_main(u, involves)]
     if not units:
         return type(q)(q.var, q.sort, body)
     for u in units:
@@ -553,8 +565,9 @@ def to_family_union(f: Formula, cap_atoms: int = 14) -> FamilyUnionForm:
 
     units = boolean_units(g)
     main_units = []
+    involves: dict = {}
     for u in units:
-        if not unit_involves_main(u):
+        if not unit_involves_main(u, involves):
             continue
         if not isinstance(u, Atom):
             raise ValueError(

@@ -11,8 +11,12 @@ common modulus of the congruence constraints.
 The extraction itself reasons over the integers (trivial spine, discrete
 quotient): constant comparisons are folded with that reading.  Verification
 is exact in whatever model it is given.  The functionality check and the
-verification compile each formula they evaluate (the graph and every guard)
-once per call and reuse it at every grid point.
+verification build one evaluator for each formula they evaluate (the graph,
+its projection Exists value. graph, and every guard) per call: the formula
+is compiled once into a tree of closures that is called at every grid
+point.  Its memos keep the values of nodes over fewer variables than the
+formula has, such as a literal over x alone asked at one point for many
+values, and are dropped with the evaluator when the call returns.
 """
 
 import math

@@ -1,8 +1,11 @@
 """Concrete s-expression syntax: parse_formula and print_formula.
 
 The surface grammar (atoms in prefix form, quantifiers (E v SORT F) and
-(A v SORT F)) is deliberately small and unambiguous.  print_formula emits a
-canonical form; parse_formula(print_formula(f)) is structurally f.
+(A v SORT F)) is deliberately small and unambiguous.  (decl v SORT F)
+gives the free auxiliary variable v its sort inside F and is not itself a
+node.  print_formula emits a canonical form without declarations;
+parse_formula(print_formula(f)) is structurally f up to the sorts of free
+auxiliary variables.
 """
 
 from __future__ import annotations
@@ -274,6 +277,15 @@ def _parse_formula(node: Node, env: dict[str, Sort]) -> Formula:
             return And(tuple(_parse_formula(a, env) for a in args))
         if head == "or":
             return Or(tuple(_parse_formula(a, env) for a in args))
+        if head == "decl":
+            arity(3)
+            var = _name(args[0])
+            sort = _parse_sort(args[1])
+            if sort.is_main:
+                _err(args[1], "decl declares auxiliary sorts only")
+            inner = dict(env)
+            inner[var] = sort
+            return _parse_formula(args[2], inner)
         if head in ("E", "A"):
             arity(3)
             var = _name(args[0])

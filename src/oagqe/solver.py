@@ -304,12 +304,3 @@ def solve_clause(model: LexModel, cl: Clause,
     element of the model satisfies them (complete)."""
 
     return _Search(model, cl, budget).run()
-
-
-def solve_clauses(model: LexModel, clauses,
-                  budget: int = 200_000) -> Optional[Element]:
-    for cl in clauses:
-        res = solve_clause(model, cl, budget)
-        if res is not None:
-            return res
-    return None

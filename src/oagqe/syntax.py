@@ -564,10 +564,6 @@ def has_main_quantifier(f: Formula) -> bool:
     )
 
 
-def is_literal(f: Formula) -> bool:
-    return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.arg, Atom))
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 

@@ -412,15 +412,12 @@ def syn_qf_to_qe_fuf(f: Formula, cap: int = 4096,
     _note(trace, "can-pin", g, matrix)
 
     clauses = []
-    involves = {}   # unit -> whether it touches the main sort
+    involves: dict = {}
     for row in dnf_disjoint_tree(matrix, cap=cap):
         xi_parts = []
         psi = []
         for u, pol in row:
-            main = involves.get(u)
-            if main is None:
-                main = involves[u] = unit_involves_main(u)
-            if main:
+            if unit_involves_main(u, involves):
                 psi.append((u, pol))
             else:
                 xi_parts.append(u if pol else neg(u))

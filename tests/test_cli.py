@@ -31,6 +31,17 @@ def test_eliminate_json(capsys):
         assert set(cl) == {"params", "guard", "literals"}
 
 
+def test_eliminate_declared_aux_anchor(capsys):
+    # without the declaration elimination cannot tell the anchor's sort
+    body = "(E x G (and (lt a1 x y 0) (lt a1 z x 0)))"
+    assert main(["eliminate", "--formula", body]) == 1
+    assert "anchor sort unknown" in capsys.readouterr().err
+    for text in ("(decl a1 (Ac 2) %s)" % body,
+                 "(decl a1 (Ac 2) (E x G (lt a1 x y 0)))"):
+        assert main(["eliminate", "--json", "--formula", text]) == 0
+        assert json.loads(capsys.readouterr().out)["clauses"]
+
+
 def test_eliminate_resource_limit(capsys):
     rc = main(["eliminate", "--max-branches", "1",
                "--formula",

@@ -1,22 +1,31 @@
 """Exact atom semantics and the bounded three-valued evaluator."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
-    FIXTURE_MODELS, SUM_MODEL, Z_MODEL, aux_assignment, main_assignment,
-    rand_bool, rand_mixed_atom,
+    AUX_FREE, FIXTURE_MODELS, MIXED_RANK5, SUM_MODEL, Z_MODEL,
+    aux_assignment, main_assignment, rand_bool, rand_mixed_atom, rand_term,
 )
+from oagqe import solver
+from oagqe.eliminate import qe_driver
 from oagqe.evaluate import (
-    eval_atom, evaluate, evaluator, k_all, k_any, k_not, resolve_aux,
+    DEFAULT_BOX, Uncompilable, _discrete_cuts, _fallback_candidates,
+    _free_names, _renamer, compile_clause, dnf_clauses, eval_atom, eval_lin,
+    evaluate, evaluator, family_evaluator, ground_for_var, h_cut, k_all,
+    k_any, k_not, resolve_aux,
 )
 from oagqe.models import (
-    IntComp, LexModel, RatComp, ac_class_of, spine, spine_min,
+    IntComp, LexModel, RatComp, ac_class_of, dim_query, spine, spine_min,
 )
+from oagqe.normal import ResourceLimit
 from oagqe.syntax import (
-    AuxLe, AuxVar, CongDot, Discr, EqDot, Exists, Forall, LinTerm, MainRel, Not,
-    PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, conj, sort_ac, sort_ae,
+    And, Atom, AuxAsymp, AuxLe, AuxVar, Bottom, CongDot, DimFloor, DimSucc,
+    Discr, DPred, EqDot, Exists, Forall, Fresh, LinTerm, MainRel, Not, Or,
+    PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, Top, conj, disj, neg,
+    sort_ac, sort_ae,
 )
 
 ZZ = LexModel((IntComp(), IntComp()))
@@ -123,18 +132,259 @@ def test_aux_quantifier_sweeps_spine():
     assert evaluate(ZZ, {}, f) is False
 
 
-def test_evaluator_matches_evaluate(rng):
-    for trial in range(25):
-        f = rand_bool(rng, rng.randint(1, 2), rand_mixed_atom)
+# ---------------------------------------------------------------------------
+# Reference: the interpretive evaluator that the compiled closure tree
+# replaced.  It walks the formula at every call and memoizes every node per
+# (node identity, restriction of the assignment to the node's free names).
+
+def ref_atom(model, asg, a):
+    if isinstance(a, MainRel):
+        c = resolve_aux(model, asg, a.aux).cut
+        d = model.sub(eval_lin(model, asg, a.lhs), eval_lin(model, asg, a.rhs))
+        if a.k != 0:
+            rep = model.minpos_rep(c)
+            if rep is not None:
+                d = model.sub(d, model.smul(a.k, rep))
+        if a.op == "eq":
+            return model.in_cut(d, c)
+        if a.op == "lt":
+            return model.proj_sign(d, c) < 0
+        if a.op == "cong":
+            return model.member(d, c, a.m)
+        return model.member_bracket(d, c, a.m, a.mp)
+    if isinstance(a, PlainRel):
+        d = model.sub(eval_lin(model, asg, a.lhs), eval_lin(model, asg, a.rhs))
+        if a.op == "lt":
+            return model.sign(d) < 0
+        return model.member(d, 0, a.m)
+    if isinstance(a, AuxLe):
+        return (resolve_aux(model, asg, a.lhs).cut
+                <= resolve_aux(model, asg, a.rhs).cut)
+    if isinstance(a, AuxAsymp):
+        return (resolve_aux(model, asg, a.lhs).cut
+                == resolve_aux(model, asg, a.rhs).cut)
+    if isinstance(a, Discr):
+        return model.quotient_discrete(resolve_aux(model, asg, a.aux).cut)
+    if isinstance(a, DimSucc):
+        alpha = resolve_aux(model, asg, a.aux)
+        return dim_query(model, a.p, (alpha, a.s + 1), (alpha, a.s)) == a.ell
+    if isinstance(a, DimFloor):
+        alpha = resolve_aux(model, asg, a.aux)
+        return dim_query(model, a.p, (alpha, None), (alpha, a.s)) == a.ell
+    if isinstance(a, (EqDot, CongDot)):
+        t = eval_lin(model, asg, a.t)
+        for c in _discrete_cuts(model):
+            d = model.sub(t, model.smul(a.k, model.minpos_rep(c)))
+            if (model.in_cut(d, c) if isinstance(a, EqDot)
+                    else model.member(d, c, a.m)):
+                return True
+        return False
+    if isinstance(a, DPred):
+        t = eval_lin(model, asg, a.t)
+        c = h_cut(model, t, a.p ** a.r)
+        return (model.member_bracket(t, c, a.p ** a.r, a.p ** a.s)
+                and not model.member(t, c, a.p ** a.r))
+    raise TypeError("not an atom: %r" % (a,))
+
+
+def ref_decide(model, asg, var, body, box, memo):
+    try:
+        g = ground_for_var(model, asg, var, body)
+        for lits in dnf_clauses(g):
+            for cl in compile_clause(model, asg, var, lits):
+                if solver.solve_clause(model, cl) is not None:
+                    return True
+        return False
+    except (Uncompilable, solver.SolverLimit):
+        pass
+    for cand in _fallback_candidates(model, asg, box):
+        asg2 = dict(asg)
+        asg2[var] = cand
+        if ref_eval(model, asg2, body, box, memo) is True:
+            return True
+    return None
+
+
+_MISS = object()
+
+
+def ref_eval(model, asg, f, box, memo):
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bottom):
+        return False
+    names = _free_names(f, memo["free"])
+    key = (id(f), tuple(sorted((v, asg[v]) for v in names if v in asg)))
+    hit = memo["vals"].get(key, _MISS)
+    if hit is not _MISS:
+        return hit
+    if isinstance(f, Atom):
+        out = ref_atom(model, asg, f)
+    elif isinstance(f, Not):
+        out = k_not(ref_eval(model, asg, f.arg, box, memo))
+    elif isinstance(f, And):
+        out = k_all(ref_eval(model, asg, g, box, memo) for g in f.args)
+    elif isinstance(f, Or):
+        out = k_any(ref_eval(model, asg, g, box, memo) for g in f.args)
+    elif isinstance(f, Exists) and f.sort.is_main:
+        out = ref_decide(model, asg, f.var, f.body, box, memo)
+    elif isinstance(f, Forall) and f.sort.is_main:
+        out = k_not(ref_decide(model, asg, f.var, Not(f.body), box, memo))
+    else:
+        vals = []
+        for pt in spine(model, f.sort):
+            asg2 = dict(asg)
+            asg2[f.var] = pt
+            vals.append(ref_eval(model, asg2, f.body, box, memo))
+        out = k_any(vals) if isinstance(f, Exists) else k_all(vals)
+    memo["vals"][key] = out
+    return out
+
+
+def ref_evaluator(model, f, box=DEFAULT_BOX):
+    fresh = Fresh("b")
+    freec = {}
+    fresh.reserve(_free_names(f, freec))
+    g = _renamer(fresh, freec, {})(f, {})
+    memo = {"free": {}, "vals": {}}
+    return lambda asg: ref_eval(model, asg, g, box, memo)
+
+
+def ref_family(model, fuf, box=DEFAULT_BOX):
+    matrices = [cl.matrix() for cl in fuf.clauses]
+    fresh = Fresh("b")
+    freec = {}
+    for m in matrices:
+        fresh.reserve(_free_names(m, freec))
+    walk = _renamer(fresh, freec, {})
+    renamed = [walk(m, {}) for m in matrices]
+    memo = {"free": {}, "vals": {}}
+
+    def run(asg):
+        out = []
+        for cl, mat in zip(fuf.clauses, renamed):
+            val = False
+            for combo in itertools.product(
+                    *(spine(model, s) for _, s in cl.theta)):
+                asg2 = dict(asg)
+                asg2.update(zip((n for n, _ in cl.theta), combo))
+                v = ref_eval(model, asg2, mat, box, memo)
+                if v is True:
+                    val = True
+                    break
+                if v is None:
+                    val = None
+            out.append(val)
+        return out
+
+    return run
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the reference
+
+DIFF_MODELS = FIXTURE_MODELS + [MIXED_RANK5, SUM_MODEL]
+A1 = AUX_FREE[0]
+B = AuxVar("b", sort_ac(2))
+
+
+def rand_quantified(rng, model):
+    """A random formula over x, y, z, a1, e1 with constant anchors at every
+    spine point, auxiliary quantifiers (one of them rebinding the free a1),
+    main quantifiers, and, on models of rank at most 2, a main quantifier
+    nested in another (the bounded fallback)."""
+
+    refs = [SpineRef(pt.sort, pt.class_id) for pt in spine(model, sort_ac(2))]
+
+    def leaf(rng):
+        if rng.random() < 0.6:
+            return rand_mixed_atom(rng)
+        t, u = rand_term(rng, ["x", "y", "z"]), rand_term(rng, ["y", "z"])
+        op, ref = rng.choice(["lt", "eq", "cong", "congb"]), rng.choice(refs)
+        if op == "congb":
+            return MainRel(op, t, u, 0, ref, m=rng.choice([2, 3]), mp=4)
+        m = rng.choice([2, 3]) if op == "cong" else 0
+        return MainRel(op, t, u, rng.randint(-1, 1), ref, m=m)
+
+    def qf():
+        return rand_bool(rng, rng.randint(0, 2), leaf)
+
+    c = rng.randint(0, 5 if model.rank <= 2 else 4)
+    if c == 0:
+        return qf()
+    if c == 1:
+        return conj([qf(), Exists("a1", sort_ac(2), disj([qf(), Discr(A1)]))])
+    if c == 2:
+        return Forall("b", sort_ac(2), disj([Not(AuxLe(B, A1)), qf()]))
+    if c == 3:
+        return disj([qf(), Exists("x", SORT_G, qf())])
+    if c == 4:
+        return neg(Forall("z", SORT_G, qf()))
+    return Forall("z", SORT_G, Exists("x", SORT_G, qf()))
+
+
+def assignments(model, rng, n):
+    """Assignments that often repeat some coordinates, so that memo entries
+    of nodes over fewer names are hit."""
+
+    base = main_assignment(model, rng, ["x", "y", "z"])
+    aa = aux_assignment(model, rng)
+    out = []
+    for _ in range(n):
+        asg = dict(base)
+        for v in rng.sample(["x", "y", "z"], rng.randint(1, 2)):
+            asg[v] = main_assignment(model, rng, [v])[v]
+        asg.update(aux_assignment(model, rng) if rng.random() < 0.5 else aa)
+        out.append(asg)
+    return out
+
+
+def test_evaluator_matches_reference(rng):
+    unknown = 0
+    for trial in range(120):
+        model = DIFF_MODELS[trial % len(DIFF_MODELS)]
+        f = rand_quantified(rng, model)
+        box = 2 if model.rank <= 2 else DEFAULT_BOX
+        run, ref = evaluator(model, f, box), ref_evaluator(model, f, box)
+        for asg in assignments(model, rng, 8):
+            want = ref(asg)
+            assert run(asg) == want, (f, asg)
+            assert evaluate(model, asg, f, box) == want
+            unknown += want is None
+    assert unknown > 0   # the fallback's undecided answers were compared
+
+
+def test_family_evaluator_matches_reference(rng):
+    forms = 0
+    for trial in range(60):
+        if forms == 12:
+            break
+        body = rand_bool(rng, 1, rand_mixed_atom)
+        f = (Exists if trial % 2 else Forall)("x", SORT_G, body)
+        try:
+            fuf = qe_driver(f, cap=64, max_branches=500)
+        except ResourceLimit:
+            continue
+        forms += 1
         model = FIXTURE_MODELS[trial % len(FIXTURE_MODELS)]
-        run = evaluator(model, f)
-        for _ in range(6):
-            asg = main_assignment(model, rng, ["x", "y", "z"])
-            aa = aux_assignment(model, rng)
-            if aa is None:
-                continue
-            asg.update(aa)
-            assert run(asg) == evaluate(model, asg, f)
+        run, ref = family_evaluator(model, fuf), ref_family(model, fuf)
+        for asg in assignments(model, rng, 6):
+            assert run(asg) == ref(asg), (f, asg)
+    assert forms == 12
+
+
+def test_unassigned_variable_raises_when_it_cancels():
+    # x occurs on both sides with equal coefficients and drops out of
+    # lhs - rhs, but an unassigned x still raises, as in the reference
+    asg = {"y": ZZ.element([1, 0]), "b": spine(ZZ, sort_ac(2))[0]}
+    for a in (MainRel("lt", x + y, x, 0, BOT), PlainRel("lt", x + y, x),
+              MainRel("eq", x, x, 0, B)):
+        with pytest.raises(KeyError):
+            ref_atom(ZZ, asg, a)
+        with pytest.raises(KeyError):
+            evaluate(ZZ, asg, a)
+        with pytest.raises(KeyError):
+            evaluator(ZZ, conj([a, PlainRel("lt", y, zero)]))(asg)
 
 
 def test_quantifier_alternation():

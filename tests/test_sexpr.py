@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 from conftest import rand_bool, rand_mixed_atom
 from oagqe.sexpr import ParseError, parse_formula, print_formula, print_sort
 from oagqe.syntax import (
-    AuxVar, CongDot, EqDot, Exists, Forall, LinTerm, MainRel, Not, PlainRel,
-    Sc, Se, SortMin, SORT_G, SuccPlus, sort_ac, sort_ae, sort_aep,
+    AuxVar, CongDot, Discr, EqDot, Exists, Forall, LinTerm, MainRel, Not,
+    PlainRel, Sc, Se, SortMin, SORT_G, SuccPlus, sort_ac, sort_ae, sort_aep,
+    substitute,
 )
 
 
@@ -55,6 +56,8 @@ def test_sort_printing():
     ("(\n  (plainlt x y))", 1, 1),
     ("(and true\n (plainlt x", 2, 2),
     ("(cong 2 (cmin 2) x y)", 1, 1),
+    ("(decl a1 G (plainlt x y))", 1, 10),
+    ("(decl a1 (Ac 2))", 1, 1),
 ])
 def test_parse_errors_carry_position(text, line, col):
     with pytest.raises(ParseError) as ei:
@@ -85,6 +88,21 @@ def test_roundtrip_random_formulas(seed):
     assert parse_formula(text) == f
     # printing is canonical: a second trip is textually stable
     assert print_formula(parse_formula(text)) == text
+
+
+def test_decl_gives_free_aux_variables_their_sorts():
+    rng = random.Random(3)
+    sorts = {"a1": AuxVar("a1", sort_ac(2)), "e1": AuxVar("e1", sort_ae(2))}
+    for _ in range(50):
+        text = print_formula(rand_bool(rng, rng.randint(0, 2), rand_mixed_atom))
+        declared = "(decl a1 (Ac 2) (decl e1 (Ae 2) %s))" % text
+        assert parse_formula(declared) == substitute(parse_formula(text),
+                                                     sorts)
+    # a bound variable still shadows the declared name
+    f = parse_formula("(decl a1 (Ac 2) (E a1 (Ae 3) (discr a1)))")
+    assert f == Exists("a1", sort_ae(3), Discr(AuxVar("a1", sort_ae(3))))
+    with pytest.raises(ParseError):
+        parse_formula("(decl a1 (Ac 2) (plainlt a1 x))")
 
 
 def test_roundtrip_quantified_and_dotted():

@@ -23,9 +23,9 @@ from typing import Optional
 
 from .normal import FamilyUnionForm, ResourceLimit, all_names, atom_lin_terms
 from .syntax import (
-    FALSE, TRUE, Atom, AuxTerm, AuxAsymp, AuxLe, Bottom, Exists, Forall,
-    Formula, Fresh, LinTerm, MainRel, Not, Sc, Se, SortMin, SuccPlus, Top,
-    conj, disj, neg, sort_ac,
+    FALSE, TRUE, And, Atom, AuxTerm, AuxAsymp, AuxLe, Bottom, Exists, Forall,
+    Formula, Fresh, LinTerm, MainRel, Not, Or, Sc, Se, SortMin, SuccPlus, Top,
+    conj, disj, neg, rebuild, sort_ac,
 )
 from .translate import (
     TOPG, _prime_power_parts, dim_chain_formula, discr_lift,
@@ -934,48 +934,18 @@ def eliminate_exists_main(var: str, lits, fresh: Fresh = None, *,
     out = conj([a if pol else Not(a) for a, pol in xfree] +
                [disj(clause_fs)])
     if translate_syn:
-        out = _formula_to_syn(out, fresh)
-    return out
-
-
-def _formula_to_syn(f: Formula, fresh: Fresh, memo: dict = None) -> Formula:
-    # Shared subformulas are translated once; the memo also keeps a
-    # reference to each visited node so identities stay stable.  Atoms are
-    # additionally deduplicated by value: equal atoms must come out as the
-    # same translation, or their fresh witnesses would make them distinct
-    # branching units downstream.
-    if memo is None:
-        memo = {}
-    hit = memo.get(id(f))
-    if hit is not None:
-        return hit[1]
-    if isinstance(f, Atom):
-        out = memo.get(f)
-        if out is None:
-            out = qe_atom_to_syn(f, fresh)
-            memo[f] = out
-    elif isinstance(f, Not):
-        out = neg(_formula_to_syn(f.arg, fresh, memo))
-    elif isinstance(f, (Exists, Forall)):
-        out = type(f)(f.var, f.sort, _formula_to_syn(f.body, fresh, memo))
-    elif hasattr(f, "args"):
-        from .syntax import And
-        parts = [_formula_to_syn(g, fresh, memo) for g in f.args]
-        out = conj(parts) if isinstance(f, And) else disj(parts)
-    else:
-        out = f
-    memo[id(f)] = (f, out)
+        # rebuild translates each distinct atom once: equal atoms must come
+        # out as the same translation, or their fresh witnesses would make
+        # them distinct branching units downstream
+        out = rebuild(out, lambda a: qe_atom_to_syn(a, fresh))
     return out
 
 
 def _push_out_main(f: Formula, fresh: Fresh, cap: int,
                    max_branches: int) -> Formula:
-    if isinstance(f, Atom):
-        return f
     if isinstance(f, Not):
         return neg(_push_out_main(f.arg, fresh, cap, max_branches))
-    if hasattr(f, "args"):
-        from .syntax import And
+    if isinstance(f, (And, Or)):
         parts = [_push_out_main(g, fresh, cap, max_branches)
                  for g in f.args]
         return conj(parts) if isinstance(f, And) else disj(parts)

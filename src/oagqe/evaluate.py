@@ -33,8 +33,8 @@ from .syntax import (
     AC, AE, AEP, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom,
     CongDot, Discr, DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall,
     Formula, Fresh, LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, Sort,
-    SortMin, SpineRef, SuccPlus, Top, TRUE, conj, disj, free_vars, neg, nnf,
-    sort_ac, sort_ae, substitute,
+    SortMin, SpineRef, SuccPlus, Top, TRUE, atom_lin_terms, aux_lin_args,
+    conj, disj, free_names, neg, nnf, sort_ac, sort_ae, substitute,
 )
 
 Value = Union[Element, SpinePoint]
@@ -281,36 +281,17 @@ def _discrete_cuts(model: LexModel) -> list[int]:
 # ---------------------------------------------------------------------------
 # Alpha renaming (unique bound variables)
 
-def _free_names(f: Formula, cache: dict) -> frozenset:
-    """Free variable names of a node, memoized by identity so that shared
-    subformulas are visited once.  The cache holds a reference to each node
-    to keep ids stable."""
-
-    hit = cache.get(id(f))
-    if hit is not None:
-        return hit[1]
-    if isinstance(f, Atom):
-        names = frozenset(free_vars(f).keys())
-    elif isinstance(f, (Top, Bottom)):
-        names = frozenset()
-    elif isinstance(f, Not):
-        names = _free_names(f.arg, cache)
-    elif isinstance(f, (And, Or)):
-        names = frozenset().union(*(_free_names(g, cache) for g in f.args))
-    elif isinstance(f, (Exists, Forall)):
-        names = _free_names(f.body, cache) - {f.var}
-    else:
-        raise TypeError("not a formula: %r" % (f,))
-    cache[id(f)] = (f, names)
-    return names
-
-
-def _renamer(fresh: Fresh, freec: dict, memo: dict):
+def _renamer(fresh: Fresh, free: dict, memo: dict):
+    """A walk(g, ren) that gives every quantifier of g a fresh variable,
+    ren mapping the outer bound names to their new (name, sort).  memo is
+    keyed by value on (node, renaming of its free names), so equal blocks
+    under the same renaming share one renamed copy; free is a `free_names`
+    cache."""
 
     def walk(g: Formula, ren: dict) -> Formula:
         live = tuple(sorted((v, ren[v][0]) for v in ren
-                            if v in _free_names(g, freec)))
-        key = (id(g), live)
+                            if v in free_names(g, free)))
+        key = (g, live)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -398,12 +379,10 @@ def _classify(model: LexModel, var: str, term: AuxTerm):
 
 
 def _aux_has_var(term: AuxTerm, var: str) -> bool:
-    from .syntax import aux_lin_args
     return any(var in lt.vars() for lt in aux_lin_args(term))
 
 
 def _atom_main_vars(a: Atom) -> set[str]:
-    from .syntax import atom_lin_terms
     out: set[str] = set()
     for lt in atom_lin_terms(a):
         out |= lt.vars()
@@ -740,41 +719,24 @@ def _fold(fns, stop: bool):
     return run
 
 
-def _compile(model: LexModel, box: int, varied: frozenset, roots) -> list:
-    """Each (formula, its free names or None) in roots compiled into a tree
-    of closures run(assignment) -> Tri; the closures are returned in order.
+def _compile(model: LexModel, box: int, varied: frozenset, roots,
+             free: dict) -> list:
+    """Each formula in roots compiled into a tree of closures
+    run(assignment) -> Tri; the closures are returned in order.
 
-    Equal subformulas are compiled once, and their names found once, keyed
-    by value across the roots.  A node keeps a memo of its results, keyed
-    by the values of its free variables, only where a lookup can hit: a
-    main-sort quantifier, whose decision is the expensive step, or a node
-    whose free names are a strict subset of the names the caller varies,
-    so that calls differing only outside them share one entry.  The body
-    of a main-sort quantifier is compiled when the bounded fallback first
-    needs it; the complete search grounds the body itself.  The memos live
-    as long as the returned closures, and no closure refers back to the
-    compile caches, so that dropping the closures frees the memos at once."""
+    Equal subformulas are compiled once, keyed by value across the roots;
+    free is the `free_names` cache of the caller's renaming, whose answers
+    serve here too.  A node keeps a memo of its results, keyed by the
+    values of its free variables, only where a lookup can hit: a main-sort
+    quantifier, whose decision is the expensive step, or a node whose free
+    names are a strict subset of the names the caller varies, so that calls
+    differing only outside them share one entry.  The body of a main-sort
+    quantifier is compiled when the bounded fallback first needs it; the
+    complete search grounds the body itself.  The memos live as long as the
+    returned closures, and no closure refers back to the compile caches, so
+    that dropping the closures frees the memos at once."""
 
     runs: dict = {}
-    known: dict = {}
-
-    def names_of(g: Formula) -> frozenset:
-        names = known.get(g)
-        if names is None:
-            if isinstance(g, Atom):
-                names = frozenset(free_vars(g))
-            elif isinstance(g, (Top, Bottom)):
-                names = frozenset()
-            elif isinstance(g, Not):
-                names = names_of(g.arg)
-            elif isinstance(g, (And, Or)):
-                names = frozenset().union(*map(names_of, g.args))
-            elif isinstance(g, (Exists, Forall)):
-                names = names_of(g.body) - {g.var}
-            else:
-                raise TypeError("not a formula: %r" % (g,))
-            known[g] = names
-        return names
 
     def comp(g: Formula):
         run = runs.get(g)
@@ -798,19 +760,15 @@ def _compile(model: LexModel, box: int, varied: frozenset, roots) -> list:
                          k_any if isinstance(g, Exists) else k_all)
         else:
             raise TypeError("not a formula: %r" % (g,))
-        names = names_of(g)
+        names = free_names(g, free)
         if (isinstance(g, (Exists, Forall)) and g.sort.is_main
                 or names < varied):
             run = _memoized(run, tuple(sorted(names)))
         runs[g] = run
         return run
 
-    for g, names in roots:
-        if names is not None:
-            known[g] = names
-    out = [comp(g) for g, _ in roots]
+    out = [comp(g) for g in roots]
     runs.clear()
-    known.clear()
     return out
 
 
@@ -821,7 +779,7 @@ def _decide(model: LexModel, box: int, varied: frozenset, g: Formula):
 
     def run_body(asg: Assignment) -> Tri:
         if not compiled:
-            compiled.extend(_compile(model, box, varied, [(body, None)]))
+            compiled.extend(_compile(model, box, varied, [body], {}))
         return compiled[0](asg)
 
     if isinstance(g, Exists):
@@ -860,8 +818,9 @@ def evaluator(model: LexModel, f: Formula, box: int = DEFAULT_BOX):
 
     Bound variables are alpha-renamed once, so that shadowing cannot
     confuse assignment extension, and the renamed formula is compiled once
-    into a tree of closures (see `_compile`).  The caller varies the free
-    variables of f, so a node keeps a memo only when it is a main-sort
+    into a tree of closures (see `_compile`); both steps read one
+    `free_names` cache, dropped when the build ends.  The caller varies the
+    free variables of f, so a node keeps a memo only when it is a main-sort
     quantifier or its free variables are a strict subset of those of f:
     for example a literal over x alone, asked at one x for many y.
 
@@ -871,41 +830,42 @@ def evaluator(model: LexModel, f: Formula, box: int = DEFAULT_BOX):
     of one job (one `decompose` or `verify_decomposition` call, one
     `oagqe check` run) and drop it afterwards, which frees the memos."""
 
-    fresh = Fresh("b")
-    freec: dict = {}
-    varied = _free_names(f, freec)
-    fresh.reserve(varied)
-    g = _renamer(fresh, freec, {})(f, {})
-    return _compile(model, box, varied, [(g, varied)])[0]
+    free: dict = {}
+    varied = free_names(f, free)
+    g = _renamer(Fresh("b", varied), free, {})(f, {})
+    # renaming keeps the free names; a main-sort quantifier at the root
+    # then compiles without walking its body
+    free[g] = varied
+    return _compile(model, box, varied, [g], free)[0]
 
 
 def family_evaluator(model: LexModel, fuf, box: int = DEFAULT_BOX):
     """Assignment -> list of per-clause truth values for a family union form.
 
     All clause matrices go through one renaming pass and are compiled by one
-    `_compile` call, so literals and guards shared between clauses are compiled
-    once and share one memo.  The caller varies the free variables of the
-    matrices and the theta parameters, which are swept over the spine
-    points of their sorts directly, clause by clause; a node is memoized
+    `_compile` call, with one `free_names` cache for both, so literals and
+    guards shared between clauses are compiled once and share one memo.
+    The caller varies the free variables of the matrices and the theta
+    parameters, which are swept over the spine points of their sorts
+    directly, clause by clause; a node is memoized
     when it is a main-sort quantifier or its free variables are a strict
     subset of these, such as a guard literal over theta alone.  The memos
     live as long as the returned function."""
 
     matrices = [cl.matrix() for cl in fuf.clauses]
-    fresh = Fresh("b")
-    freec: dict = {}
+    free: dict = {}
     varied = set()
     for m in matrices:
-        varied |= _free_names(m, freec)
-    fresh.reserve(varied)
+        varied |= free_names(m, free)
+    fresh = Fresh("b", varied)
     sweeps = []
     for cl in fuf.clauses:
         varied.update(name for name, _ in cl.theta)
         sweeps.append((tuple(name for name, _ in cl.theta),
                        [spine(model, s) for _, s in cl.theta]))
-    walk = _renamer(fresh, freec, {})
+    walk = _renamer(fresh, free, {})
     runs = _compile(model, box, frozenset(varied),
-                    [(walk(m, {}), None) for m in matrices])
+                    [walk(m, {}) for m in matrices], free)
 
     def run(asg: Assignment) -> list:
         out = []

@@ -17,6 +17,10 @@ The splitter caches, per subformula, the units it mentions and its
 cofactors, keyed by value (every node caches its hash), so a remainder
 reached along several branches is split once.  Its caches live for one
 call of the function that built it.
+
+The other rewrites (canonical-map extraction, hoisting, inlining of pinned
+parameters) are `syntax.rebuild` with a rule for atoms and one for
+quantifiers; no memo here is keyed by node identity.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    FALSE, TRUE, Atom, AuxLe, AuxTerm, AuxVar, Bottom, Exists, Forall,
-    Formula, Fresh, Not, And, Or, Sc, Se, Sort, SuccPlus, Top,
-    atom_aux_terms, atom_lin_terms, atoms_of, aux_term_sort, conj, disj,
-    free_vars, has_main_quantifier, neg, subformulas,
+    FALSE, TRUE, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, DimFloor,
+    DimSucc, Discr, Exists, Forall, Formula, Fresh, MainRel, Not, And, Or,
+    Sc, Se, Sort, SuccPlus, Top, atom_aux_terms, atom_lin_terms, atoms_of,
+    aux_free_vars, aux_term_sort, conj, disj, free_vars, has_main_quantifier,
+    neg, rebuild, subformulas, substitute,
 )
 
 
@@ -44,12 +49,12 @@ def boolean_units(f: Formula) -> list[Formula]:
 
     out: list[Formula] = []
     seen = set()
-    visited: set[int] = set()
+    visited: set = set()
 
     def walk(g: Formula):
-        if id(g) in visited:
+        if g in visited:
             return
-        visited.add(id(g))
+        visited.add(g)
         if isinstance(g, (Top, Bottom)):
             return
         if isinstance(g, Not):
@@ -237,27 +242,9 @@ def hoist_main_units(f: Formula, cap: int = 10) -> Formula:
     live for this call.
     """
 
-    memo: dict = {}
     involves: dict = {}
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (Atom, Top, Bottom)):
-            return g
-        hit = memo.get(g)
-        if hit is not None:
-            return hit
-        if isinstance(g, Not):
-            out = neg(walk(g.arg))
-        elif isinstance(g, And):
-            out = conj(walk(h) for h in g.args)
-        elif isinstance(g, Or):
-            out = disj(walk(h) for h in g.args)
-        else:
-            out = _hoist_block(g, walk(g.body), cap, involves)
-        memo[g] = out
-        return out
-
-    return walk(f)
+    return rebuild(f, lambda a: a,
+                   lambda q, body: _hoist_block(q, body, cap, involves))
 
 
 def _hoist_block(q: Formula, body: Formula, cap: int,
@@ -403,21 +390,12 @@ def inline_defined_params(f: Formula) -> Formula:
     acceptable input again.
     """
 
-    from .syntax import aux_free_vars, substitute
+    return rebuild(f, lambda a: a, _inline_block)
 
-    if isinstance(f, (Atom, Top, Bottom)):
-        return f
-    if isinstance(f, Not):
-        return neg(inline_defined_params(f.arg))
-    if isinstance(f, And):
-        return conj(inline_defined_params(g) for g in f.args)
-    if isinstance(f, Or):
-        return disj(inline_defined_params(g) for g in f.args)
-    if isinstance(f, Forall):
-        return Forall(f.var, f.sort, inline_defined_params(f.body))
-    body = inline_defined_params(f.body)
-    if f.sort.is_main:
-        return Exists(f.var, f.sort, body)
+
+def _inline_block(f: Formula, body: Formula) -> Formula:
+    if isinstance(f, Forall) or f.sort.is_main:
+        return type(f)(f.var, f.sort, body)
     parts = list(body.args) if isinstance(body, And) else [body]
 
     def is_var(t):
@@ -456,45 +434,12 @@ def _map_can(t: AuxTerm, mapping: dict) -> AuxTerm:
     return t
 
 
-def _rewrite_aux_terms(f: Formula, mapping: dict,
-                       _memo: dict = None) -> Formula:
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(id(f))
-    if hit is not None:
-        return hit[1]
-    if isinstance(f, Atom):
-        out = _patch_atom(f, mapping)
-    elif isinstance(f, (Top, Bottom)):
-        out = f
-    elif isinstance(f, Not):
-        out = neg(_rewrite_aux_terms(f.arg, mapping, _memo))
-    elif isinstance(f, And):
-        out = conj(_rewrite_aux_terms(g, mapping, _memo) for g in f.args)
-    elif isinstance(f, Or):
-        out = disj(_rewrite_aux_terms(g, mapping, _memo) for g in f.args)
-    elif isinstance(f, Exists):
-        out = Exists(f.var, f.sort, _rewrite_aux_terms(f.body, mapping,
-                                                       _memo))
-    elif isinstance(f, Forall):
-        out = Forall(f.var, f.sort, _rewrite_aux_terms(f.body, mapping,
-                                                       _memo))
-    else:
-        raise TypeError("not a formula: %r" % (f,))
-    _memo[id(f)] = (f, out)
-    return out
-
-
 def _patch_atom(a: Atom, mapping: dict) -> Atom:
-    from .syntax import (
-        AuxAsymp, DimFloor, DimSucc, Discr, AuxLe as _Le, MainRel as _MR,
-    )
-
-    if isinstance(a, _MR):
-        return _MR(a.op, a.lhs, a.rhs, a.k, _map_can(a.aux, mapping), a.m,
-                   a.mp)
-    if isinstance(a, _Le):
-        return _Le(_map_can(a.lhs, mapping), _map_can(a.rhs, mapping))
+    if isinstance(a, MainRel):
+        return MainRel(a.op, a.lhs, a.rhs, a.k, _map_can(a.aux, mapping),
+                       a.m, a.mp)
+    if isinstance(a, AuxLe):
+        return AuxLe(_map_can(a.lhs, mapping), _map_can(a.rhs, mapping))
     if isinstance(a, AuxAsymp):
         return AuxAsymp(_map_can(a.lhs, mapping), _map_can(a.rhs, mapping))
     if isinstance(a, Discr):
@@ -531,7 +476,7 @@ def extract_can_terms(f: Formula, fresh: Fresh):
         sort = aux_term_sort(t)
         mapping[t] = AuxVar(name, sort)
         extracted.append((name, sort, t))
-    g = _rewrite_aux_terms(f, mapping) if mapping else f
+    g = rebuild(f, lambda a: _patch_atom(a, mapping)) if mapping else f
     return g, extracted
 
 

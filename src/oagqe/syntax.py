@@ -503,7 +503,7 @@ def free_vars(f: Formula) -> dict[str, Optional[Sort]]:
     seen: set = set()
 
     def walk(g: Formula, bound: frozenset[str]):
-        key = (id(g), bound)
+        key = (g, bound)
         if key in seen:
             return
         seen.add(key)
@@ -532,17 +532,39 @@ def free_vars(f: Formula) -> dict[str, Optional[Sort]]:
     return out
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Every distinct subformula node, depth-first; a node shared between
-    several positions is yielded once."""
+def free_names(f: Formula, cache: dict) -> frozenset:
+    """Names of the free variables of f.  cache memoizes the answer per
+    subformula, keyed by value, for as long as the caller keeps it."""
 
-    seen: set[int] = set()
+    names = cache.get(f)
+    if names is None:
+        if isinstance(f, Atom):
+            names = frozenset(free_vars(f))
+        elif isinstance(f, Not):
+            names = free_names(f.arg, cache)
+        elif isinstance(f, (And, Or)):
+            names = frozenset().union(*(free_names(g, cache) for g in f.args))
+        elif isinstance(f, (Exists, Forall)):
+            names = free_names(f.body, cache) - {f.var}
+        elif isinstance(f, (Top, Bottom)):
+            names = frozenset()
+        else:
+            raise TypeError("not a formula: %r" % (f,))
+        cache[f] = names
+    return names
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every distinct subformula, depth-first in order of first occurrence;
+    a subformula that occurs at several positions is yielded once."""
+
+    seen: set = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        if id(g) in seen:
+        if g in seen:
             continue
-        seen.add(id(g))
+        seen.add(g)
         yield g
         if isinstance(g, Not):
             stack.append(g.arg)
@@ -562,6 +584,43 @@ def has_main_quantifier(f: Formula) -> bool:
     return any(
         isinstance(g, (Exists, Forall)) and g.sort.is_main for g in subformulas(f)
     )
+
+
+def rebuild(f: Formula, on_atom, on_quant=None) -> Formula:
+    """f rebuilt bottom-up with each atom a replaced by on_atom(a).
+
+    Connectives are put back with the smart constructors, after all their
+    arguments are rebuilt, so on_atom sees every atom of f whatever the
+    folding.  A quantifier q over the rebuilt body b becomes on_quant(q, b),
+    or q with body b when on_quant is None.  One memo, keyed by value,
+    lives for the call: each distinct subformula is rebuilt once, so equal
+    atoms get one replacement even when on_atom draws fresh names."""
+
+    memo: dict = {}
+
+    def walk(g: Formula) -> Formula:
+        out = memo.get(g)
+        if out is None:
+            if isinstance(g, Atom):
+                out = on_atom(g)
+            elif isinstance(g, Not):
+                out = neg(walk(g.arg))
+            elif isinstance(g, And):
+                out = conj([walk(h) for h in g.args])
+            elif isinstance(g, Or):
+                out = disj([walk(h) for h in g.args])
+            elif isinstance(g, (Exists, Forall)):
+                body = walk(g.body)
+                out = (type(g)(g.var, g.sort, body) if on_quant is None
+                       else on_quant(g, body))
+            elif isinstance(g, (Top, Bottom)):
+                out = g
+            else:
+                raise TypeError("not a formula: %r" % (g,))
+            memo[g] = out
+        return out
+
+    return walk(f)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .syntax import (
     AC, AEP, FALSE, TRUE, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, CongDot,
     DimFloor, DimSucc, Discr, DPred, EqDot, Exists, Forall, Formula, Fresh,
     LinTerm, MainRel, Not, PlainRel, Sc, Se, Sort, SortMin, SuccPlus,
-    aux_term_sort, conj, disj, implies, neg, sort_ac, sort_ae,
+    aux_term_sort, conj, disj, implies, neg, rebuild, sort_ac, sort_ae,
 )
 
 TOPG = "TopG"
@@ -336,28 +336,6 @@ def _syn_atom_rewrite(a: Atom) -> Formula:
     return a
 
 
-def _rewrite_syn_atoms(f: Formula, _memo: dict = None) -> Formula:
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(id(f))
-    if hit is not None:
-        return hit[1]
-    if isinstance(f, Atom):
-        out = _syn_atom_rewrite(f)
-    elif isinstance(f, Not):
-        out = neg(_rewrite_syn_atoms(f.arg, _memo))
-    elif isinstance(f, (Exists, Forall)):
-        out = type(f)(f.var, f.sort, _rewrite_syn_atoms(f.body, _memo))
-    elif hasattr(f, "args"):
-        parts = [_rewrite_syn_atoms(g, _memo) for g in f.args]
-        from .syntax import And
-        out = conj(parts) if isinstance(f, And) else disj(parts)
-    else:
-        out = f
-    _memo[id(f)] = (f, out)
-    return out
-
-
 def _pin_formula(var: AuxVar, term: AuxTerm) -> Formula:
     """var equals the canonical-map image `term`, written with anchored
     relations at var only."""
@@ -400,7 +378,7 @@ def syn_qf_to_qe_fuf(f: Formula, cap: int = 4096,
     matrix is case-split into pairwise-disjoint clauses.
     """
 
-    g = _rewrite_syn_atoms(f)
+    g = rebuild(f, _syn_atom_rewrite)
     _note(trace, "plain-anchor", f, g)
     fresh = Fresh("th", all_names(g))
     g, extracted = extract_can_terms(g, fresh)

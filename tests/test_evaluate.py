@@ -13,9 +13,9 @@ from oagqe import solver
 from oagqe.eliminate import qe_driver
 from oagqe.evaluate import (
     DEFAULT_BOX, Uncompilable, _discrete_cuts, _fallback_candidates,
-    _free_names, _renamer, compile_clause, dnf_clauses, eval_atom, eval_lin,
-    evaluate, evaluator, family_evaluator, ground_for_var, h_cut, k_all,
-    k_any, k_not, resolve_aux,
+    compile_clause, dnf_clauses, eval_atom, eval_lin, evaluate, evaluator,
+    family_evaluator, ground_for_var, h_cut, k_all, k_any, k_not,
+    resolve_aux,
 )
 from oagqe.models import (
     IntComp, LexModel, RatComp, ac_class_of, dim_query, spine, spine_min,
@@ -24,8 +24,8 @@ from oagqe.normal import ResourceLimit
 from oagqe.syntax import (
     And, Atom, AuxAsymp, AuxLe, AuxVar, Bottom, CongDot, DimFloor, DimSucc,
     Discr, DPred, EqDot, Exists, Forall, Fresh, LinTerm, MainRel, Not, Or,
-    PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, Top, conj, disj, neg,
-    sort_ac, sort_ae,
+    PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, Top, conj, disj, free_vars,
+    neg, sort_ac, sort_ae, substitute,
 )
 
 ZZ = LexModel((IntComp(), IntComp()))
@@ -136,6 +136,70 @@ def test_aux_quantifier_sweeps_spine():
 # Reference: the interpretive evaluator that the compiled closure tree
 # replaced.  It walks the formula at every call and memoizes every node per
 # (node identity, restriction of the assignment to the node's free names).
+# Its free-name cache and alpha renaming are the identity-keyed versions
+# that the value-keyed ones in src replaced, so it shares no code with the
+# renaming and compiling it checks.
+
+def _free_names(f, cache):
+    hit = cache.get(id(f))
+    if hit is not None:
+        return hit[1]
+    if isinstance(f, Atom):
+        names = frozenset(free_vars(f).keys())
+    elif isinstance(f, (Top, Bottom)):
+        names = frozenset()
+    elif isinstance(f, Not):
+        names = _free_names(f.arg, cache)
+    elif isinstance(f, (And, Or)):
+        names = frozenset().union(*(_free_names(g, cache) for g in f.args))
+    elif isinstance(f, (Exists, Forall)):
+        names = _free_names(f.body, cache) - {f.var}
+    else:
+        raise TypeError("not a formula: %r" % (f,))
+    cache[id(f)] = (f, names)
+    return names
+
+
+def _renamer(fresh, freec, memo):
+
+    def walk(g, ren):
+        live = tuple(sorted((v, ren[v][0]) for v in ren
+                            if v in _free_names(g, freec)))
+        key = (id(g), live)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(g, Atom):
+            if not live:
+                out = g
+            else:
+                mapping = {}
+                for old, (new, sort) in ren.items():
+                    if sort.is_main:
+                        mapping[old] = LinTerm.var(new)
+                    else:
+                        mapping[old] = AuxVar(new, sort)
+                out = substitute(g, mapping)
+        elif isinstance(g, (Top, Bottom)):
+            out = g
+        elif isinstance(g, Not):
+            out = Not(walk(g.arg, ren))
+        elif isinstance(g, And):
+            out = And(tuple(walk(h, ren) for h in g.args))
+        elif isinstance(g, Or):
+            out = Or(tuple(walk(h, ren) for h in g.args))
+        elif isinstance(g, (Exists, Forall)):
+            new = fresh(g.var)
+            inner = dict(ren)
+            inner[g.var] = (new, g.sort)
+            out = type(g)(new, g.sort, walk(g.body, inner))
+        else:
+            raise TypeError("not a formula: %r" % (g,))
+        memo[key] = out
+        return out
+
+    return walk
+
 
 def ref_atom(model, asg, a):
     if isinstance(a, MainRel):

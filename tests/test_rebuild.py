@@ -1,0 +1,455 @@
+"""The value-keyed rewriter `rebuild` and `free_names` against the walkers
+they replaced.
+
+Each reference below is the identity-keyed walk that a pass used before it
+went through `rebuild`; the atom-level rules (`qe_atom_to_syn`,
+`_syn_atom_rewrite`, `_patch_atom`, `_hoist_block`) are the program's own.
+The random formulas draw their nodes from a growing pool, so subformulas
+recur both by identity (a pooled node reused) and by value only (a deep
+copy), and some connectives are built raw, as the parser builds them.
+"""
+
+import copy
+import random
+
+import pytest
+
+from conftest import AUX_FREE, rand_bool, rand_syn_atom, rand_term
+from oagqe.eliminate import eliminate_exists_main
+from oagqe.normal import (
+    FamilyUnionForm, FUClause, ResourceLimit, _can_subterms, _hoist_block,
+    _patch_atom, all_names, dnf_disjoint_tree, extract_can_terms,
+    hoist_main_units, inline_defined_params, unit_involves_main,
+)
+from oagqe.syntax import (
+    FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, Discr, Exists, Forall,
+    Fresh, LinTerm, MainRel, Not, Or, PlainRel, SORT_G, Sc, Se, SortMin,
+    SuccPlus, Top, atom_aux_terms, aux_free_vars, aux_term_sort, conj, disj,
+    free_names, free_vars, neg, rebuild, sort_ac, sort_aep, substitute,
+)
+from oagqe.translate import (
+    _pin_formula, _syn_atom_rewrite, qe_atom_to_syn, syn_qf_to_qe_fuf,
+)
+
+BOT = SortMin(sort_ac(2))
+A = AuxVar("a", sort_ac(2))
+
+
+# ---------------------------------------------------------------------------
+# References: the identity-keyed walkers as they were
+
+def _ref_formula_to_syn(f, fresh, memo=None):
+    # shared nodes by identity, atoms additionally by value
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
+    if isinstance(f, Atom):
+        out = memo.get(f)
+        if out is None:
+            out = qe_atom_to_syn(f, fresh)
+            memo[f] = out
+    elif isinstance(f, Not):
+        out = neg(_ref_formula_to_syn(f.arg, fresh, memo))
+    elif isinstance(f, (Exists, Forall)):
+        out = type(f)(f.var, f.sort, _ref_formula_to_syn(f.body, fresh, memo))
+    elif isinstance(f, (And, Or)):
+        parts = [_ref_formula_to_syn(g, fresh, memo) for g in f.args]
+        out = conj(parts) if isinstance(f, And) else disj(parts)
+    else:
+        out = f
+    memo[id(f)] = (f, out)
+    return out
+
+
+def _ref_rewrite_syn_atoms(f, memo=None):
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
+    if isinstance(f, Atom):
+        out = _syn_atom_rewrite(f)
+    elif isinstance(f, Not):
+        out = neg(_ref_rewrite_syn_atoms(f.arg, memo))
+    elif isinstance(f, (Exists, Forall)):
+        out = type(f)(f.var, f.sort, _ref_rewrite_syn_atoms(f.body, memo))
+    elif isinstance(f, (And, Or)):
+        parts = [_ref_rewrite_syn_atoms(g, memo) for g in f.args]
+        out = conj(parts) if isinstance(f, And) else disj(parts)
+    else:
+        out = f
+    memo[id(f)] = (f, out)
+    return out
+
+
+def _ref_rewrite_aux_terms(f, mapping, memo=None):
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
+    if isinstance(f, Atom):
+        out = _patch_atom(f, mapping)
+    elif isinstance(f, (Top, Bottom)):
+        out = f
+    elif isinstance(f, Not):
+        out = neg(_ref_rewrite_aux_terms(f.arg, mapping, memo))
+    elif isinstance(f, And):
+        out = conj(_ref_rewrite_aux_terms(g, mapping, memo) for g in f.args)
+    elif isinstance(f, Or):
+        out = disj(_ref_rewrite_aux_terms(g, mapping, memo) for g in f.args)
+    else:
+        out = type(f)(f.var, f.sort,
+                      _ref_rewrite_aux_terms(f.body, mapping, memo))
+    memo[id(f)] = (f, out)
+    return out
+
+
+def _ref_atoms(f):
+    """Atoms in depth-first order, each node visited once by identity."""
+
+    seen, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if isinstance(g, Atom):
+            yield g
+        elif isinstance(g, Not):
+            stack.append(g.arg)
+        elif isinstance(g, (And, Or)):
+            stack.extend(reversed(g.args))
+        elif isinstance(g, (Exists, Forall)):
+            stack.append(g.body)
+
+
+def _ref_extract_can_terms(f, fresh):
+    can_terms = []
+    for a in _ref_atoms(f):
+        for t in atom_aux_terms(a):
+            _can_subterms(t, can_terms)
+    mapping, extracted = {}, []
+    for t in can_terms:
+        name, sort = fresh(), aux_term_sort(t)
+        mapping[t] = AuxVar(name, sort)
+        extracted.append((name, sort, t))
+    g = _ref_rewrite_aux_terms(f, mapping) if mapping else f
+    return g, extracted
+
+
+def _ref_hoist_main_units(f, cap=10):
+    memo, involves = {}, {}
+
+    def walk(g):
+        if isinstance(g, (Atom, Top, Bottom)):
+            return g
+        hit = memo.get(g)
+        if hit is not None:
+            return hit
+        if isinstance(g, Not):
+            out = neg(walk(g.arg))
+        elif isinstance(g, And):
+            out = conj(walk(h) for h in g.args)
+        elif isinstance(g, Or):
+            out = disj(walk(h) for h in g.args)
+        else:
+            out = _hoist_block(g, walk(g.body), cap, involves)
+        memo[g] = out
+        return out
+
+    return walk(f)
+
+
+def _ref_inline_defined_params(f):
+    if isinstance(f, (Atom, Top, Bottom)):
+        return f
+    if isinstance(f, Not):
+        return neg(_ref_inline_defined_params(f.arg))
+    if isinstance(f, And):
+        return conj(_ref_inline_defined_params(g) for g in f.args)
+    if isinstance(f, Or):
+        return disj(_ref_inline_defined_params(g) for g in f.args)
+    if isinstance(f, Forall):
+        return Forall(f.var, f.sort, _ref_inline_defined_params(f.body))
+    body = _ref_inline_defined_params(f.body)
+    if f.sort.is_main:
+        return Exists(f.var, f.sort, body)
+    parts = list(body.args) if isinstance(body, And) else [body]
+
+    def is_var(t):
+        return isinstance(t, AuxVar) and t.name == f.var
+
+    pin = None
+    for a in parts:
+        if (isinstance(a, AuxLe) and is_var(a.lhs)
+                and f.var not in aux_free_vars(a.rhs)
+                and any(isinstance(b, AuxLe) and is_var(b.rhs)
+                        and b.lhs == a.rhs for b in parts)):
+            pin = a.rhs
+            break
+    if pin is None:
+        return Exists(f.var, f.sort, body)
+    rest = [a for a in parts
+            if not (isinstance(a, AuxLe)
+                    and ((is_var(a.lhs) and a.rhs == pin)
+                         or (is_var(a.rhs) and a.lhs == pin)))]
+    return substitute(conj(rest), {f.var: pin})
+
+
+def _ref_syn_qf_to_qe_fuf(f, cap=4096):
+    g = _ref_rewrite_syn_atoms(f)
+    fresh = Fresh("th", all_names(g))
+    g, extracted = _ref_extract_can_terms(g, fresh)
+    g = _ref_hoist_main_units(g)
+    theta = tuple((name, sort) for name, sort, _ in extracted)
+    pins = [_pin_formula(AuxVar(name, sort), term)
+            for name, sort, term in extracted]
+    clauses, involves = [], {}
+    for row in dnf_disjoint_tree(conj(pins + [g]), cap=cap):
+        xi = [u if pol else neg(u) for u, pol in row
+              if not unit_involves_main(u, involves)]
+        psi = tuple((u, pol) for u, pol in row
+                    if unit_involves_main(u, involves))
+        clauses.append(FUClause(theta, conj(xi), psi))
+    return FamilyUnionForm(tuple(clauses))
+
+
+# ---------------------------------------------------------------------------
+# Random formulas with shared and equal-but-distinct subformulas
+
+def rand_dag(rng, leaves, steps, quantify=True):
+    pool = list(leaves)
+
+    def pick():
+        g = (pool[rng.randint(len(pool) // 2, len(pool) - 1)]
+             if rng.random() < 0.7 else rng.choice(pool))
+        return copy.deepcopy(g) if rng.random() < 0.3 else g
+
+    for _ in range(steps):
+        parts = [pick() for _ in range(rng.choice([1, 2, 2, 3]))]
+        c = rng.randint(0, 5)
+        if c == 0:
+            node = conj(parts)
+        elif c == 1:
+            node = disj(parts)
+        elif c in (2, 3):
+            node = (And if c == 2 else Or)(tuple(parts))
+        else:
+            node = (neg if c == 4 else Not)(parts[0])
+        if quantify and rng.random() < 0.1:
+            node = (Exists if rng.random() < 0.5 else Forall)(
+                "a", sort_ac(2), node)
+        pool.append(node)
+    return pool[-1]
+
+
+def rand_anchored_atom(rng):
+    """An anchored relation whose translation may draw fresh names (an Aep
+    anchor, a nonzero offset) or fold to a constant (modulus 1)."""
+
+    eta = rng.choice(AUX_FREE + [BOT, AuxVar("p1", sort_aep(2)),
+                                 SuccPlus(Se(2, rand_term(rng, ["u"])))])
+    t, w = rand_term(rng, ["x", "y"]), rand_term(rng, ["y", "z"])
+    op = rng.choice(["eq", "lt", "cong", "cong1"])
+    if op == "cong1":
+        return MainRel("cong", t, w, rng.randint(0, 1), eta, m=1)
+    if op == "cong":
+        return MainRel(op, t, w, rng.randint(-1, 1), eta, m=rng.choice([2, 3]))
+    return MainRel(op, t, w, rng.randint(-1, 1), eta)
+
+
+def rand_can_atom(rng):
+    """An atom over canonical-map images of main terms."""
+
+    def can():
+        c = rng.randint(0, 2)
+        t = rand_term(rng, ["y", "z"], -2, 2)
+        if c == 0:
+            return Sc(2, rng.randint(1, 2), t)
+        if c == 1:
+            return Se(2, t)
+        return SuccPlus(Se(2, t))
+
+    c = rng.randint(0, 3)
+    if c == 0:
+        return AuxLe(can(), rng.choice(AUX_FREE + [BOT]))
+    if c == 1:
+        return Discr(can())
+    if c == 2:
+        return MainRel("lt", rand_term(rng, ["x"]), rand_term(rng, ["y"]), 0,
+                       can())
+    return rand_syn_atom(rng)
+
+
+def _rand_block(rng):
+    aux = [Discr(A), AuxLe(A, AUX_FREE[0]), AuxLe(BOT, A)]
+
+    def leaf(r):
+        return r.choice(aux) if r.random() < 0.4 else rand_syn_atom(r)
+
+    body = rand_bool(rng, rng.randint(1, 2), leaf)
+    return (Exists if rng.random() < 0.5 else Forall)("a", sort_ac(2), body)
+
+
+def _rand_pinned(rng):
+    """An auxiliary block whose variable is pinned to a term, with both
+    sides of the pin in either order, or half of it."""
+
+    v = AuxVar("v", sort_ac(2))
+    t = rng.choice([Sc(2, 1, rand_term(rng, ["y", "z"])), AUX_FREE[0], BOT])
+    rest = [Discr(v), rand_syn_atom(rng), AuxLe(v, AUX_FREE[0])]
+    pins = [AuxLe(v, t), AuxLe(t, v)][:rng.choice([1, 2, 2])]
+    parts = pins + rng.sample(rest, rng.randint(0, 2))
+    rng.shuffle(parts)
+    kind = rng.choice([Exists, Exists, Forall])
+    return kind("v", sort_ac(2), conj(parts))
+
+
+def _fresh_pair(taken=("x", "y", "z", "u", "a1", "e1", "p1")):
+    return Fresh("b", taken), Fresh("b", taken)
+
+
+def _state(fresh):
+    return fresh._count, fresh._taken
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+
+def test_anchored_translation_matches_reference():
+    rng = random.Random(21)
+    for _ in range(150):
+        leaves = [rand_anchored_atom(rng) for _ in range(5)]
+        f = rand_dag(rng, leaves + [TRUE, FALSE], rng.randint(3, 12))
+        f1, f2 = _fresh_pair()
+        assert rebuild(f, lambda a: qe_atom_to_syn(a, f1)) == \
+            _ref_formula_to_syn(f, f2), f
+        assert _state(f1) == _state(f2)
+
+
+def test_eliminate_exists_main_translation_matches_reference():
+    rng = random.Random(22)
+    for _ in range(40):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            t = LinTerm.var("x", rng.choice([1, 1, 2, -1]))
+            w = rand_term(rng, ["y", "z"])
+            op = rng.choice(["lt", "eq", "cong"])
+            kw = {"m": rng.choice([2, 3])} if op == "cong" else {}
+            eta = rng.choice([BOT, AUX_FREE[0]])
+            lits.append((MainRel(op, t, w, rng.randint(-1, 1), eta, **kw),
+                         rng.random() < 0.8))
+        f1, f2 = _fresh_pair()
+        got = eliminate_exists_main("x", lits, f1, translate_syn=True)
+        want = _ref_formula_to_syn(eliminate_exists_main("x", lits, f2), f2)
+        assert got == want, lits
+        assert _state(f1) == _state(f2)
+
+
+def test_extract_can_terms_matches_reference():
+    rng = random.Random(23)
+    extracted = 0
+    for _ in range(150):
+        leaves = [rand_can_atom(rng) for _ in range(5)]
+        f = rand_dag(rng, leaves, rng.randint(3, 12))
+        f1, f2 = _fresh_pair()
+        got, want = extract_can_terms(f, f1), _ref_extract_can_terms(f, f2)
+        assert got == want, f
+        assert _state(f1) == _state(f2)
+        extracted += len(got[1])
+    assert extracted > 100
+
+
+def test_syn_qf_to_qe_fuf_matches_reference():
+    rng = random.Random(24)
+    done = 0
+    for _ in range(60):
+        leaves = [rand_syn_atom(rng) for _ in range(4)]
+        f = rand_dag(rng, leaves, rng.randint(2, 8), quantify=False)
+        try:
+            want = _ref_syn_qf_to_qe_fuf(f, cap=256)
+        except ResourceLimit:
+            with pytest.raises(ResourceLimit):
+                syn_qf_to_qe_fuf(f, cap=256)
+            continue
+        assert syn_qf_to_qe_fuf(f, cap=256) == want, f
+        done += 1
+    assert done >= 30
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ResourceLimit, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_hoist_main_units_matches_reference():
+    rng = random.Random(25)
+    for _ in range(80):
+        leaves = ([_rand_block(rng) for _ in range(3)]
+                  + [rand_syn_atom(rng) for _ in range(2)])
+        f = rand_dag(rng, leaves, rng.randint(2, 8))
+        assert _outcome(hoist_main_units, f) == \
+            _outcome(_ref_hoist_main_units, f), f
+
+
+def test_inline_defined_params_matches_reference():
+    rng = random.Random(26)
+    inlined = 0
+    for _ in range(100):
+        leaves = ([_rand_pinned(rng) for _ in range(3)]
+                  + [rand_syn_atom(rng),
+                     Exists("x", SORT_G, rand_syn_atom(rng))])
+        f = rand_dag(rng, leaves, rng.randint(2, 8))
+        got = inline_defined_params(f)
+        assert got == _ref_inline_defined_params(f), f
+        inlined += len(all_names(f)) > len(all_names(got))
+    assert inlined > 10
+
+
+def test_free_names_equals_free_vars():
+    rng = random.Random(27)
+    cache = {}
+    for _ in range(100):
+        # the same atoms occur under a binder of their variables and free
+        atoms = [rand_anchored_atom(rng) for _ in range(3)]
+        leaves = atoms + [_rand_pinned(rng), Exists("x", SORT_G, atoms[0]),
+                          Forall("y", SORT_G, atoms[1])]
+        f = rand_dag(rng, leaves, rng.randint(2, 8))
+        assert free_names(f, {}) == frozenset(free_vars(f)), f
+        # a cache kept across formulas gives the same answers
+        assert free_names(f, cache) == frozenset(free_vars(f)), f
+
+
+def test_rebuild_visits_every_atom_once():
+    # arguments are rebuilt before the connective folds, so an atom after
+    # an absorbing constant is still seen; equal atoms are seen once
+    a = PlainRel("lt", LinTerm.var("x"), LinTerm.zero())
+    b = PlainRel("lt", LinTerm.var("y"), LinTerm.zero())
+    seen = []
+
+    def on_atom(g):
+        seen.append(g)
+        return FALSE if g == a else g
+
+    f = And((a, Or((b, copy.deepcopy(a))), copy.deepcopy(b)))
+    assert rebuild(f, on_atom) is FALSE
+    assert seen == [a, b]
+
+
+def test_hoist_expands_blocks_after_a_false_sibling():
+    # every block is hoisted, also after a sibling that folds to false, so
+    # a block over the cap raises whatever the order of the arguments
+    u = PlainRel("lt", LinTerm.var("y"), LinTerm.zero())
+    dead = Exists("a", sort_ac(2), And((u, Not(u))))
+    assert hoist_main_units(dead) is FALSE
+    wide = Exists("a", sort_ac(2), conj(
+        [Discr(A)] + [PlainRel("lt", LinTerm.var("y%d" % i), LinTerm.zero())
+                      for i in range(12)]))
+    for f in (And((dead, wide)), And((wide, dead))):
+        with pytest.raises(ResourceLimit):
+            hoist_main_units(f)

@@ -1,5 +1,8 @@
 """Linear-term algebra, smart constructors and traversal helpers."""
 
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -134,3 +137,19 @@ def test_nnf_pushes_negation_to_literals():
         if isinstance(h, Not):
             assert isinstance(h.arg, (PlainRel, EqDot))
     assert isinstance(g, Or)
+
+
+def test_no_identity_keys_in_src():
+    # every memo in the program is keyed by value (nodes cache their
+    # hashes), so no table has to keep nodes alive for their ids to stay
+    # valid; a call of id() anywhere in the package would reintroduce one
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "oagqe"
+    files = sorted(src.glob("*.py"))
+    assert len(files) >= 10
+    calls = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "id"):
+                calls.append("%s:%d" % (path.name, node.lineno))
+    assert calls == []

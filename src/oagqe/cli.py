@@ -5,8 +5,9 @@ spine (list auxiliary-sort points of a model), check (differential test of
 the eliminator against direct evaluation), eval (evaluate a formula at an
 assignment), piecewise (piecewise-linear decomposition of a graph formula).
 
-Exit codes: 0 success, 1 input error or detected mismatch, 2 resource
-limit, 3 unknown evaluation outcome.
+Exit codes: 0 success, 1 input error (a usage error such as an unknown
+flag included) or detected mismatch, 2 resource limit, 3 unknown
+evaluation outcome.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from .normal import ResourceLimit
 from .piecewise import (
     FunctionalityError, decompose, verify_decomposition,
 )
-from .sexpr import ParseError, parse_formula, print_formula, print_sort
+from .sexpr import parse_formula, print_formula, print_sort
 from .syntax import free_vars, sort_ac, sort_ae, sort_aep
 
 EXIT_OK = 0
@@ -37,6 +38,15 @@ EXIT_UNKNOWN = 3
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error: argparse would exit with
+    status 2, which here means a resource limit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError("%s: %s" % (self.prog, message))
 
 
 def _load_model(path: str) -> LexModel:
@@ -59,13 +69,6 @@ def _load_formula(spec: str):
         with open(spec) as fh:
             text = fh.read()
     return parse_formula(text)
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("OAGQE_SEED")
-    return int(env) if env else 0
 
 
 def _parse_sort_spec(spec: str):
@@ -147,7 +150,10 @@ def _sample_assignment(model, rng, fv):
 def cmd_check(args) -> int:
     f = _load_formula(args.formula)
     model = _load_model(args.model)
-    rng = random.Random(_seed(args))
+    seed = args.seed
+    if seed is None:
+        seed = int(os.environ.get("OAGQE_SEED") or 0)
+    rng = random.Random(seed)
     fv = free_vars(f)
     t0 = time.time()
     fuf = qe_driver(f, max_branches=args.max_branches)
@@ -231,59 +237,57 @@ def cmd_piecewise(args) -> int:
     return EXIT_OK if report.ok else EXIT_INPUT
 
 
+# the options of the subcommands; each subcommand takes the ones it reads
+FLAGS = {
+    "--formula": {"help": "s-expression or file path"},
+    "--model": {"help": "model description file"},
+    "--box": {"type": int, "default": 8,
+              "help": "search radius for bounded evaluation"},
+    "--samples": {"type": int, "default": 100},
+    "--seed": {"type": int, "default": None,
+               "help": "rng seed (fallback: OAGQE_SEED)"},
+    "--trace": {"action": "store_true"},
+    "--max-branches": {"type": int, "default": 200000},
+    "--json": {"action": "store_true"},
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="oagqe", description=__doc__)
+    ap = _Parser(prog="oagqe", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, model=True):
-        p.add_argument("--formula", help="s-expression or file path")
-        if model:
-            p.add_argument("--model", help="model description file")
-        p.add_argument("--box", type=int, default=8,
-                       help="search radius for bounded evaluation")
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--seed", type=int, default=None,
-                       help="rng seed (fallback: OAGQE_SEED)")
-        p.add_argument("--trace", action="store_true")
-        p.add_argument("--max-branches", type=int, default=200000)
-        p.add_argument("--json", action="store_true")
+    def add(name, run, about, *flags):
+        p = sub.add_parser(name, help=about)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("eliminate", help="rewrite to family union form")
-    common(p, model=False)
-    p.set_defaults(run=cmd_eliminate)
-
-    p = sub.add_parser("spine", help="list auxiliary spine points")
-    common(p)
+    add("eliminate", cmd_eliminate, "rewrite to family union form",
+        "--formula", "--max-branches", "--trace", "--json")
+    p = add("spine", cmd_spine, "list auxiliary spine points", "--model")
     p.add_argument("sorts", nargs="*", help="sort specs like c2 e3 ep2")
-    p.set_defaults(run=cmd_spine)
-
-    p = sub.add_parser("check", help="differential test against evaluation")
-    common(p)
-    p.set_defaults(run=cmd_check)
-
-    p = sub.add_parser("eval", help="evaluate at an assignment")
-    common(p)
+    add("check", cmd_check, "differential test against evaluation",
+        "--formula", "--model", "--box", "--samples", "--seed",
+        "--max-branches")
+    p = add("eval", cmd_eval, "evaluate at an assignment",
+            "--formula", "--model", "--box")
     p.add_argument("assign", nargs="*", metavar="name=coords",
                    help="element assignment, least significant first")
-    p.set_defaults(run=cmd_eval)
-
-    p = sub.add_parser("piecewise", help="piecewise-linear decomposition")
-    common(p)
+    p = add("piecewise", cmd_piecewise, "piecewise-linear decomposition",
+            "--formula", "--model", "--box", "--json")
     p.add_argument("--value", default="y", help="value variable of the graph")
     p.add_argument("--func-args", default=None,
                    help="comma-separated argument variables, in order")
-    p.set_defaults(run=cmd_piecewise)
     return ap
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.run(args)
-    except ParseError as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_INPUT
     except (InputError, FunctionalityError, ValueError) as e:
+        # a ParseError is a ValueError too
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimit as e:

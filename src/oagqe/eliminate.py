@@ -21,15 +21,15 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from .normal import FamilyUnionForm, ResourceLimit, all_names, atom_lin_terms
+from .models import TOPG, prime_power_parts
+from .normal import FamilyUnionForm, ResourceLimit, all_names
 from .syntax import (
-    FALSE, TRUE, And, Atom, AuxTerm, AuxAsymp, AuxLe, Bottom, Exists, Forall,
-    Formula, Fresh, LinTerm, MainRel, Not, Or, Sc, Se, SortMin, SuccPlus, Top,
-    conj, disj, neg, rebuild, sort_ac,
+    FALSE, TRUE, And, AuxTerm, AuxAsymp, AuxLe, Bottom, Exists, Forall,
+    Formula, Fresh, LinTerm, MainRel, Not, Or, Se, SortMin, Top, conj, disj,
+    main_vars, neg, rebuild, sort_ac,
 )
 from .translate import (
-    TOPG, _prime_power_parts, dim_chain_formula, discr_lift,
-    qe_atom_to_syn, syn_qf_to_qe_fuf,
+    dim_chain_formula, discr_lift, qe_atom_to_syn, syn_qf_to_qe_fuf,
 )
 
 
@@ -216,33 +216,18 @@ def power_sum_bound(n: int, nu: int) -> int:
 # ---------------------------------------------------------------------------
 # Literal records
 
-def _anchor_main_vars(eta: AuxTerm):
-    if isinstance(eta, (Sc, Se)):
-        return eta.arg.vars()
-    if isinstance(eta, SuccPlus):
-        return _anchor_main_vars(eta.arg)
-    return set()
-
-
-def _atom_main_vars(a: Atom):
-    out = set()
-    for t in atom_lin_terms(a):
-        out |= t.vars()
-    return out
-
-
 def _gather(var: str, lits):
     """Split literals into var-free ones and raw anchored records in var."""
 
     xfree, raws = [], []
     for a, pol in lits:
-        if var not in _atom_main_vars(a):
+        if var not in main_vars(a):
             xfree.append((a, pol))
             continue
         if not isinstance(a, MainRel):
             raise ValueError("quantified variable in a non-anchored atom: "
                              "%r" % (a,))
-        if var in _anchor_main_vars(a.aux):
+        if var in main_vars(a.aux):
             raise ValueError("quantified variable inside an anchor: "
                              "%r" % (a,))
         d = a.lhs - a.rhs
@@ -475,14 +460,6 @@ def _names_of_lits(lits):
 # ---------------------------------------------------------------------------
 # Part two: congruences, prime by prime
 
-def _vp(m: int, p: int) -> int:
-    r = 0
-    while m % p == 0:
-        m //= p
-        r += 1
-    return r
-
-
 def _prime_split(rec: _CongRec):
     """Prime-power cosets whose conjunction is the record's positive sense,
     or None when the condition is the whole group."""
@@ -491,16 +468,13 @@ def _prime_split(rec: _CongRec):
         if rec.m == 1:
             return None
         return [Coset(rec.aux, p, r, None, rec.c, rec.k)
-                for p, r in _prime_power_parts(rec.m)]
+                for p, r in prime_power_parts(rec.m)]
     m = math.gcd(rec.m, rec.mp)
     if m == 1:
         return None
-    out = []
-    for p, s in _prime_power_parts(rec.mp):
-        r = _vp(m, p)
-        if r:
-            out.append(Coset(rec.aux, p, r, s, rec.c, 0))
-    return out
+    rs = dict(prime_power_parts(m))
+    return [Coset(rec.aux, p, rs[p], s, rec.c, 0)
+            for p, s in prime_power_parts(rec.mp) if p in rs]
 
 
 def _group_le_static(a: Coset, b: Coset) -> bool:

@@ -26,15 +26,16 @@ from typing import Optional, Union
 
 from . import models, solver
 from .models import (
-    Element, LexModel, SpinePoint, aep_of, spine, spine_min,
+    Element, LexModel, SpinePoint, ae_cut, aep_of, comp_nontrivial_quotient,
+    h_cut, spine, spine_min,
 )
 from .models import _ac_cuts  # realized cut sets, shared with spine()
 from .syntax import (
-    AC, AE, AEP, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom,
-    CongDot, Discr, DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall,
-    Formula, Fresh, LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, Sort,
-    SortMin, SpineRef, SuccPlus, Top, TRUE, atom_lin_terms, aux_lin_args,
-    conj, disj, free_names, neg, nnf, sort_ac, sort_ae, substitute,
+    AE, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, CongDot, Discr,
+    DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula, Fresh,
+    LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SpineRef, SuccPlus,
+    Top, TRUE, atom_aux_terms, conj, disj, free_names, main_vars, neg, nnf,
+    replace_aux_terms, sort_ac, sort_ae, substitute,
 )
 
 Value = Union[Element, SpinePoint]
@@ -84,24 +85,6 @@ def eval_lin(model: LexModel, asg: Assignment, t: LinTerm) -> Element:
             raise KeyError("main-sort variable %r unassigned" % v)
         out = model.add(out, model.smul(c, val))
     return out
-
-
-def h_cut(model: LexModel, a: Element, n: int) -> int:
-    """Largest cut c with a outside H_c + nG; 0 when a is in nG."""
-
-    cuts = [c for c in range(model.rank + 1) if not model.member(a, c, n)]
-    return max(cuts) if cuts else 0
-
-
-def ae_cut(model: LexModel, a: Element, p: int) -> int:
-    """Cut of the union of the realized Ac(p)-groups avoiding a."""
-
-    v = model.significance(a)
-    best = 0
-    for c in _ac_cuts(model, p):
-        if c < v:
-            best = c
-    return best
 
 
 def resolve_aux(model: LexModel, asg: Assignment, t: AuxTerm) -> SpinePoint:
@@ -378,17 +361,6 @@ def _classify(model: LexModel, var: str, term: AuxTerm):
     raise Uncompilable("cannot case-split %r" % (term,))
 
 
-def _aux_has_var(term: AuxTerm, var: str) -> bool:
-    return any(var in lt.vars() for lt in aux_lin_args(term))
-
-
-def _atom_main_vars(a: Atom) -> set[str]:
-    out: set[str] = set()
-    for lt in atom_lin_terms(a):
-        out |= lt.vars()
-    return out
-
-
 def ground_for_var(model: LexModel, asg: Assignment, var: str,
                    f: Formula) -> Formula:
     """Rewrite f so that the only remaining atoms mention var with grounded
@@ -413,40 +385,15 @@ def ground_for_var(model: LexModel, asg: Assignment, var: str,
     if not isinstance(f, Atom):
         raise TypeError("not a formula: %r" % (f,))
 
-    if var not in _atom_main_vars(f):
+    if var not in main_vars(f):
         return TRUE if eval_atom(model, asg, f) else FALSE
 
     # case-split away any canonical map applied to a term containing var
-    if isinstance(f, MainRel) and _aux_has_var(f.aux, var):
-        cases = []
-        for pt, conds in _classify(model, var, f.aux):
-            repl = MainRel(f.op, f.lhs, f.rhs, f.k, _ref(pt), f.m, f.mp)
-            cases.append(conj(list(conds) + [repl]))
-        return ground_for_var(model, asg, var, disj(cases))
-    if isinstance(f, (AuxLe, AuxAsymp)):
-        if _aux_has_var(f.lhs, var):
-            cases = [conj(list(conds) + [type(f)(_ref(pt), f.rhs)])
-                     for pt, conds in _classify(model, var, f.lhs)]
+    for term in atom_aux_terms(f):
+        if var in main_vars(term):
+            cases = [conj(conds + [replace_aux_terms(f, {term: _ref(pt)})])
+                     for pt, conds in _classify(model, var, term)]
             return ground_for_var(model, asg, var, disj(cases))
-        if _aux_has_var(f.rhs, var):
-            cases = [conj(list(conds) + [type(f)(f.lhs, _ref(pt))])
-                     for pt, conds in _classify(model, var, f.rhs)]
-            return ground_for_var(model, asg, var, disj(cases))
-        return TRUE if eval_atom(model, asg, f) else FALSE
-    if isinstance(f, (Discr, DimSucc, DimFloor)):
-        term = f.aux
-        if _aux_has_var(term, var):
-            cases = []
-            for pt, conds in _classify(model, var, term):
-                if isinstance(f, Discr):
-                    repl: Atom = Discr(_ref(pt))
-                elif isinstance(f, DimSucc):
-                    repl = DimSucc(f.p, f.s, f.ell, _ref(pt))
-                else:
-                    repl = DimFloor(f.p, f.s, f.ell, _ref(pt))
-                cases.append(conj(list(conds) + [repl]))
-            return ground_for_var(model, asg, var, disj(cases))
-        return TRUE if eval_atom(model, asg, f) else FALSE
     if isinstance(f, EqDot):
         cases = [MainRel("eq", f.t, _zero(), f.k,
                          _ref(SpinePoint(sort_ac(2), c)))
@@ -523,16 +470,6 @@ _TRUE = object()
 _FALSE = object()
 
 
-def _ndiv_feasible(model: LexModel, i: int, m: int) -> bool:
-    from .models import IntComp, LocComp, RatComp, _primes_of
-    comp = model.comps[i]
-    if isinstance(comp, RatComp):
-        return False
-    if isinstance(comp, LocComp):
-        return any(comp.m % p != 0 for p in _primes_of(m))
-    return m > 1
-
-
 def _cong_alternatives(model, cut, m, r, u, positive):
     K = model.rank
     if r == 0:
@@ -544,13 +481,13 @@ def _cong_alternatives(model, cut, m, r, u, positive):
         if positive:
             return [[solver.SumCong(m, r, u, False)]]
         alts = [[solver.NDiv(i, m, r, u)] for i in range(K)
-                if _ndiv_feasible(model, i, m)]
+                if comp_nontrivial_quotient(model.comps[i], m)]
         alts.append([solver.SumCong(m, r, u, True)])
         return alts
     if positive:
         return [[solver.Div(cut, m, r, u)]]
     alts = [[solver.NDiv(i, m, r, u)] for i in range(cut, K)
-            if _ndiv_feasible(model, i, m)]
+            if comp_nontrivial_quotient(model.comps[i], m)]
     return alts if alts else _FALSE
 
 

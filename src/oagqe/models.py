@@ -54,17 +54,23 @@ Component = Union[IntComp, RatComp, LocComp]
 Element = tuple[Fraction, ...]
 
 
-def _primes_of(n: int) -> list[int]:
+def prime_power_parts(m: int) -> list[tuple[int, int]]:
+    """[(p, r), ...] with m the product of the p**r, primes ascending; []
+    for m = 1.  The one factorisation behind the Chinese-remainder splits,
+    the canonical-map exponents and the localization tests."""
+
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            r = 0
+            while m % p == 0:
+                m //= p
+                r += 1
+            out.append((p, r))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
     return out
 
 
@@ -76,7 +82,7 @@ def comp_contains(comp: Component, v: Fraction) -> bool:
     if isinstance(comp, RatComp):
         return True
     d = v.denominator
-    for p in _primes_of(comp.m):
+    for p, _ in prime_power_parts(comp.m):
         while d % p == 0:
             d //= p
     return d == 1
@@ -97,7 +103,7 @@ def comp_nontrivial_quotient(comp: Component, n: int) -> bool:
         return False
     if isinstance(comp, IntComp):
         return True
-    return any(comp.m % p != 0 for p in _primes_of(n))
+    return any(comp.m % p != 0 for p, _ in prime_power_parts(n))
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +291,29 @@ def spine_min(model: LexModel, sort: Sort) -> SpinePoint:
     return spine(model, sort)[0]
 
 
+def h_cut(model: LexModel, a: Element, n: int) -> int:
+    """Largest cut c with a outside H_c + nG; 0 when a is in nG."""
+
+    cuts = [c for c in range(model.rank + 1) if not model.member(a, c, n)]
+    return max(cuts) if cuts else 0
+
+
+def ae_cut(model: LexModel, a: Element, n: int) -> int:
+    """Cut of the union of the realized Ac(n)-groups avoiding a."""
+
+    v = model.significance(a)  # a not in H_cut  <=>  cut <= v - 1 ... cut < v
+    best = 0
+    for c in _ac_cuts(model, n):
+        if c < v:
+            best = c
+    return best
+
+
 def ac_class_of(model: LexModel, a: Element, n: int) -> SpinePoint:
     """The Ac(n)-point of a: the largest cut c with a outside H_c + nG
     ({0} when a is in nG)."""
 
-    cuts = [c for c in range(model.rank + 1) if not model.member(a, c, n)]
-    cut = max(cuts) if cuts else 0
+    cut = h_cut(model, a, n)
     pts = {p.cut: p for p in spine(model, sort_ac(n))}
     if cut not in pts:
         raise AssertionError("canonical class lands outside the spine")
@@ -300,13 +323,8 @@ def ac_class_of(model: LexModel, a: Element, n: int) -> SpinePoint:
 def ae_class_of(model: LexModel, a: Element, n: int) -> SpinePoint:
     """The Ae(n)-point of a: the union of the Ac(n)-groups avoiding a."""
 
-    v = model.significance(a)  # a not in H_cut  <=>  cut <= v - 1 ... cut < v
-    best = 0
-    for c in _ac_cuts(model, n):
-        if c < v:
-            best = c
     pts = {p.cut: p for p in spine(model, sort_ae(n))}
-    return pts[best]
+    return pts[ae_cut(model, a, n)]
 
 
 def aep_of(model: LexModel, beta: SpinePoint) -> SpinePoint:
@@ -333,9 +351,7 @@ def definitional_spine_oracle(model: LexModel, sort: Sort,
     realized: set[int] = set()
     if sort.kind == AC:
         for a in samples:
-            cuts = [c for c in range(model.rank + 1)
-                    if not model.member(a, c, n)]
-            realized.add(max(cuts) if cuts else 0)
+            realized.add(h_cut(model, a, n))
         return sorted(realized)
     if sort.kind == AE:
         ac = definitional_spine_oracle(model, sort_ac(n), samples)
@@ -441,11 +457,8 @@ def dim_query(model: LexModel, p: int, lower, upper) -> int:
     index, rem = divmod(n_up, n_lo)
     if rem:
         raise AssertionError("coset counts not nested")
-    dim = 0
-    while index % p == 0:
-        index //= p
-        dim += 1
-    if index != 1:
+    dim = dict(prime_power_parts(index)).get(p, 0)
+    if index != p ** dim:
         raise AssertionError("quotient not elementary abelian")
     return dim
 

@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    FALSE, TRUE, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, DimFloor,
-    DimSucc, Discr, Exists, Forall, Formula, Fresh, MainRel, Not, And, Or,
-    Sc, Se, Sort, SuccPlus, Top, atom_aux_terms, atom_lin_terms, atoms_of,
-    aux_free_vars, aux_term_sort, conj, disj, free_vars, has_main_quantifier,
-    neg, rebuild, subformulas, substitute,
+    FALSE, TRUE, Atom, AuxLe, AuxTerm, AuxVar, Bottom, Exists, Forall,
+    Formula, Fresh, Not, And, Or, Sc, Se, Sort, SuccPlus, Top,
+    atom_aux_terms, atom_lin_terms, atoms_of, aux_free_vars, aux_term_sort,
+    conj, disj, free_vars, has_main_quantifier, main_vars, neg, rebuild,
+    replace_aux_terms, subformulas, substitute,
 )
 
 
@@ -79,9 +79,12 @@ class ShannonSplitter:
     units the subformula mentions (a bit mask of their indices), its
     cofactor for each (unit, polarity) pair and its split.  The caches are
     keyed by value, never by identity, and live as long as the splitter,
-    which its callers build once per call.  A subtree that does not mention the split unit is
-    its own cofactor; the others are rebuilt with the smart constructors,
-    which fold the constants.
+    which its callers build once per call.  A subtree that does not mention
+    the split unit is its own cofactor; the others are rebuilt with the
+    smart constructors, which fold the constants.  So a formula it splits
+    must itself be built with the smart constructors, as `parse_formula`
+    and `rebuild` build theirs: a raw constant such as Not(TRUE) in a
+    subtree without units would never fold.
     """
 
     def __init__(self, units):
@@ -89,31 +92,6 @@ class ShannonSplitter:
         self._mask: dict = {}
         self._cof: dict = {}
         self._split: dict = {}
-        self._canon: dict = {}
-
-    def canon(self, f: Formula) -> Formula:
-        """f rebuilt with the smart constructors (constants folded, nested
-        connectives flattened, double negations dropped), as every cofactor
-        is; f itself when it is already in that form.  Parsed formulas may
-        not be."""
-
-        if not isinstance(f, (Not, And, Or)):
-            return f
-        hit = self._canon.get(f)
-        if hit is not None:
-            return hit
-        if isinstance(f, Not):
-            arg = self.canon(f.arg)
-            same = arg is f.arg and not isinstance(arg, (Not, Top, Bottom))
-            out = f if same else neg(arg)
-        else:
-            args = [self.canon(g) for g in f.args]
-            same = len(args) > 1 and all(
-                a is b and not isinstance(a, (type(f), Top, Bottom))
-                for a, b in zip(args, f.args))
-            out = f if same else (conj if isinstance(f, And) else disj)(args)
-        self._canon[f] = out
-        return out
 
     def mask(self, g: Formula) -> int:
         """Bit i is set when the listed unit i occurs in g."""
@@ -199,14 +177,15 @@ def dnf_disjoint_tree(f: Formula, cap: int = 4096):
     the unit where their branches split.  The tree is walked depth first,
     true branch first, and the cap is checked at each emitted clause; the
     cofactors come from one splitter for this call, so a remainder that
-    recurs on several branches is rewritten once.
+    recurs on several branches is rewritten once.  f must be built with the
+    smart constructors (see `ShannonSplitter`).
     """
 
     units = boolean_units(f)
     sp = ShannonSplitter(units)
     clauses = []
     # explicit stack: the unit list can be long and recursion depth tracks it
-    stack = [(sp.canon(f), [])]
+    stack = [(f, [])]
     while stack:
         g, lits = stack.pop()
         if isinstance(g, Bottom):
@@ -352,10 +331,9 @@ def _guard_facts(g: Formula, cache: dict):
     if hit is not None:
         return hit
     if isinstance(g, Atom):
-        lin_terms = atom_lin_terms(g)
-        lin = {v for lt in lin_terms for v in lt.vars()}
+        lin = main_vars(g)
         fv = {v: (s, v in lin) for v, s in free_vars(g).items()}
-        out = (False, bool(lin_terms), fv)
+        out = (False, atom_involves_main(g), fv)
     elif isinstance(g, (Top, Bottom)):
         out = (False, False, {})
     elif isinstance(g, Not):
@@ -426,31 +404,6 @@ def _can_subterms(t: AuxTerm, out: list):
         _can_subterms(t.arg, out)
 
 
-def _map_can(t: AuxTerm, mapping: dict) -> AuxTerm:
-    if t in mapping:
-        return mapping[t]
-    if isinstance(t, SuccPlus):
-        return SuccPlus(_map_can(t.arg, mapping))
-    return t
-
-
-def _patch_atom(a: Atom, mapping: dict) -> Atom:
-    if isinstance(a, MainRel):
-        return MainRel(a.op, a.lhs, a.rhs, a.k, _map_can(a.aux, mapping),
-                       a.m, a.mp)
-    if isinstance(a, AuxLe):
-        return AuxLe(_map_can(a.lhs, mapping), _map_can(a.rhs, mapping))
-    if isinstance(a, AuxAsymp):
-        return AuxAsymp(_map_can(a.lhs, mapping), _map_can(a.rhs, mapping))
-    if isinstance(a, Discr):
-        return Discr(_map_can(a.aux, mapping))
-    if isinstance(a, DimSucc):
-        return DimSucc(a.p, a.s, a.ell, _map_can(a.aux, mapping))
-    if isinstance(a, DimFloor):
-        return DimFloor(a.p, a.s, a.ell, _map_can(a.aux, mapping))
-    return a
-
-
 def all_names(f: Formula):
     names = set(free_vars(f))
     for g in subformulas(f):
@@ -476,7 +429,7 @@ def extract_can_terms(f: Formula, fresh: Fresh):
         sort = aux_term_sort(t)
         mapping[t] = AuxVar(name, sort)
         extracted.append((name, sort, t))
-    g = rebuild(f, lambda a: _patch_atom(a, mapping)) if mapping else f
+    g = rebuild(f, lambda a: replace_aux_terms(a, mapping)) if mapping else f
     return g, extracted
 
 

@@ -31,7 +31,7 @@ from .eliminate import _cong_m0, _gather, _scale_records
 from .sexpr import parse_formula, print_formula
 from .syntax import (
     Atom, Bottom, Exists, Formula, LinTerm, MainRel, Not, SORT_G,
-    conj, disj, neg,
+    conj, disj, neg, rebuild,
 )
 
 
@@ -215,6 +215,9 @@ def decompose(model, formula: Formula, value_var: str, args,
     """
 
     args = tuple(args)
+    # the caller may have built the formula with raw connectives; the
+    # splitter needs the smart constructors' form
+    formula = rebuild(formula, lambda a: a)
     clauses = dnf_disjoint_tree(formula, cap=dnf_cap)
     for cl in clauses:
         for u, _ in cl:

@@ -3,21 +3,24 @@
 The surface grammar (atoms in prefix form, quantifiers (E v SORT F) and
 (A v SORT F)) is deliberately small and unambiguous.  (decl v SORT F)
 gives the free auxiliary variable v its sort inside F and is not itself a
-node.  print_formula emits a canonical form without declarations;
-parse_formula(print_formula(f)) is structurally f up to the sorts of free
-auxiliary variables.
+node.  Connectives are built with the smart constructors neg, conj and
+disj, so a parsed formula has its constants folded and its nested
+connectives flattened.  print_formula emits a canonical form without
+declarations; parse_formula(print_formula(f)) is structurally f, for f
+built with the smart constructors, up to the sorts of free auxiliary
+variables.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional, Union
+from typing import Union
 
 from .syntax import (
-    AC, AE, AEP, MAIN, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom,
-    CongDot, Discr, DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall,
-    Formula, LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, Sort, SortMin,
-    SpineRef, SuccPlus, TRUE, Top, neg, sort_ac, sort_ae, sort_aep, SORT_G,
+    AC, AE, AEP, And, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, CongDot,
+    Discr, DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula,
+    LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, Sort, SortMin, SpineRef,
+    SuccPlus, TRUE, Top, conj, disj, neg, sort_ac, sort_ae, SORT_G,
 )
 
 
@@ -272,11 +275,11 @@ def _parse_formula(node: Node, env: dict[str, Sort]) -> Formula:
             return DPred(_int(args[0]), _int(args[1]), _int(args[2]), lin(3))
         if head == "not":
             arity(1)
-            return Not(_parse_formula(args[0], env))
+            return neg(_parse_formula(args[0], env))
         if head == "and":
-            return And(tuple(_parse_formula(a, env) for a in args))
+            return conj([_parse_formula(a, env) for a in args])
         if head == "or":
-            return Or(tuple(_parse_formula(a, env) for a in args))
+            return disj([_parse_formula(a, env) for a in args])
         if head == "decl":
             arity(3)
             var = _name(args[0])

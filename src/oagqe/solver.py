@@ -21,8 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .models import (
-    Element, IntComp, LexModel, LocComp, RatComp, comp_contains,
-    comp_divisible,
+    Element, IntComp, LexModel, RatComp, comp_contains, comp_divisible,
 )
 
 

@@ -12,7 +12,7 @@ Everything here is an immutable tree; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
 
 
@@ -484,6 +484,14 @@ def aux_lin_args(t: AuxTerm) -> list[LinTerm]:
     return []
 
 
+def main_vars(x: Union[Atom, AuxTerm]) -> set[str]:
+    """The main-sort variables of an atom or an auxiliary term, including
+    those under a canonical map."""
+
+    terms = aux_lin_args(x) if isinstance(x, AuxTerm) else atom_lin_terms(x)
+    return {v for t in terms for v, _ in t.coeffs}
+
+
 def aux_free_vars(t: AuxTerm) -> dict[str, Optional[Sort]]:
     out: dict[str, Optional[Sort]] = {}
     if isinstance(t, AuxVar):
@@ -681,6 +689,32 @@ def subst_atom(a: Atom, sub: Subst) -> Atom:
     if isinstance(a, DPred):
         return DPred(a.p, a.r, a.s, subst_lin(a.t, sub))
     raise TypeError("not an atom: %r" % (a,))
+
+
+def replace_aux_terms(a: Atom, mapping: Mapping[AuxTerm, AuxTerm]) -> Atom:
+    """a with every auxiliary term that mapping holds, also one under a
+    successor, replaced by its image; other atoms pass unchanged."""
+
+    def rep(t: AuxTerm) -> AuxTerm:
+        if t in mapping:
+            return mapping[t]
+        if isinstance(t, SuccPlus):
+            return SuccPlus(rep(t.arg))
+        return t
+
+    if isinstance(a, MainRel):
+        return MainRel(a.op, a.lhs, a.rhs, a.k, rep(a.aux), a.m, a.mp)
+    if isinstance(a, AuxLe):
+        return AuxLe(rep(a.lhs), rep(a.rhs))
+    if isinstance(a, AuxAsymp):
+        return AuxAsymp(rep(a.lhs), rep(a.rhs))
+    if isinstance(a, Discr):
+        return Discr(rep(a.aux))
+    if isinstance(a, DimSucc):
+        return DimSucc(a.p, a.s, a.ell, rep(a.aux))
+    if isinstance(a, DimFloor):
+        return DimFloor(a.p, a.s, a.ell, rep(a.aux))
+    return a
 
 
 class Fresh:

@@ -1,18 +1,20 @@
-"""Bridges between the two atom languages, plus congruence algebra.
+"""Bridges between the two atom languages, and dimension chains.
 
-The anchored relations (lhs <>_a rhs + k) can be re-expressed through the
-canonical maps and the dotted predicates, and back.  Together with the
-gcd / scaling / Chinese-remainder rewrites for congruences and the
-dimension-chain formulas, these are the rewriting tools the eliminator is
-built from.  Every rewrite here is a pointwise equivalence, checked by
-sampling in the test suite.
+The anchored relations (lhs <>_a rhs + k) are re-expressed through the
+canonical maps and the dotted predicates (`qe_atom_to_syn`), and a
+quantifier-free formula over those is brought back into family union form
+over anchored relations (`syn_qf_to_qe_fuf`).  `dim_chain_formula` spells
+out the quotient dimensions of the eliminator's counting condition as
+auxiliary formulas.  The eliminator scales coefficients and splits moduli
+into prime powers on its own records.  Every rewrite here is a pointwise
+equivalence, checked by sampling in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from .models import TOPG, prime_power_parts
 from .normal import (
     FamilyUnionForm, FUClause, ResourceLimit, all_names, dnf_disjoint_tree,
     extract_can_terms, hoist_main_units, unit_involves_main,
@@ -24,36 +26,7 @@ from .syntax import (
     aux_term_sort, conj, disj, implies, neg, rebuild, sort_ac, sort_ae,
 )
 
-TOPG = "TopG"
-
 DIM_ELL_CAP = 8
-
-
-# ---------------------------------------------------------------------------
-# Rewrite tracing
-
-@dataclass
-class RewriteStep:
-    rule: str
-    before: object
-    after: object
-
-
-@dataclass
-class RewriteTrace:
-    steps: list = field(default_factory=list)
-
-    def add(self, rule: str, before, after):
-        self.steps.append(RewriteStep(rule, before, after))
-
-    def dump(self) -> str:
-        return "\n".join("RULE %s" % s.rule for s in self.steps)
-
-
-def _note(trace, rule, before, after):
-    if trace is not None:
-        trace.add(rule, before, after)
-    return after
 
 
 # ---------------------------------------------------------------------------
@@ -63,49 +36,19 @@ def aux_lt(a: AuxTerm, b: AuxTerm) -> Formula:
     return Not(AuxLe(b, a))
 
 
-def aux_eq(a: AuxTerm, b: AuxTerm) -> Formula:
-    return conj([AuxLe(a, b), AuxLe(b, a)])
-
-
 def canc_term(m: int, t: LinTerm) -> Sc:
     """The canonical map of exponent m, as a prime power when possible."""
 
-    for p in range(2, m):
-        if p * p > m:
-            break
-        if m % p == 0:
-            r = 0
-            mm = m
-            while mm % p == 0:
-                mm //= p
-                r += 1
-            if mm == 1:
-                return Sc(p, r, t)
-            return Sc(m, 1, t)
+    parts = prime_power_parts(m)
+    if len(parts) == 1:
+        p, r = parts[0]
+        return Sc(p, r, t)
     return Sc(m, 1, t)
 
 
 def plain_eq0(t: LinTerm) -> Formula:
     z = LinTerm.zero()
     return conj([neg(PlainRel("lt", t, z)), neg(PlainRel("lt", z, t))])
-
-
-def _prime_power_parts(m: int):
-    """[(p, r)] with m the product of the p**r."""
-
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            r = 0
-            while m % p == 0:
-                m //= p
-                r += 1
-            out.append((p, r))
-        p += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,83 +69,9 @@ def discr_lift(term: AuxTerm, fresh: Fresh = None) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Congruence algebra
-
-def cong_gcd_reduce(a: MainRel, trace: RewriteTrace = None) -> MainRel:
-    """Bracket congruences only need moduli dividing the bracket exponent."""
-
-    if not (isinstance(a, MainRel) and a.op == "congb"):
-        raise ValueError("expected a bracket congruence")
-    g = math.gcd(a.m, a.mp)
-    if g == a.m:
-        return a
-    out = MainRel("congb", a.lhs, a.rhs, 0, a.aux, m=g, mp=a.mp)
-    return _note(trace, "congb-gcd", a, out)
-
-
-def cong_scale(k: int, a: MainRel, trace: RewriteTrace = None) -> Formula:
-    """The literal with both sides multiplied by k; congruences pick up the
-    restriction to kG, inequalities flip for negative k."""
-
-    if k == 0:
-        raise ValueError("scale factor must be nonzero")
-    if not isinstance(a, MainRel):
-        raise ValueError("expected an anchored relation")
-    lhs, rhs = a.lhs.scale(k), a.rhs.scale(k)
-    if a.op == "eq":
-        out = MainRel("eq", lhs, rhs, k * a.k, a.aux)
-    elif a.op == "lt":
-        if k > 0:
-            out = MainRel("lt", lhs, rhs, k * a.k, a.aux)
-        else:
-            out = MainRel("lt", rhs, lhs, -k * a.k, a.aux)
-    elif a.op == "cong":
-        scaled = MainRel("cong", lhs, rhs, k * a.k, a.aux, m=abs(k) * a.m)
-        out = conj([scaled, PlainRel("cong", lhs, rhs, m=abs(k))])
-    else:
-        scaled = MainRel("congb", lhs, rhs, 0, a.aux, m=abs(k) * a.m,
-                         mp=abs(k) * a.mp)
-        out = conj([scaled, PlainRel("cong", lhs, rhs, m=abs(k))])
-    return _note(trace, "scale", a, out)
-
-
-def cong_crt_split(a: MainRel, trace: RewriteTrace = None) -> Formula:
-    """Chinese-remainder split of a congruence into prime-power pieces."""
-
-    if not isinstance(a, MainRel):
-        raise ValueError("expected an anchored relation")
-    if a.op == "cong":
-        parts = [
-            MainRel("cong", a.lhs, a.rhs, a.k, a.aux, m=p ** r)
-            for p, r in _prime_power_parts(a.m)
-        ]
-        out = conj(parts)
-    elif a.op == "congb":
-        if a.mp % a.m != 0:
-            raise ValueError("bracket split needs the modulus to divide the "
-                             "bracket exponent; reduce by gcd first")
-        parts = []
-        for p, s in _prime_power_parts(a.mp):
-            r = 0
-            m = a.m
-            while m % p == 0:
-                m //= p
-                r += 1
-            if r == 0:
-                continue  # modulus 1 piece is vacuous
-            parts.append(MainRel("congb", a.lhs, a.rhs, 0, a.aux,
-                                 m=p ** r, mp=p ** s))
-        out = conj(parts)
-    else:
-        raise ValueError("expected a congruence")
-    return _note(trace, "crt-split", a, out)
-
-
-# ---------------------------------------------------------------------------
 # Anchored atoms through the canonical maps
 
-def qe_atom_to_syn(a: Atom, fresh: Fresh = None,
-                   trace: RewriteTrace = None) -> Formula:
+def qe_atom_to_syn(a: Atom, fresh: Fresh = None) -> Formula:
     """An anchored relation re-expressed without anchored relations: only
     plain relations, dotted predicates, and comparisons of canonical-map
     images.  Atoms of other kinds pass through unchanged."""
@@ -214,14 +83,12 @@ def qe_atom_to_syn(a: Atom, fresh: Fresh = None,
     t = a.lhs - a.rhs
     eta = a.aux
     if a.op == "eq":
-        out = _eq_translate(eta, t, a.k, fresh)
-    elif a.op == "lt":
-        out = _lt_translate(eta, a.lhs, a.rhs, a.k, fresh)
-    elif a.op == "cong":
-        out = _cong_translate(eta, t, a.k, a.m, fresh)
-    else:
-        out = _congb_translate(eta, t, a.m, a.mp, fresh)
-    return _note(trace, "anchor-out", a, out)
+        return _eq_translate(eta, t, a.k, fresh)
+    if a.op == "lt":
+        return _lt_translate(eta, a.lhs, a.rhs, a.k, fresh)
+    if a.op == "cong":
+        return _cong_translate(eta, t, a.k, a.m, fresh)
+    return _congb_translate(eta, t, a.m, a.mp, fresh)
 
 
 def _anchor_sort(eta: AuxTerm) -> Sort:
@@ -255,7 +122,7 @@ def _eq_translate(eta, t, k, fresh) -> Formula:
 def _cong_zero(eta: AuxTerm, t: LinTerm, m: int) -> Formula:
     if m == 1:
         return TRUE
-    below = conj([aux_lt(Sc(p, r, t), eta) for p, r in _prime_power_parts(m)])
+    below = conj([aux_lt(Sc(p, r, t), eta) for p, r in prime_power_parts(m)])
     return disj([below, PlainRel("cong", t, LinTerm.zero(), m=m)])
 
 
@@ -272,15 +139,11 @@ def _cong_translate(eta, t, k, m, fresh) -> Formula:
 
 
 def _congb_translate(eta, t, m, mp, fresh) -> Formula:
-    m = math.gcd(m, mp)
+    rs = dict(prime_power_parts(math.gcd(m, mp)))
     parts = []
-    for p, s in _prime_power_parts(mp):
-        r = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            r += 1
-        if r == 0:
+    for p, s in prime_power_parts(mp):
+        r = rs.get(p)
+        if r is None:
             continue
         piece = disj([
             _cong_zero(eta, t, p ** r),
@@ -367,8 +230,7 @@ def _pin_formula(var: AuxVar, term: AuxTerm) -> Formula:
     raise TypeError("not a canonical-map image: %r" % (term,))
 
 
-def syn_qf_to_qe_fuf(f: Formula, cap: int = 4096,
-                     trace: RewriteTrace = None) -> FamilyUnionForm:
+def syn_qf_to_qe_fuf(f: Formula, cap: int = 4096) -> FamilyUnionForm:
     """A quantifier-free formula over plain and dotted atoms, brought into
     family union form over anchored relations.
 
@@ -379,7 +241,6 @@ def syn_qf_to_qe_fuf(f: Formula, cap: int = 4096,
     """
 
     g = rebuild(f, _syn_atom_rewrite)
-    _note(trace, "plain-anchor", f, g)
     fresh = Fresh("th", all_names(g))
     g, extracted = extract_can_terms(g, fresh)
     g = hoist_main_units(g)
@@ -387,7 +248,6 @@ def syn_qf_to_qe_fuf(f: Formula, cap: int = 4096,
     pins = [_pin_formula(AuxVar(name, sort), term)
             for name, sort, term in extracted]
     matrix = conj(pins + [g])
-    _note(trace, "can-pin", g, matrix)
 
     clauses = []
     involves: dict = {}

@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, exit codes, output shapes."""
 
+import argparse
+import inspect
 import json
+import pathlib
+import shlex
 
 import pytest
 
-from oagqe.cli import main
+from oagqe.cli import main, make_parser
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -150,3 +156,36 @@ def test_model_file_errors(capsys, tmp_path):
     rc = main(["spine", "--model", str(tmp_path / "missing"), "c2"])
     assert rc == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_as_input_errors(capsys, zz):
+    # exit status 2 means a resource limit, so a usage error is an input
+    # error; each subcommand has only the options it reads
+    for argv in (["eval", "--bogus"], [], ["frobnicate"],
+                 ["spine", "--model", zz, "--formula", "x"],
+                 ["eliminate", "--seed", "3", "--formula", "true"]):
+        assert main(argv) == 1, argv
+        assert "input error" in capsys.readouterr().err
+
+
+def test_every_subcommand_option_is_read():
+    ap = make_parser()
+    subs = next(a for a in ap._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == {"eliminate", "spine", "check", "eval",
+                                 "piecewise"}
+    for name, p in subs.choices.items():
+        source = inspect.getsource(p.get_default("run"))
+        for action in p._actions:
+            if action.dest != "help":
+                assert "args.%s" % action.dest in source, (name, action)
+
+
+def test_readme_command_lines_parse():
+    lines = [line for line in README.read_text().splitlines()
+             if line.startswith("oagqe ")]
+    assert len(lines) >= 6
+    ap = make_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert ap.parse_args(argv).cmd == argv[0], line

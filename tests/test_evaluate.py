@@ -14,11 +14,11 @@ from oagqe.eliminate import qe_driver
 from oagqe.evaluate import (
     DEFAULT_BOX, Uncompilable, _discrete_cuts, _fallback_candidates,
     compile_clause, dnf_clauses, eval_atom, eval_lin, evaluate, evaluator,
-    family_evaluator, ground_for_var, h_cut, k_all, k_any, k_not,
-    resolve_aux,
+    family_evaluator, ground_for_var, k_all, k_any, k_not, resolve_aux,
 )
 from oagqe.models import (
-    IntComp, LexModel, RatComp, ac_class_of, dim_query, spine, spine_min,
+    IntComp, LexModel, RatComp, ac_class_of, dim_query, h_cut, spine,
+    spine_min,
 )
 from oagqe.normal import ResourceLimit
 from oagqe.syntax import (

@@ -9,7 +9,7 @@ from conftest import FIXTURE_MODELS, MIXED_RANK5, SUM_MODEL, Z_MODEL
 from oagqe.models import (
     IntComp, LexModel, LocComp, RatComp, TOPG, ac_class_of, ae_class_of,
     aep_of, definitional_spine_oracle, dim_query, format_model, parse_model,
-    residue_box, sample_element, spine, spine_min,
+    prime_power_parts, residue_box, sample_element, spine, spine_min,
 )
 from oagqe.syntax import sort_ac, sort_ae, sort_aep
 
@@ -45,6 +45,19 @@ def test_membership_basics():
     assert not m.member(a, 0, 2)
     assert m.member(m.element([4, 6]), 0, 2)
     assert m.member(a, 0, 1)
+
+
+def test_prime_power_parts_factor():
+    assert prime_power_parts(1) == []
+    assert prime_power_parts(360) == [(2, 3), (3, 2), (5, 1)]
+    for m in range(2, 1000):
+        parts = prime_power_parts(m)
+        prod = 1
+        for p, r in parts:
+            assert r >= 1 and all(p % d for d in range(2, p))
+            prod *= p ** r
+        assert prod == m
+        assert [p for p, _ in parts] == sorted({p for p, _ in parts})
 
 
 def test_membership_with_localization():

@@ -18,8 +18,8 @@ from oagqe.normal import (
 from oagqe.syntax import (
     FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, Discr, Exists, Forall,
     LinTerm, MainRel, Not, Or, PlainRel, SORT_G, Sc, Sort, SortMin, Top,
-    atoms_of, conj, disj, free_vars, has_main_quantifier, neg, sort_ac,
-    subformulas,
+    atoms_of, conj, disj, free_vars, has_main_quantifier, neg, rebuild,
+    sort_ac, subformulas,
 )
 
 ZZ = LexModel((IntComp(), IntComp()))
@@ -176,8 +176,8 @@ def _block(rng):
 def rand_shared_skeleton(rng):
     """A skeleton over six atoms and quantified blocks whose nodes are
     drawn from a growing pool, so subformulas recur by identity and by
-    value.  Some connectives are built raw, as the parser builds them:
-    nested, single-argument or holding constants."""
+    value.  Some connectives are built raw: nested, single-argument or
+    holding constants."""
 
     pool = [atom(i) for i in range(1, 7)] + [_block(rng) for _ in range(2)]
     for _ in range(rng.randint(4, 16)):
@@ -204,7 +204,9 @@ def test_dnf_tree_matches_reference():
     rng = random.Random(11)
     sizes = []
     for _ in range(200):
-        f = rand_shared_skeleton(rng)
+        # the splitter takes formulas built by the smart constructors, so a
+        # raw skeleton is first rebuilt, as decompose rebuilds its input
+        f = rebuild(rand_shared_skeleton(rng), lambda a: a)
         want = _ref_dnf_disjoint_tree(f)
         assert dnf_disjoint_tree(f) == want, f
         n = len(want)

@@ -9,7 +9,7 @@ from oagqe.piecewise import (
     verify_decomposition,
 )
 from oagqe.syntax import (
-    LinTerm, MainRel, Not, SortMin, conj, disj, sort_ac,
+    TRUE, LinTerm, MainRel, Not, Or, SortMin, conj, disj, sort_ac,
 )
 
 BOT = SortMin(sort_ac(2))
@@ -168,3 +168,12 @@ def test_shared_memo_verification_matches_fresh_evaluation(graph, args, box):
     assert len(rep.violations) == rep.points
     assert all(v["kind"] == "cover" for v in rep.violations)
     assert not verify_decomposition(Z_MODEL, f, corrupted, box).ok
+
+
+def test_decompose_rebuilds_raw_connectives():
+    # a graph built by the caller with raw connectives: the constant arm
+    # folds away only when the formula is rebuilt with smart constructors
+    for graph, args in ((graph_half(), ["x"]), (graph_max(), ["x1", "x2"])):
+        raw = Or((graph, Not(TRUE)))
+        assert (decompose(Z_MODEL, raw, "y", args)
+                == decompose(Z_MODEL, graph, "y", args))

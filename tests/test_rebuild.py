@@ -3,10 +3,10 @@ they replaced.
 
 Each reference below is the identity-keyed walk that a pass used before it
 went through `rebuild`; the atom-level rules (`qe_atom_to_syn`,
-`_syn_atom_rewrite`, `_patch_atom`, `_hoist_block`) are the program's own.
-The random formulas draw their nodes from a growing pool, so subformulas
-recur both by identity (a pooled node reused) and by value only (a deep
-copy), and some connectives are built raw, as the parser builds them.
+`_syn_atom_rewrite`, `replace_aux_terms`, `_hoist_block`) are the
+program's own.  The random formulas draw their nodes from a growing pool,
+so subformulas recur both by identity (a pooled node reused) and by value
+only (a deep copy), and some connectives are built raw.
 """
 
 import copy
@@ -18,14 +18,15 @@ from conftest import AUX_FREE, rand_bool, rand_syn_atom, rand_term
 from oagqe.eliminate import eliminate_exists_main
 from oagqe.normal import (
     FamilyUnionForm, FUClause, ResourceLimit, _can_subterms, _hoist_block,
-    _patch_atom, all_names, dnf_disjoint_tree, extract_can_terms,
-    hoist_main_units, inline_defined_params, unit_involves_main,
+    all_names, dnf_disjoint_tree, extract_can_terms, hoist_main_units,
+    inline_defined_params, unit_involves_main,
 )
 from oagqe.syntax import (
     FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, Discr, Exists, Forall,
     Fresh, LinTerm, MainRel, Not, Or, PlainRel, SORT_G, Sc, Se, SortMin,
     SuccPlus, Top, atom_aux_terms, aux_free_vars, aux_term_sort, conj, disj,
-    free_names, free_vars, neg, rebuild, sort_ac, sort_aep, substitute,
+    free_names, free_vars, neg, rebuild, replace_aux_terms, sort_ac,
+    sort_aep, substitute,
 )
 from oagqe.translate import (
     _pin_formula, _syn_atom_rewrite, qe_atom_to_syn, syn_qf_to_qe_fuf,
@@ -91,7 +92,7 @@ def _ref_rewrite_aux_terms(f, mapping, memo=None):
     if hit is not None:
         return hit[1]
     if isinstance(f, Atom):
-        out = _patch_atom(f, mapping)
+        out = replace_aux_terms(f, mapping)
     elif isinstance(f, (Top, Bottom)):
         out = f
     elif isinstance(f, Not):

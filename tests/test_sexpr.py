@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from conftest import rand_bool, rand_mixed_atom
 from oagqe.sexpr import ParseError, parse_formula, print_formula, print_sort
 from oagqe.syntax import (
-    AuxVar, CongDot, Discr, EqDot, Exists, Forall, LinTerm, MainRel, Not,
-    PlainRel, Sc, Se, SortMin, SORT_G, SuccPlus, sort_ac, sort_ae, sort_aep,
-    substitute,
+    FALSE, TRUE, And, AuxVar, CongDot, Discr, EqDot, Exists, Forall, LinTerm,
+    MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SORT_G, SuccPlus, conj,
+    disj, neg, sort_ac, sort_ae, sort_aep, substitute,
 )
 
 
@@ -117,3 +117,35 @@ def test_roundtrip_quantified_and_dotted():
     for text in texts:
         f = parse_formula(text)
         assert parse_formula(print_formula(f)) == f
+
+
+def test_connectives_parse_to_smart_constructor_values():
+    a = PlainRel("lt", LinTerm.var("x"), LinTerm.var("y"))
+    b = PlainRel("lt", LinTerm.var("y"), LinTerm.var("x"))
+    ta, tb = print_formula(a), print_formula(b)
+    cases = {
+        # one argument
+        "(and %s)" % ta: a,
+        "(or %s)" % ta: a,
+        # nested
+        "(and %s (and %s %s))" % (ta, tb, ta): And((a, b, a)),
+        "(or (or %s %s) %s)" % (ta, tb, tb): Or((a, b, b)),
+        "(not (not %s))" % ta: a,
+        "(and (or %s) (not (not %s)))" % (ta, tb): And((a, b)),
+        # constants
+        "(and)": TRUE,
+        "(or)": FALSE,
+        "(not true)": FALSE,
+        "(not false)": TRUE,
+        "(and %s true)" % ta: a,
+        "(and %s false)" % ta: FALSE,
+        "(or %s (not true))" % ta: a,
+        "(or false (and true %s))" % tb: b,
+        "(or %s true)" % ta: TRUE,
+        "(E x G (and (not false) %s))" % ta: Exists("x", SORT_G, a),
+    }
+    for text, want in cases.items():
+        assert parse_formula(text) == want, text
+    # the same values as the smart constructors give
+    assert parse_formula("(and (not %s) (or %s))" % (ta, tb)) == conj(
+        [neg(a), disj([b])])

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -139,17 +140,99 @@ def test_nnf_pushes_negation_to_literals():
     assert isinstance(g, Or)
 
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "oagqe"
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def _src_trees():
+    """Module name -> syntax tree, for every module of the package."""
+
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 10
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in files}
+
+
+def _reads(node):
+    """Every name read under node, once per read: loaded names, attribute
+    names and the strings listed in __all__."""
+
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif (isinstance(n, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in n.targets)):
+            out.extend(e.value for e in n.value.elts)
+    return out
+
+
 def test_no_identity_keys_in_src():
     # every memo in the program is keyed by value (nodes cache their
     # hashes), so no table has to keep nodes alive for their ids to stay
     # valid; a call of id() anywhere in the package would reintroduce one
-    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "oagqe"
-    files = sorted(src.glob("*.py"))
-    assert len(files) >= 10
     calls = []
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for name, tree in _src_trees().items():
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "id"):
-                calls.append("%s:%d" % (path.name, node.lineno))
+                calls.append("%s:%d" % (name, node.lineno))
     assert calls == []
+
+
+# Imported names that their module does not read, with the reason each
+# stays imported.
+KEPT_IMPORTS = {
+    "piecewise.evaluate": "perfbench/tracing.py wraps piecewise.evaluate "
+                          "when it traces a run",
+}
+
+
+def test_every_import_is_read():
+    unread = []
+    for name, tree in _src_trees().items():
+        reads = set(_reads(tree))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in reads:
+                        unread.append("%s.%s" % (name, bound))
+    assert sorted(unread) == sorted(KEPT_IMPORTS)
+
+
+# Top-level functions and classes that nothing in the package uses and
+# that the package does not export, each with the test (file::name) that
+# keeps it.
+KEPT_DEFINITIONS = {
+    "models.ac_class_of": "test_models.py::test_class_maps_land_on_spine",
+    "models.ae_class_of": "test_models.py::test_class_maps_land_on_spine",
+    "models.format_model": "test_models.py::test_model_file_roundtrip",
+    "models.residue_box":
+        "test_models.py::test_spine_matches_definitional_oracle",
+}
+
+
+def test_every_definition_is_used():
+    trees = _src_trees()
+    reads = Counter()
+    for tree in trees.values():
+        reads.update(_reads(tree))
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            # a recursive call is no use
+            if reads[node.name] > _reads(node).count(node.name):
+                continue
+            unused.append("%s.%s" % (name, node.name))
+    assert sorted(unused) == sorted(KEPT_DEFINITIONS)
+    for qualified, test in KEPT_DEFINITIONS.items():
+        path, test_name = test.split("::")
+        text = (TESTS / path).read_text()
+        assert "def %s(" % test_name in text, test
+        assert qualified.split(".")[1] in text, test

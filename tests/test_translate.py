@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from conftest import (
     AUX_FREE, FIXTURE_MODELS, aux_assignment, main_assignment, rand_term,
 )
@@ -14,27 +12,11 @@ from oagqe.syntax import (
     free_vars, sort_ac, sort_ae, sort_aep,
 )
 from oagqe.translate import (
-    RewriteTrace, aux_eq, aux_lt, canc_term, cong_crt_split, cong_gcd_reduce,
-    cong_scale, discr_lift, qe_atom_to_syn, syn_qf_to_qe_fuf,
+    aux_lt, canc_term, discr_lift, qe_atom_to_syn, syn_qf_to_qe_fuf,
 )
 
 x, y, z = LinTerm.var("x"), LinTerm.var("y"), LinTerm.var("z")
 BOT = SortMin(sort_ac(2))
-
-
-def check_equivalent(a, b, rng, names=("x", "y", "z"), rounds=4):
-    """Sampled evaluation agreement over the fixture models."""
-
-    for model in FIXTURE_MODELS:
-        for _ in range(rounds):
-            asg = main_assignment(model, rng, list(names))
-            aa = aux_assignment(model, rng)
-            if aa is None:
-                continue
-            asg.update(aa)
-            r1, r2 = evaluate(model, asg, a), evaluate(model, asg, b)
-            if r1 is not None and r2 is not None:
-                assert r1 == r2, (a, b, model, asg)
 
 
 def test_canc_term_picks_prime_powers():
@@ -42,40 +24,6 @@ def test_canc_term_picks_prime_powers():
     assert canc_term(9, x) == Sc(3, 2, x)
     assert canc_term(6, x) == Sc(6, 1, x)
     assert canc_term(5, x) == Sc(5, 1, x)
-
-
-def test_cong_gcd_reduce():
-    a = MainRel("congb", x, y, 0, BOT, m=4, mp=6)
-    assert cong_gcd_reduce(a).m == 2
-    b = MainRel("congb", x, y, 0, BOT, m=2, mp=4)
-    assert cong_gcd_reduce(b) is b
-    with pytest.raises(ValueError):
-        cong_gcd_reduce(MainRel("cong", x, y, 0, BOT, m=2))
-
-
-def test_cong_scale_equivalence(rng):
-    for op, kwargs in [("lt", {}), ("eq", {}), ("cong", {"m": 3}),
-                       ("congb", {"m": 2, "mp": 4})]:
-        k0 = 0 if op == "congb" else 1
-        a = MainRel(op, x, y, k0, BOT, **kwargs)
-        for k in (2, -3):
-            scaled = cong_scale(k, a)
-            # scaling is reversible exactly on the k-divisible differences,
-            # and the scaled form implies divisibility, so the scaled form
-            # must be equivalent to the original conjoined with it
-            from oagqe.syntax import PlainRel, conj
-            lhs = conj([a, PlainRel("cong", x.scale(k), y.scale(k),
-                                    m=abs(k))])
-            check_equivalent(lhs, scaled, rng)
-
-
-def test_cong_crt_split_equivalence(rng):
-    a = MainRel("cong", x, y, 1, BOT, m=12)
-    check_equivalent(a, cong_crt_split(a), rng)
-    b = MainRel("congb", x, y, 0, BOT, m=6, mp=12)
-    check_equivalent(b, cong_crt_split(b), rng)
-    with pytest.raises(ValueError):
-        cong_crt_split(MainRel("congb", x, y, 0, BOT, m=5, mp=12))
 
 
 def test_discr_lift_sorts():
@@ -91,12 +39,10 @@ def test_aux_order_builders(rng):
     for model in FIXTURE_MODELS[:3]:
         asg = main_assignment(model, rng, ["x", "y"])
         lt = evaluate(model, asg, aux_lt(a, b))
-        eq = evaluate(model, asg, aux_eq(a, b))
         from oagqe.evaluate import resolve_aux
         ca = resolve_aux(model, asg, a).cut
         cb = resolve_aux(model, asg, b).cut
         assert lt == (ca < cb)
-        assert eq == (ca == cb)
 
 
 def rand_anchored_atom(rng):
@@ -138,10 +84,3 @@ def test_anchored_atom_translation_differential(rng):
             r1, r2 = evaluate(model, asg, a), evaluate(model, asg, f)
             if r1 is not None and r2 is not None:
                 assert r1 == r2, (a, asg)
-
-
-def test_translation_records_trace():
-    trace = RewriteTrace()
-    a = MainRel("cong", x, y, 1, BOT, m=2)
-    qe_atom_to_syn(a, Fresh("q"), trace)
-    assert trace.steps and trace.steps[0].rule

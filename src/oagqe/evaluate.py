@@ -19,7 +19,6 @@ Results are memoized only at the nodes where a lookup can hit (see
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 from typing import Optional, Union
@@ -78,13 +77,19 @@ def k_any(vals) -> Tri:
 # Term evaluation
 
 def eval_lin(model: LexModel, asg: Assignment, t: LinTerm) -> Element:
-    out = model.zero()
+    terms = []
     for v, c in t.coeffs:
         val = asg.get(v)
         if not isinstance(val, tuple):
             raise KeyError("main-sort variable %r unassigned" % v)
-        out = model.add(out, model.smul(c, val))
-    return out
+        terms.append((c, val))
+    if len(terms) == 1:
+        c, val = terms[0]
+        return val if c == 1 else tuple([c * x for x in val])
+    if not terms:
+        return model.zero()
+    return tuple([sum([c * val[i] for c, val in terms])
+                  for i in range(model.rank)])
 
 
 def resolve_aux(model: LexModel, asg: Assignment, t: AuxTerm) -> SpinePoint:
@@ -604,9 +609,11 @@ def _fallback_candidates(model, asg: Assignment, box: int):
             seen.add(e)
             yield e
     radius = min(box, 3 if model.rank >= 3 else box)
-    axes = [range(-radius, radius + 1)] * model.rank
-    for coords in itertools.product(*axes):
-        e = tuple(Fraction(c) for c in coords)
+    # adding each component's zero makes the coordinate an int on Z and a
+    # Fraction elsewhere
+    axes = [[z + c for c in range(-radius, radius + 1)]
+            for z in model.zero()]
+    for e in itertools.product(*axes):
         if model.sum_mod is not None and sum(e) % model.sum_mod != 0:
             continue
         if e not in seen:

@@ -3,7 +3,10 @@
 A model is a lexicographic product of rank-one building blocks (Z, Q, or a
 localization Z[1/m]); the component with the highest index is the most
 significant.  Optionally the all-Z models can be restricted to the subgroup of
-elements whose coordinate sum lies in n*Z.
+elements whose coordinate sum lies in n*Z.  An element is the tuple of its
+coordinates, least significant first: an `int` on a Z component and a
+`Fraction` on a Q or Z[1/m] component, so arithmetic stays exact and the
+all-Z models never leave the integers.
 
 Convex subgroups of such a model are exactly the coordinate cuts
 H_cut = { a : coords[cut:] all zero } for cut in 0..K, totally ordered by
@@ -51,7 +54,9 @@ class LocComp:
 
 Component = Union[IntComp, RatComp, LocComp]
 
-Element = tuple[Fraction, ...]
+# a coordinate is an int on Z and a Fraction on Q and Z[1/m]
+Coord = Union[int, Fraction]
+Element = tuple[Coord, ...]
 
 
 def prime_power_parts(m: int) -> list[tuple[int, int]]:
@@ -74,7 +79,7 @@ def prime_power_parts(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def comp_contains(comp: Component, v: Fraction) -> bool:
+def comp_contains(comp: Component, v: Coord) -> bool:
     """Whether v lies in the component's domain."""
 
     if isinstance(comp, IntComp):
@@ -88,12 +93,13 @@ def comp_contains(comp: Component, v: Fraction) -> bool:
     return d == 1
 
 
-def comp_divisible(comp: Component, v: Fraction, m: int) -> bool:
+def comp_divisible(comp: Component, v: Coord, m: int) -> bool:
     """Whether v lies in m * (component domain)."""
 
-    if m == 1:
-        return comp_contains(comp, v)
-    return comp_contains(comp, v / m)
+    if isinstance(comp, IntComp):
+        return v.denominator == 1 and v % m == 0
+    # v / m as a Fraction: an int divided by m would give a float
+    return comp_contains(comp, Fraction(v, m))
 
 
 def comp_nontrivial_quotient(comp: Component, n: int) -> bool:
@@ -130,21 +136,24 @@ class LexModel:
     # -- elements ----------------------------------------------------------
 
     def element(self, coords: Sequence) -> Element:
-        e = tuple(Fraction(c) for c in coords)
-        if len(e) != self.rank:
+        """The element with the given coordinates (numbers or strings that
+        Fraction reads), each checked against its component."""
+
+        if len(coords) != self.rank:
             raise ValueError("expected %d coordinates" % self.rank)
-        for comp, v in zip(self.comps, e):
+        e = []
+        for comp, c in zip(self.comps, coords):
+            v = c if type(c) is int else Fraction(c)
             if not comp_contains(comp, v):
                 raise ValueError("coordinate %s outside %r" % (v, comp))
+            e.append(int(v) if isinstance(comp, IntComp) else Fraction(v))
         if self.sum_mod is not None and sum(e) % self.sum_mod != 0:
             raise ValueError("coordinate sum violates the sum constraint")
-        return e
+        return tuple(e)
 
     def zero(self) -> Element:
-        return (Fraction(0),) * self.rank
-
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(0 if isinstance(c, IntComp) else Fraction(0)
+                     for c in self.comps)
 
     def neg(self, a: Element) -> Element:
         return tuple(-x for x in a)
@@ -232,13 +241,13 @@ class LexModel:
 
         if not self.quotient_discrete(cut):
             return None
-        coords = [Fraction(0)] * self.rank
-        coords[cut] = Fraction(1)
+        coords = list(self.zero())
+        coords[cut] = 1
         if self.sum_mod is not None:
             if cut == 0:
-                coords[0] = Fraction(self.sum_mod)
+                coords[0] = self.sum_mod
             else:
-                coords[0] = Fraction(self.sum_mod - 1)
+                coords[0] = self.sum_mod - 1
         return tuple(coords)
 
     def __repr__(self):
@@ -377,7 +386,7 @@ def residue_box(model: LexModel, bound: int) -> Iterable[Element]:
     ranges = []
     for comp in model.comps:
         if isinstance(comp, IntComp):
-            ranges.append([Fraction(v) for v in range(bound)])
+            ranges.append(range(bound))
         elif isinstance(comp, RatComp):
             ranges.append([Fraction(v) for v in range(bound)]
                           + [Fraction(1, 2), Fraction(1, 3)])
@@ -424,8 +433,7 @@ def _constrained_coset_count(model: LexModel, cut: int, p: int) -> int:
     for coords in itertools.product(range(p * n), repeat=model.rank):
         if sum(coords) % n != 0:
             continue
-        e = tuple(Fraction(c) for c in coords)
-        if model.member(e, cut, p):
+        if model.member(coords, cut, p):
             count += 1
     return count
 
@@ -512,7 +520,7 @@ def sample_element(model: LexModel, rng, radius: int = 20,
     for comp in model.comps:
         num = rng.randint(-radius, radius)
         if isinstance(comp, IntComp):
-            coords.append(Fraction(num))
+            coords.append(num)
         elif isinstance(comp, RatComp):
             coords.append(Fraction(num, rng.choice(list(denoms))))
         else:

@@ -11,12 +11,14 @@ common modulus of the congruence constraints.
 The extraction itself reasons over the integers (trivial spine, discrete
 quotient): constant comparisons are folded with that reading.  Verification
 is exact in whatever model it is given.  The functionality check and the
-verification build one evaluator for each formula they evaluate (the graph,
-its projection Exists value. graph, and every guard) per call: the formula
-is compiled once into a tree of closures that is called at every grid
-point.  Its memos keep the values of nodes over fewer variables than the
-formula has, such as a literal over x alone asked at one point for many
-values, and are dropped with the evaluator when the call returns.
+verification build one evaluator for each formula they evaluate (the graph
+and every guard) per call: the formula is compiled once into a tree of
+closures that is called at every grid point.  Its memos keep the values of
+nodes over fewer variables than the formula has, such as a literal over x
+alone asked at one point for many values, and are dropped with the
+evaluator when the call returns.  The functionality check asks the graph at
+the sampled values of each point and needs exactly one to hold; that value
+witnesses the point's projection, so no main-sort quantifier is decided.
 """
 
 import math
@@ -30,8 +32,7 @@ from .normal import dnf_disjoint_tree
 from .eliminate import _cong_m0, _gather, _scale_records
 from .sexpr import parse_formula, print_formula
 from .syntax import (
-    Atom, Bottom, Exists, Formula, LinTerm, MainRel, Not, SORT_G,
-    conj, disj, neg, rebuild,
+    Atom, Bottom, Formula, LinTerm, MainRel, Not, conj, disj, neg, rebuild,
 )
 
 
@@ -249,8 +250,9 @@ def decompose(model, formula: Formula, value_var: str, args,
 
 
 def _check_function(model, formula, value_var, args, merged, box):
+    # the graph is quantifier-free, so graph(asg) is exact; a sampled value
+    # at which it holds is a witness of Exists value. graph
     graph = evaluator(model, formula)
-    total = evaluator(model, Exists(value_var, SORT_G, formula))
     for point in _sample_points(len(args), box):
         asg = {x: model.element([v]) for x, v in zip(args, point)}
         found = set()
@@ -267,7 +269,7 @@ def _check_function(model, formula, value_var, args, merged, box):
             if graph(asg) is True:
                 sats.add(y)
         del asg[value_var]
-        if len(sats) != 1 or total(asg) is not True:
+        if len(sats) != 1:
             raise FunctionalityError(
                 "argument point %r admits %d sampled values"
                 % (point, len(sats)))

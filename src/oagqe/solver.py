@@ -287,6 +287,8 @@ class _Search:
             total = Fraction(0)
             for i in range(model.rank):
                 w = s.r * coords[i] + s.u[i]
+                # exact only because the search's coordinates are Fractions
+                # (u may hold ints): int / int would give a float
                 q = w / s.m
                 if q.denominator != 1:
                     raise AssertionError("sum record without divisibility")

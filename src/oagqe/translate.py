@@ -23,7 +23,8 @@ from .syntax import (
     AC, AEP, FALSE, TRUE, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, CongDot,
     DimFloor, DimSucc, Discr, DPred, EqDot, Exists, Forall, Formula, Fresh,
     LinTerm, MainRel, Not, PlainRel, Sc, Se, Sort, SortMin, SuccPlus,
-    aux_term_sort, conj, disj, implies, neg, rebuild, sort_ac, sort_ae,
+    aux_term_sort, conj, disj, free_names, implies, neg, rebuild, sort_ac,
+    sort_ae,
 )
 
 DIM_ELL_CAP = 8
@@ -79,7 +80,8 @@ def qe_atom_to_syn(a: Atom, fresh: Fresh = None) -> Formula:
     if not isinstance(a, MainRel):
         return a
     if fresh is None:
-        fresh = Fresh("q", {v for lt in (a.lhs, a.rhs) for v in lt.vars()})
+        # the anchor's names are free too: a fresh name must not take one
+        fresh = Fresh("q", free_names(a, {}))
     t = a.lhs - a.rhs
     eta = a.aux
     if a.op == "eq":

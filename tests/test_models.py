@@ -1,17 +1,20 @@
 """Concrete group models: membership, spines, dimension queries, files."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_MODELS, MIXED_RANK5, SUM_MODEL, Z_MODEL
+from oagqe.evaluate import _fallback_candidates, eval_lin
 from oagqe.models import (
     IntComp, LexModel, LocComp, RatComp, TOPG, ac_class_of, ae_class_of,
-    aep_of, definitional_spine_oracle, dim_query, format_model, parse_model,
-    prime_power_parts, residue_box, sample_element, spine, spine_min,
+    aep_of, comp_divisible, definitional_spine_oracle, dim_query,
+    format_model, parse_model, prime_power_parts, residue_box,
+    sample_element, spine, spine_min,
 )
-from oagqe.syntax import sort_ac, sort_ae, sort_aep
+from oagqe.syntax import LinTerm, sort_ac, sort_ae, sort_aep
 
 
 def test_element_validation():
@@ -175,3 +178,86 @@ def test_sample_element_stays_in_domain(seed):
     for model in FIXTURE_MODELS + [SUM_MODEL]:
         a = sample_element(model, rng, 9, (1, 2, 3))
         assert model.element(a) == a
+
+
+def _assert_coords(model, e):
+    """Coordinates are ints on Z components and Fractions elsewhere."""
+
+    assert isinstance(e, tuple) and len(e) == model.rank, (model, e)
+    for comp, v in zip(model.comps, e):
+        want = int if isinstance(comp, IntComp) else Fraction
+        assert type(v) is want, (model, e)
+
+
+def _reference_lin(model, asg, t):
+    """eval_lin as the fold it replaced: start from an all-Fraction zero and
+    add each scaled value in turn."""
+
+    out = (Fraction(0),) * model.rank
+    for v, c in t.coeffs:
+        out = tuple(x + c * y for x, y in zip(out, asg[v]))
+    return out
+
+
+TYPED_MODELS = FIXTURE_MODELS + [MIXED_RANK5, SUM_MODEL]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_coordinates_are_ints_on_z_components(seed):
+    import random
+    rng = random.Random(seed)
+    for model in TYPED_MODELS:
+        a = sample_element(model, rng, 9, (1, 2, 3))
+        _assert_coords(model, a)
+        _assert_coords(model, model.element(a))
+        _assert_coords(model, model.element([str(v) for v in a]))
+        _assert_coords(model, model.zero())
+        for cut in range(model.rank + 1):
+            rep = model.minpos_rep(cut)
+            if rep is not None:
+                _assert_coords(model, rep)
+        names = ["x", "y", "z"]
+        asg = {v: sample_element(model, rng, 9, (1, 2, 3)) for v in names}
+        for _ in range(5):
+            t = LinTerm.make({v: rng.randint(-4, 4)
+                              for v in rng.sample(names, rng.randint(0, 3))})
+            got, want = eval_lin(model, asg, t), _reference_lin(model, asg, t)
+            _assert_coords(model, got)
+            assert got == want and hash(got) == hash(want), (model, t)
+        for e in itertools.islice(_fallback_candidates(model, asg, 2), 200):
+            _assert_coords(model, e)
+
+
+def test_residue_box_and_coset_counts_use_int_coordinates(monkeypatch):
+    for model in TYPED_MODELS:
+        for e in residue_box(model, 3):
+            _assert_coords(model, e)
+    # the sum model's dimension queries count cosets by membership tests
+    seen = []
+    member = LexModel.member
+
+    def checked(self, a, cut, m):
+        _assert_coords(self, a)
+        seen.append(a)
+        return member(self, a, cut, m)
+
+    monkeypatch.setattr(LexModel, "member", checked)
+    lo = (spine_min(SUM_MODEL, sort_ac(2)), None)
+    assert dim_query(SUM_MODEL, 2, lo, TOPG) == 3
+    assert seen
+
+
+def test_comp_divisible_on_int_inputs():
+    assert comp_divisible(IntComp(), 6, 3)
+    assert not comp_divisible(IntComp(), 7, 3)
+    assert comp_divisible(IntComp(), -4, 1)
+    assert not comp_divisible(IntComp(), Fraction(1, 2), 1)
+    assert comp_divisible(RatComp(), 7, 3)
+    assert comp_divisible(RatComp(), 0, 5)
+    assert comp_divisible(LocComp(2), 3, 2)
+    assert comp_divisible(LocComp(2), 1, 4)
+    assert not comp_divisible(LocComp(2), 1, 3)
+    assert comp_divisible(LocComp(6), 5, 9)
+    assert not comp_divisible(LocComp(6), 1, 5)
+    assert comp_divisible(LocComp(5), Fraction(2, 5), 2)

@@ -1,5 +1,7 @@
 """Piecewise-linear decomposition over the integers."""
 
+import importlib
+
 import pytest
 
 from conftest import Z_MODEL
@@ -12,6 +14,8 @@ from oagqe.syntax import (
     TRUE, LinTerm, MainRel, Not, Or, SortMin, conj, disj, sort_ac,
 )
 
+# the package exports the function evaluate under the module's name
+evaluate_module = importlib.import_module("oagqe.evaluate")
 BOT = SortMin(sort_ac(2))
 x, y = LinTerm.var("x"), LinTerm.var("y")
 x1, x2 = LinTerm.var("x1"), LinTerm.var("x2")
@@ -177,3 +181,23 @@ def test_decompose_rebuilds_raw_connectives():
         raw = Or((graph, Not(TRUE)))
         assert (decompose(Z_MODEL, raw, "y", args)
                 == decompose(Z_MODEL, graph, "y", args))
+
+
+def test_decompose_decides_no_main_quantifier(monkeypatch):
+    # the functionality check reads the projection of the graph off the
+    # values it finds at each point, and never decides it
+    calls = []
+    decide = evaluate_module.decide_exists_main
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate_module, "decide_exists_main", counted)
+    for graph, args in ((graph_identity(), ["x"]), (graph_half(), ["x"]),
+                        (graph_max(), ["x1", "x2"])):
+        ps = decompose(Z_MODEL, graph, "y", args)
+        assert verify_decomposition(Z_MODEL, graph, ps, 4).ok
+    test_non_functional_input_raises()
+    test_partial_graph_fails_functionality_check()
+    assert calls == []

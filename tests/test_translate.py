@@ -9,7 +9,7 @@ from oagqe.evaluate import evaluate
 from oagqe.models import spine
 from oagqe.syntax import (
     AuxVar, Fresh, LinTerm, MainRel, Sc, Se, SortMin, SuccPlus,
-    free_vars, sort_ac, sort_ae, sort_aep,
+    free_names, free_vars, sort_ac, sort_ae, sort_aep,
 )
 from oagqe.translate import (
     aux_lt, canc_term, discr_lift, qe_atom_to_syn, syn_qf_to_qe_fuf,
@@ -84,3 +84,17 @@ def test_anchored_atom_translation_differential(rng):
             r1, r2 = evaluate(model, asg, a), evaluate(model, asg, f)
             if r1 is not None and r2 is not None:
                 assert r1 == r2, (a, asg)
+
+
+def test_translation_without_fresh_source_keeps_free_names():
+    # anchors named like the fresh names the translation draws must stay
+    # free: the default fresh source reserves every free name of the atom
+    anchors = [AuxVar("q0", sort_aep(2)), AuxVar("q0", sort_ac(2)),
+               AuxVar("q0", sort_ae(2)), AuxVar("q1", sort_aep(3))]
+    for eta in anchors:
+        for a in (MainRel("eq", x, y, 0, eta), MainRel("eq", x, y, 1, eta),
+                  MainRel("lt", x, y, 0, eta), MainRel("lt", x, y, -1, eta),
+                  MainRel("cong", x, y, 1, eta, m=4),
+                  MainRel("congb", x, y, 0, eta, m=2, mp=4)):
+            f = qe_atom_to_syn(a)
+            assert free_names(f, {}) == free_names(a, {}), (a, f)

@@ -34,7 +34,7 @@ from .syntax import (
     DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula, Fresh,
     LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SpineRef, SuccPlus,
     Top, TRUE, atom_aux_terms, conj, disj, free_names, main_vars, neg, nnf,
-    replace_aux_terms, sort_ac, sort_ae, substitute,
+    replace_aux_terms, sort_ac, sort_ae, subformulas, substitute,
 )
 
 Value = Union[Element, SpinePoint]
@@ -268,6 +268,19 @@ def _discrete_cuts(model: LexModel) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Alpha renaming (unique bound variables)
+
+def _binders_clash(f: Formula, taken) -> bool:
+    """Whether a quantifier of f binds a name in taken (the free names) or
+    a name that another quantifier of f binds."""
+
+    bound = set()
+    for g in subformulas(f):
+        if isinstance(g, (Exists, Forall)):
+            if g.var in taken or g.var in bound:
+                return True
+            bound.add(g.var)
+    return False
+
 
 def _renamer(fresh: Fresh, free: dict, memo: dict):
     """A walk(g, ren) that gives every quantifier of g a fresh variable,
@@ -760,13 +773,21 @@ def evaluator(model: LexModel, f: Formula, box: int = DEFAULT_BOX):
     """A reusable assignment -> truth value function for one formula;
     three-valued, it never returns a wrong definite answer.
 
-    Bound variables are alpha-renamed once, so that shadowing cannot
-    confuse assignment extension, and the renamed formula is compiled once
-    into a tree of closures (see `_compile`); both steps read one
-    `free_names` cache, dropped when the build ends.  The caller varies the
-    free variables of f, so a node keeps a memo only when it is a main-sort
-    quantifier or its free variables are a strict subset of those of f:
-    for example a literal over x alone, asked at one x for many y.
+    The formula is compiled once into a tree of closures (see `_compile`).
+    Its bound variables are first alpha-renamed apart, but only when a
+    binder clashes: a name bound twice, or a bound name that is also free.
+    Otherwise f already has the form renaming gives, up to the choice of
+    names, and the closures read names only to look them up in the
+    assignment, so compiling f as it is gives the same answers.  (A
+    quantifier then overwrites a caller's value for its own name, one not
+    free in f, where a renamed one would add its value beside it; only the
+    bounded fallback, which tries every main value of the assignment and
+    answers True or unknown, can see the difference.)  Both steps read one
+    `free_names` cache, dropped when the build ends.  The
+    caller varies the free variables of f, so a node keeps a memo only when
+    it is a main-sort quantifier or its free variables are a strict subset
+    of those of f: for example a literal over x alone, asked at one x for
+    many y.
 
     The memos live as long as the returned function and grow by one entry
     per memoized node and distinct restricted assignment.  Callers that
@@ -776,25 +797,28 @@ def evaluator(model: LexModel, f: Formula, box: int = DEFAULT_BOX):
 
     free: dict = {}
     varied = free_names(f, free)
-    g = _renamer(Fresh("b", varied), free, {})(f, {})
-    # renaming keeps the free names; a main-sort quantifier at the root
-    # then compiles without walking its body
-    free[g] = varied
-    return _compile(model, box, varied, [g], free)[0]
+    if _binders_clash(f, varied):
+        f = _renamer(Fresh("b", varied), free, {})(f, {})
+        # renaming keeps the free names; a main-sort quantifier at the root
+        # then compiles without walking its body
+        free[f] = varied
+    return _compile(model, box, varied, [f], free)[0]
 
 
 def family_evaluator(model: LexModel, fuf, box: int = DEFAULT_BOX):
     """Assignment -> list of per-clause truth values for a family union form.
 
-    All clause matrices go through one renaming pass and are compiled by one
-    `_compile` call, with one `free_names` cache for both, so literals and
-    guards shared between clauses are compiled once and share one memo.
-    The caller varies the free variables of the matrices and the theta
-    parameters, which are swept over the spine points of their sorts
-    directly, clause by clause; a node is memoized
-    when it is a main-sort quantifier or its free variables are a strict
-    subset of these, such as a guard literal over theta alone.  The memos
-    live as long as the returned function."""
+    All clause matrices are compiled by one `_compile` call, with one
+    `free_names` cache, so literals and guards shared between clauses are
+    compiled once and share one memo.  The caller varies the free variables
+    of the matrices and the theta parameters, which are swept over the
+    spine points of their sorts directly, clause by clause.  A matrix is
+    alpha-renamed first only when one of its binders clashes, by the rule
+    of `evaluator` with the theta names counted as free; the renamed
+    matrices share one renaming pass and one source of fresh names.  A
+    node is memoized when it is a main-sort quantifier or its free
+    variables are a strict subset of these, such as a guard literal over
+    theta alone.  The memos live as long as the returned function."""
 
     matrices = [cl.matrix() for cl in fuf.clauses]
     free: dict = {}
@@ -809,7 +833,8 @@ def family_evaluator(model: LexModel, fuf, box: int = DEFAULT_BOX):
                        [spine(model, s) for _, s in cl.theta]))
     walk = _renamer(fresh, free, {})
     runs = _compile(model, box, frozenset(varied),
-                    [walk(m, {}) for m in matrices], free)
+                    [walk(m, {}) if _binders_clash(m, varied) else m
+                     for m in matrices], free)
 
     def run(asg: Assignment) -> list:
         out = []

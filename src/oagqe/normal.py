@@ -31,8 +31,8 @@ from .syntax import (
     FALSE, TRUE, Atom, AuxLe, AuxTerm, AuxVar, Bottom, Exists, Forall,
     Formula, Fresh, Not, And, Or, Sc, Se, Sort, SuccPlus, Top,
     atom_aux_terms, atom_lin_terms, atoms_of, aux_free_vars, aux_term_sort,
-    conj, disj, free_vars, has_main_quantifier, main_vars, neg, rebuild,
-    replace_aux_terms, subformulas, substitute,
+    conj, disj, free_names, free_vars, has_main_quantifier, main_vars, neg,
+    rebuild, replace_aux_terms, subformulas, substitute,
 )
 
 
@@ -153,16 +153,23 @@ def atom_involves_main(a: Atom) -> bool:
 
 
 def unit_involves_main(u: Formula, memo: dict) -> bool:
-    """Whether a boolean unit mentions the main sort anywhere.  memo caches
-    the answer per unit, keyed by value, for the caller's one call, so that
-    a unit shared between blocks is walked once."""
+    """Whether a boolean unit mentions the main sort anywhere.  The walk
+    recurses through memo, which caches the answer per subformula, keyed by
+    value, for the caller's one call, so that a subformula shared between
+    units or blocks is walked once."""
 
     hit = memo.get(u)
     if hit is None:
         if isinstance(u, Atom):
             hit = atom_involves_main(u)
+        elif isinstance(u, Not):
+            hit = unit_involves_main(u.arg, memo)
+        elif isinstance(u, (And, Or)):
+            hit = any(unit_involves_main(g, memo) for g in u.args)
+        elif isinstance(u, (Exists, Forall)):
+            hit = unit_involves_main(u.body, memo)
         else:
-            hit = any(atom_involves_main(a) for a in atoms_of(u))
+            hit = False
         memo[u] = hit
     return hit
 
@@ -222,12 +229,13 @@ def hoist_main_units(f: Formula, cap: int = 10) -> Formula:
     """
 
     involves: dict = {}
+    free: dict = {}
     return rebuild(f, lambda a: a,
-                   lambda q, body: _hoist_block(q, body, cap, involves))
+                   lambda q, body: _hoist_block(q, body, cap, involves, free))
 
 
 def _hoist_block(q: Formula, body: Formula, cap: int,
-                 involves: dict) -> Formula:
+                 involves: dict, free: dict) -> Formula:
     if q.sort.is_main:
         return type(q)(q.var, q.sort, body)
     units = [u for u in boolean_units(body)
@@ -235,7 +243,7 @@ def _hoist_block(q: Formula, body: Formula, cap: int,
     if not units:
         return type(q)(q.var, q.sort, body)
     for u in units:
-        if q.var in free_vars(u):
+        if q.var in free_names(u, free):
             raise ValueError(
                 "main-sort atom depends on an auxiliary bound variable; "
                 "outside the supported fragment")

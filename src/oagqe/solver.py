@@ -11,6 +11,11 @@ component domain into finitely many regions; within one region and one
 residue class modulo the lcm of all moduli, any two choices are
 interchangeable for everything that remains, so trying one representative per
 region and residue class is a complete decision procedure, not a heuristic.
+
+Coordinates follow the model (see `models.Coord`): on a Z component the
+search, its candidates and its integral breakpoints are Python `int`s; on
+Q and Z[1/m] components, and at a breakpoint that falls between two
+integers, they are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .models import (
-    Element, IntComp, LexModel, RatComp, comp_contains, comp_divisible,
+    Coord, Element, IntComp, LexModel, RatComp, comp_contains, comp_divisible,
 )
 
 
@@ -99,14 +104,25 @@ def clause_modulus(model: LexModel, cl: Clause) -> int:
 # ---------------------------------------------------------------------------
 # Candidate generation per coordinate
 
-def _ints_window(lo: Optional[Fraction], hi: Optional[Fraction], width: int):
+def _breakpoint(comp, r: int, u: Coord) -> Coord:
+    """The root -u / r of r*x + u: an int when it is an integer on a Z
+    component, else a Fraction."""
+
+    if isinstance(comp, IntComp):
+        q, rem = divmod(-u, r)
+        if not rem:
+            return q
+    return Fraction(-u, r)
+
+
+def _ints_window(lo: Optional[Coord], hi: Optional[Coord], width: int):
     """Up to `width` consecutive integers inside the open interval (lo, hi)."""
 
-    def ceil_excl(q: Fraction) -> int:
+    def ceil_excl(q: Coord) -> int:
         n = math.ceil(q)
         return n + 1 if n == q else n
 
-    def floor_excl(q: Fraction) -> int:
+    def floor_excl(q: Coord) -> int:
         n = math.floor(q)
         return n - 1 if n == q else n
 
@@ -137,8 +153,7 @@ def _coordinate_candidates(comp, region, check, L: int, want_all: bool):
     lo, hi = bounds
     if isinstance(comp, IntComp):
         out = []
-        for n in _ints_window(lo, hi, L):
-            v = Fraction(n)
+        for v in _ints_window(lo, hi, L):
             if check(v):
                 if not want_all:
                     return [v]
@@ -197,6 +212,7 @@ class _Search:
         self.nodes = 0
         self.budget = budget
         self.want_all = model.sum_mod is not None
+        self.zero = model.zero()
 
     def run(self) -> Optional[Element]:
         undecided = []
@@ -206,8 +222,8 @@ class _Search:
                     return None
             else:
                 undecided.append(i)
-        coords = [Fraction(0)] * self.model.rank
-        return self._dfs(self.model.rank - 1, frozenset(undecided), coords)
+        return self._dfs(self.model.rank - 1, frozenset(undecided),
+                         list(self.zero))
 
     def _dfs(self, j: int, undecided: frozenset, coords: list):
         self.nodes += 1
@@ -219,7 +235,8 @@ class _Search:
                 raise AssertionError("records outlived their coordinates")
             return self._check_sums(coords)
         live = [i for i in undecided if cl.lex[i].cut <= j]
-        bps = sorted({-Fraction(cl.lex[i].u[j], 1) / cl.lex[i].r
+        comp = model.comps[j]
+        bps = sorted({_breakpoint(comp, cl.lex[i].r, cl.lex[i].u[j])
                       for i in live})
         regions = []
         if not bps:
@@ -235,9 +252,8 @@ class _Search:
         pos = [d for d in cl.div if d.cut <= j and d.m > 1]
         pos += [s for s in cl.sums]
         negs = [d for d in cl.ndiv if d.coord == j]
-        comp = model.comps[j]
 
-        def check(x: Fraction) -> bool:
+        def check(x: Coord) -> bool:
             for d in pos:
                 if not comp_divisible(comp, d.r * x + d.u[j], d.m):
                     return False
@@ -256,7 +272,7 @@ class _Search:
                 res = self._dfs(j - 1, nxt, coords)
                 if res is not None:
                     return res
-                coords[j] = Fraction(0)
+                coords[j] = self.zero[j]
         return None
 
     def _step(self, j, x, live, undecided):
@@ -284,15 +300,14 @@ class _Search:
         model, cl = self.model, self.cl
         e = tuple(coords)
         for s in cl.sums:
-            total = Fraction(0)
+            total = 0
             for i in range(model.rank):
                 w = s.r * coords[i] + s.u[i]
-                # exact only because the search's coordinates are Fractions
-                # (u may hold ints): int / int would give a float
-                q = w / s.m
-                if q.denominator != 1:
+                # sum models are all-Z: test divisibility, then divide
+                # exactly with //, as / would give a float
+                if w % s.m:
                     raise AssertionError("sum record without divisibility")
-                total += q
+                total += w // s.m
             hit = total % model.sum_mod == 0
             if hit == s.negate:
                 return None

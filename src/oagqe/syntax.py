@@ -666,29 +666,33 @@ def subst_lin(t: LinTerm, sub: Subst) -> LinTerm:
     return out
 
 
-def subst_atom(a: Atom, sub: Subst) -> Atom:
+def map_atom_terms(a: Atom, lin, aux) -> Atom:
+    """a rebuilt with each main-sort term t replaced by lin(t) and each
+    auxiliary term t by aux(t); the one per-type atom rebuild."""
+
     if isinstance(a, MainRel):
-        return MainRel(a.op, subst_lin(a.lhs, sub), subst_lin(a.rhs, sub), a.k,
-                       subst_aux_term(a.aux, sub), a.m, a.mp)
+        return MainRel(a.op, lin(a.lhs), lin(a.rhs), a.k, aux(a.aux), a.m,
+                       a.mp)
     if isinstance(a, PlainRel):
-        return PlainRel(a.op, subst_lin(a.lhs, sub), subst_lin(a.rhs, sub), a.m)
-    if isinstance(a, AuxLe):
-        return AuxLe(subst_aux_term(a.lhs, sub), subst_aux_term(a.rhs, sub))
-    if isinstance(a, AuxAsymp):
-        return AuxAsymp(subst_aux_term(a.lhs, sub), subst_aux_term(a.rhs, sub))
+        return PlainRel(a.op, lin(a.lhs), lin(a.rhs), a.m)
+    if isinstance(a, (AuxLe, AuxAsymp)):
+        return type(a)(aux(a.lhs), aux(a.rhs))
     if isinstance(a, Discr):
-        return Discr(subst_aux_term(a.aux, sub))
-    if isinstance(a, DimSucc):
-        return DimSucc(a.p, a.s, a.ell, subst_aux_term(a.aux, sub))
-    if isinstance(a, DimFloor):
-        return DimFloor(a.p, a.s, a.ell, subst_aux_term(a.aux, sub))
+        return Discr(aux(a.aux))
+    if isinstance(a, (DimSucc, DimFloor)):
+        return type(a)(a.p, a.s, a.ell, aux(a.aux))
     if isinstance(a, EqDot):
-        return EqDot(a.k, subst_lin(a.t, sub))
+        return EqDot(a.k, lin(a.t))
     if isinstance(a, CongDot):
-        return CongDot(a.m, a.k, subst_lin(a.t, sub))
+        return CongDot(a.m, a.k, lin(a.t))
     if isinstance(a, DPred):
-        return DPred(a.p, a.r, a.s, subst_lin(a.t, sub))
+        return DPred(a.p, a.r, a.s, lin(a.t))
     raise TypeError("not an atom: %r" % (a,))
+
+
+def subst_atom(a: Atom, sub: Subst) -> Atom:
+    return map_atom_terms(a, lambda t: subst_lin(t, sub),
+                          lambda t: subst_aux_term(t, sub))
 
 
 def replace_aux_terms(a: Atom, mapping: Mapping[AuxTerm, AuxTerm]) -> Atom:
@@ -702,19 +706,9 @@ def replace_aux_terms(a: Atom, mapping: Mapping[AuxTerm, AuxTerm]) -> Atom:
             return SuccPlus(rep(t.arg))
         return t
 
-    if isinstance(a, MainRel):
-        return MainRel(a.op, a.lhs, a.rhs, a.k, rep(a.aux), a.m, a.mp)
-    if isinstance(a, AuxLe):
-        return AuxLe(rep(a.lhs), rep(a.rhs))
-    if isinstance(a, AuxAsymp):
-        return AuxAsymp(rep(a.lhs), rep(a.rhs))
-    if isinstance(a, Discr):
-        return Discr(rep(a.aux))
-    if isinstance(a, DimSucc):
-        return DimSucc(a.p, a.s, a.ell, rep(a.aux))
-    if isinstance(a, DimFloor):
-        return DimFloor(a.p, a.s, a.ell, rep(a.aux))
-    return a
+    if not atom_aux_terms(a):
+        return a
+    return map_atom_terms(a, lambda t: t, rep)
 
 
 class Fresh:

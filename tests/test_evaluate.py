@@ -1,6 +1,8 @@
 """Exact atom semantics and the bounded three-valued evaluator."""
 
+import importlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,8 @@ from oagqe.syntax import (
     neg, sort_ac, sort_ae, substitute,
 )
 
+# the module; the package exports its function `evaluate` under that name
+EV = importlib.import_module("oagqe.evaluate")
 ZZ = LexModel((IntComp(), IntComp()))
 BOT = SortMin(sort_ac(2))
 TOPCUT = SpineRef(sort_ac(2), "g1")
@@ -461,3 +465,120 @@ def test_quantifier_alternation():
     # universal over an infinite domain, so the oracle stays undecided
     dense = LexModel((RatComp(),))
     assert evaluate(dense, {}, f) is None
+
+
+# ---------------------------------------------------------------------------
+# Alpha renaming only where a binder clashes
+
+def _atom_over(rng, names):
+    t, u = rand_term(rng, names), rand_term(rng, names)
+    c = rng.randint(0, 3)
+    if c == 0:
+        return PlainRel("lt", t, u)
+    if c == 1:
+        return PlainRel("cong", t, u, m=rng.choice([2, 3]))
+    if c == 2:
+        return MainRel("lt", t, u, rng.randint(-1, 1), A1)
+    return EqDot(rng.choice([-1, 1, 2]), t)
+
+
+def _qf(rng, *names):
+    return rand_bool(rng, rng.randint(0, 2), lambda r: _atom_over(r, names))
+
+
+def _shadowing(rng):
+    return Exists("x", SORT_G, conj([_qf(rng, "x", "y"),
+                                     Exists("x", SORT_G, _qf(rng, "x", "y"))]))
+
+
+def _aux_shadowing(rng):
+    return Exists("b", sort_ac(2), conj([
+        disj([Discr(B), _qf(rng, "x", "y")]),
+        Forall("b", sort_ac(2), disj([AuxLe(B, A1), _qf(rng, "x")]))]))
+
+
+def _bound_and_free(rng):
+    return conj([disj([PlainRel("lt", x, y), _qf(rng, "x", "y")]),
+                 Exists("x", SORT_G, _qf(rng, "x", "y"))])
+
+
+def _sibling_blocks(rng):
+    return disj([Exists("x", SORT_G, _qf(rng, "x", "y")),
+                 Forall("x", SORT_G, _qf(rng, "x", "z"))])
+
+
+def _nested_forall_z(rng):
+    # the shape of the benchmark's nested inputs: z is bound only, but the
+    # assignments below also give z a value
+    return Exists("x", SORT_G, conj([_qf(rng, "x", "y"),
+                                     Forall("z", SORT_G,
+                                            _qf(rng, "x", "y", "z"))]))
+
+
+CLASH_CASES = [_shadowing, _aux_shadowing, _bound_and_free, _sibling_blocks]
+
+
+@pytest.mark.parametrize("case", CLASH_CASES + [_nested_forall_z])
+def test_renaming_rule_matches_reference(case, rng, monkeypatch):
+    renamed = []
+    real = EV._renamer
+    monkeypatch.setattr(EV, "_renamer",
+                        lambda *a: renamed.append(1) or real(*a))
+    for trial in range(24):
+        model = FIXTURE_MODELS[trial % len(FIXTURE_MODELS)]
+        f = case(rng)
+        box = 2
+        renamed.clear()
+        run = evaluator(model, f, box)
+        # one renaming for a clash, none for unique binders
+        assert len(renamed) == (case in CLASH_CASES), f
+        ref = ref_evaluator(model, f, box)
+        for asg in assignments(model, rng, 4):
+            want = ref(asg)
+            assert run(asg) == want, (f, asg)
+            assert evaluate(model, asg, f, box) == want, (f, asg)
+
+
+def test_unique_binders_are_not_renamed(monkeypatch):
+    renamed = []
+    real = EV._renamer
+    monkeypatch.setattr(EV, "_renamer",
+                        lambda *a: renamed.append(1) or real(*a))
+    z = LinTerm.var("z")
+    unique = [
+        PlainRel("lt", x, y),
+        Exists("x", SORT_G, PlainRel("lt", x, y)),
+        Exists("x", SORT_G, conj([PlainRel("lt", x, y),
+                                  Forall("z", SORT_G, PlainRel("lt", z, x))])),
+        # one block at two positions binds its name once
+        disj([Exists("x", SORT_G, PlainRel("lt", x, y)),
+              Not(Exists("x", SORT_G, PlainRel("lt", x, y)))]),
+    ]
+    for f in unique:
+        evaluator(ZZ, f)
+    assert renamed == []
+
+
+def test_family_evaluator_renames_a_clashing_matrix():
+    # clause 0 binds its own parameter t inside the guard; clause 1 binds b,
+    # which clause 2 binds too, in another matrix (no clash)
+    from oagqe.normal import FamilyUnionForm, FUClause
+
+    T, U = AuxVar("t", sort_ac(2)), AuxVar("u", sort_ac(2))
+    lt = PlainRel("lt", x, y)
+    fuf = FamilyUnionForm((
+        FUClause((("t", sort_ac(2)),),
+                 conj([Not(AuxLe(A1, T)),
+                       Exists("t", sort_ac(2),
+                              conj([Discr(T), AuxLe(T, A1)]))]),
+                 ((lt, True),)),
+        FUClause((("u", sort_ac(2)),),
+                 Exists("b", sort_ac(2), AuxLe(B, U)), ((lt, False),)),
+        FUClause((), Forall("b", sort_ac(2), AuxLe(B, A1)), ((lt, True),)),
+    ))
+    rng = random.Random(3)
+    for model in FIXTURE_MODELS:
+        run, ref = family_evaluator(model, fuf), ref_family(model, fuf)
+        for asg in assignments(model, rng, 6):
+            asg["t"] = asg["u"] = spine(model, sort_ac(2))[-1]
+            assert run(asg) == ref(asg), asg

@@ -10,6 +10,7 @@ only (a deep copy), and some connectives are built raw.
 """
 
 import copy
+import importlib
 import random
 
 import pytest
@@ -24,9 +25,9 @@ from oagqe.normal import (
 from oagqe.syntax import (
     FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, Discr, Exists, Forall,
     Fresh, LinTerm, MainRel, Not, Or, PlainRel, SORT_G, Sc, Se, SortMin,
-    SuccPlus, Top, atom_aux_terms, aux_free_vars, aux_term_sort, conj, disj,
-    free_names, free_vars, neg, rebuild, replace_aux_terms, sort_ac,
-    sort_aep, substitute,
+    SuccPlus, Top, atom_aux_terms, atom_lin_terms, atoms_of, aux_free_vars,
+    aux_term_sort, conj, disj, free_names, free_vars, neg, rebuild,
+    replace_aux_terms, sort_ac, sort_aep, subformulas, substitute,
 )
 from oagqe.translate import (
     _pin_formula, _syn_atom_rewrite, qe_atom_to_syn, syn_qf_to_qe_fuf,
@@ -142,7 +143,7 @@ def _ref_extract_can_terms(f, fresh):
 
 
 def _ref_hoist_main_units(f, cap=10):
-    memo, involves = {}, {}
+    memo, involves, free = {}, {}, {}
 
     def walk(g):
         if isinstance(g, (Atom, Top, Bottom)):
@@ -157,7 +158,7 @@ def _ref_hoist_main_units(f, cap=10):
         elif isinstance(g, Or):
             out = disj(walk(h) for h in g.args)
         else:
-            out = _hoist_block(g, walk(g.body), cap, involves)
+            out = _hoist_block(g, walk(g.body), cap, involves, free)
         memo[g] = out
         return out
 
@@ -424,6 +425,27 @@ def test_free_names_equals_free_vars():
         assert free_names(f, {}) == frozenset(free_vars(f)), f
         # a cache kept across formulas gives the same answers
         assert free_names(f, cache) == frozenset(free_vars(f)), f
+
+
+def test_unit_involves_main_matches_atom_walk(monkeypatch):
+    # the structural walk through one memo against the walk over every atom
+    # it replaced; each distinct subformula is examined once per memo
+    normal = importlib.import_module("oagqe.normal")
+    rng = random.Random(28)
+    aux = [Discr(A), AuxLe(A, AUX_FREE[0]), AuxLe(BOT, A), TRUE]
+    for _ in range(60):
+        leaves = ([_rand_block(rng) for _ in range(2)] + aux
+                  + [rand_syn_atom(rng), Exists("x", SORT_G, Discr(A))])
+        f = rand_dag(rng, leaves, rng.randint(2, 8))
+        seen = []
+        monkeypatch.setattr(normal, "atom_involves_main",
+                            lambda a: seen.append(a) or bool(
+                                atom_lin_terms(a)))
+        memo = {}
+        for g in subformulas(f):
+            want = any(bool(atom_lin_terms(a)) for a in atoms_of(g))
+            assert unit_involves_main(g, memo) is want, g
+        assert len(seen) == len(set(seen)), f
 
 
 def test_rebuild_visits_every_atom_once():

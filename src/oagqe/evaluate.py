@@ -10,8 +10,10 @@ and can report Unknown.
 
 A formula is compiled once, when its `evaluator` or `family_evaluator` is
 built, into a tree of closures that is then called at every assignment.
-Compiling an atom reads a main or plain relation as the one difference
-lhs - rhs, resolves a constant anchor and fixes the relation's branch.
+Compiling a main or plain relation reads lhs - rhs as one list of (name,
+coefficient) pairs and folds a constant anchor's offset into it; an order
+or equality at a constant anchor then stops at the first nonzero
+coordinate above the cut, without building an element (see `_atom_fn`).
 Results are memoized only at the nodes where a lookup can hit (see
 `_compile`), and the memos live as long as the compiled tree.
 """
@@ -76,13 +78,20 @@ def k_any(vals) -> Tri:
 # ---------------------------------------------------------------------------
 # Term evaluation
 
-def eval_lin(model: LexModel, asg: Assignment, t: LinTerm) -> Element:
+def _main_terms(asg: Assignment, pairs) -> list:
+    """[(c, value of v)] for the (v, c) pairs; every v must be assigned."""
+
     terms = []
-    for v, c in t.coeffs:
+    for v, c in pairs:
         val = asg.get(v)
         if not isinstance(val, tuple):
             raise KeyError("main-sort variable %r unassigned" % v)
         terms.append((c, val))
+    return terms
+
+
+def eval_lin(model: LexModel, asg: Assignment, t: LinTerm) -> Element:
+    terms = _main_terms(asg, t.coeffs)
     if len(terms) == 1:
         c, val = terms[0]
         return val if c == 1 else tuple([c * x for x in val])
@@ -121,17 +130,47 @@ def resolve_aux(model: LexModel, asg: Assignment, t: AuxTerm) -> SpinePoint:
 # ---------------------------------------------------------------------------
 # Atom evaluation, compiled once per atom
 
-def _lin_fn(model: LexModel, t: LinTerm, cancelled=()):
-    """Assignment -> value of t.  The names in cancelled occurred on both
-    sides of a relation and dropped out of t; they must still be assigned."""
+def _difference(lhs: LinTerm, rhs: LinTerm) -> tuple:
+    """lhs - rhs as (name, coefficient) pairs in name order; a name that
+    cancels keeps coefficient 0, so that it must still be assigned."""
 
-    def run(asg: Assignment) -> Element:
-        for v in cancelled:
-            if not isinstance(asg.get(v), tuple):
-                raise KeyError("main-sort variable %r unassigned" % v)
-        return eval_lin(model, asg, t)
+    diff = dict(lhs.coeffs)
+    for v, c in rhs.coeffs:
+        diff[v] = diff.get(v, 0) - c
+    return tuple(sorted(diff.items()))
 
-    return run
+
+def _term_fn(model: LexModel, pairs, off: Element):
+    """Assignment -> the element off + sum of c * value over pairs."""
+
+    coords = range(model.rank)
+
+    def term(asg: Assignment) -> Element:
+        terms = _main_terms(asg, pairs)
+        return tuple([sum([c * val[i] for c, val in terms], off[i])
+                      for i in coords])
+
+    return term
+
+
+def _order_fn(model: LexModel, pairs, off: Element, cut: int, lt: bool):
+    """Assignment -> truth of off + sum of c * value < 0 (lt) or = 0 (not
+    lt) in G / H_cut, read from the most significant coordinate down to
+    the cut: the first nonzero one decides, and no element is built."""
+
+    coords = range(model.rank - 1, cut - 1, -1)
+
+    def order(asg: Assignment) -> bool:
+        terms = _main_terms(asg, pairs)
+        for i in coords:
+            s = off[i]
+            for c, val in terms:
+                s += c * val[i]
+            if s:
+                return lt and s < 0
+        return not lt
+
+    return order
 
 
 def _const_aux(model: LexModel, t: AuxTerm) -> Optional[SpinePoint]:
@@ -162,15 +201,14 @@ def _aux_fn(model: LexModel, t: AuxTerm):
     return lambda asg: resolve_aux(model, asg, t)
 
 
-def _rel_test(model: LexModel, a: MainRel):
-    """(difference, cut) -> truth of the relation a.op above the cut."""
+def _rel_test(model: LexModel, op: str, m: int, mp: int):
+    """(difference, cut) -> truth of the relation op above the cut."""
 
-    m, mp = a.m, a.mp
-    if a.op == "eq":
+    if op == "eq":
         return model.in_cut
-    if a.op == "lt":
+    if op == "lt":
         return lambda d, c: model.proj_sign(d, c) < 0
-    if a.op == "cong":
+    if op == "cong":
         return lambda d, c: model.member(d, c, m)
     return lambda d, c: model.member_bracket(d, c, m, mp)
 
@@ -178,42 +216,44 @@ def _rel_test(model: LexModel, a: MainRel):
 def _atom_fn(model: LexModel, a: Atom):
     """Assignment -> truth value of one atom.
 
-    A main or plain relation is read as one difference lhs - rhs, a constant
-    anchor is resolved here, together with its offset k times the minimal
-    positive element, and the relation's branch is chosen here."""
+    A main or plain relation (plain: cut 0, no offset) is compiled from the
+    pairs of its difference lhs - rhs.  At a constant anchor (SortMin, a
+    valid SpineRef) the cut is resolved here and the offset k times the
+    minimal positive element is folded into the difference; eq and lt then
+    test it coordinate by coordinate (`_order_fn`), and cong, congb and
+    plaincong build it once for the model's membership test.  At a
+    variable anchor the difference is built and the cut and offset are
+    read at each call.  EqDot, CongDot and DPred build their term with the
+    same `_term_fn`."""
 
     if isinstance(a, (MainRel, PlainRel)):
-        diff = dict(a.lhs.coeffs)
-        for v, c in a.rhs.coeffs:
-            diff[v] = diff.get(v, 0) - c
-        lin = _lin_fn(model,
-                      LinTerm(tuple(sorted(p for p in diff.items() if p[1]))),
-                      tuple(sorted(v for v, c in diff.items() if not c)))
+        pairs = _difference(a.lhs, a.rhs)
         if isinstance(a, PlainRel):
-            if a.op == "lt":
-                return lambda asg: model.sign(lin(asg)) < 0
-            return lambda asg: model.member(lin(asg), 0, a.m)
-        test, k = _rel_test(model, a), a.k
-        pt = _const_aux(model, a.aux)
-        if pt is not None:
-            c = pt.cut
-            rep = model.minpos_rep(c) if k else None
-            if rep is None:
-                return lambda asg: test(lin(asg), c)
-            off = model.smul(k, rep)
-            return lambda asg: test(model.sub(lin(asg), off), c)
-        aux = _aux_fn(model, a.aux)
+            c, k, mp = 0, 0, 0
+        else:
+            pt = _const_aux(model, a.aux)
+            c, k, mp = None if pt is None else pt.cut, a.k, a.mp
+        test = _rel_test(model, a.op, a.m, mp)
+        if c is None:
+            aux = _aux_fn(model, a.aux)
+            term = _term_fn(model, pairs, model.zero())
 
-        def rel(asg: Assignment) -> bool:
-            c = aux(asg).cut
-            dv = lin(asg)
-            if k:
-                rep = model.minpos_rep(c)
-                if rep is not None:
-                    dv = model.sub(dv, model.smul(k, rep))
-            return test(dv, c)
+            def rel(asg: Assignment) -> bool:
+                c = aux(asg).cut
+                dv = term(asg)
+                if k:
+                    rep = model.minpos_rep(c)
+                    if rep is not None:
+                        dv = model.sub(dv, model.smul(k, rep))
+                return test(dv, c)
 
-        return rel
+            return rel
+        rep = model.minpos_rep(c) if k else None
+        off = model.zero() if rep is None else model.smul(-k, rep)
+        if a.op in ("eq", "lt"):
+            return _order_fn(model, pairs, off, c, a.op == "lt")
+        term = _term_fn(model, pairs, off)
+        return lambda asg: test(term(asg), c)
     if isinstance(a, (AuxLe, AuxAsymp)):
         lhs, rhs = _aux_fn(model, a.lhs), _aux_fn(model, a.rhs)
         if isinstance(a, AuxLe):
@@ -233,7 +273,7 @@ def _atom_fn(model: LexModel, a: Atom):
 
         return dim
     if isinstance(a, (EqDot, CongDot)):
-        t = _lin_fn(model, a.t)
+        t = _term_fn(model, a.t.coeffs, model.zero())
         offs = [(c, model.smul(a.k, model.minpos_rep(c)))
                 for c in _discrete_cuts(model)]
         test = (model.in_cut if isinstance(a, EqDot)
@@ -245,7 +285,7 @@ def _atom_fn(model: LexModel, a: Atom):
 
         return dotted
     if isinstance(a, DPred):
-        t = _lin_fn(model, a.t)
+        t = _term_fn(model, a.t.coeffs, model.zero())
         n, ns = a.p ** a.r, a.p ** a.s
 
         def dpred(asg: Assignment) -> bool:

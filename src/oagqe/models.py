@@ -155,9 +155,6 @@ class LexModel:
         return tuple(0 if isinstance(c, IntComp) else Fraction(0)
                      for c in self.comps)
 
-    def neg(self, a: Element) -> Element:
-        return tuple(-x for x in a)
-
     def sub(self, a: Element, b: Element) -> Element:
         return tuple(x - y for x, y in zip(a, b))
 

@@ -16,9 +16,11 @@ and every guard) per call: the formula is compiled once into a tree of
 closures that is called at every grid point.  Its memos keep the values of
 nodes over fewer variables than the formula has, such as a literal over x
 alone asked at one point for many values, and are dropped with the
-evaluator when the call returns.  The functionality check asks the graph at
-the sampled values of each point and needs exactly one to hold; that value
-witnesses the point's projection, so no main-sort quantifier is decided.
+evaluator when the call returns.  Each call also builds the model element
+of each grid coordinate once, on first use.  The functionality check asks
+the graph at the sampled values of each point and needs exactly one to
+hold; that value witnesses the point's projection, so no main-sort
+quantifier is decided.
 """
 
 import math
@@ -249,12 +251,24 @@ def decompose(model, formula: Formula, value_var: str, args,
     return PieceSet(args, value_var, tuple(pieces))
 
 
+class _Elements(dict):
+    """Integer v -> model.element([v]), each built on first use."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __missing__(self, v: int):
+        e = self[v] = self.model.element([v])
+        return e
+
+
 def _check_function(model, formula, value_var, args, merged, box):
     # the graph is quantifier-free, so graph(asg) is exact; a sampled value
     # at which it holds is a witness of Exists value. graph
     graph = evaluator(model, formula)
+    element = _Elements(model)
     for point in _sample_points(len(args), box):
-        asg = {x: model.element([v]) for x, v in zip(args, point)}
+        asg = {x: element[v] for x, v in zip(args, point)}
         found = set()
         for (coeffs, denom, offset), _ in merged.items():
             num = sum(r * v for r, v in zip(coeffs, point)) + offset
@@ -265,7 +279,7 @@ def _check_function(model, formula, value_var, args, merged, box):
             found.add(y)
         sats = set()
         for y in sorted(found):
-            asg[value_var] = model.element([y])
+            asg[value_var] = element[y]
             if graph(asg) is True:
                 sats.add(y)
         del asg[value_var]
@@ -295,11 +309,12 @@ def verify_decomposition(model, formula: Formula, ps: PieceSet,
 
     guards = [evaluator(model, p.guard) for p in ps.pieces]
     graph = evaluator(model, formula)
+    element = _Elements(model)
     violations = []
     points = 0
     for point in _sample_points(len(ps.args), box):
         points += 1
-        asg = {x: model.element([v]) for x, v in zip(ps.args, point)}
+        asg = {x: element[v] for x, v in zip(ps.args, point)}
         live = [p for p, guard in zip(ps.pieces, guards)
                 if guard(asg) is True]
         if len(live) != 1:
@@ -311,7 +326,7 @@ def verify_decomposition(model, formula: Formula, ps: PieceSet,
         if y is None:
             violations.append({"point": point, "kind": "nonintegral"})
             continue
-        asg[ps.value_var] = model.element([y])
+        asg[ps.value_var] = element[y]
         if graph(asg) is not True:
             violations.append({"point": point, "kind": "value", "value": y})
     return VerifyReport(points, tuple(violations))

@@ -352,6 +352,18 @@ def print_aux(t: AuxTerm) -> str:
 
 
 def print_formula(f: Formula) -> str:
+    """The canonical text of f.  Each node keeps its text once printed, as
+    it keeps its hash (see syntax), so a subformula shared by several
+    formulas, or occurring several times in one, is printed once."""
+
+    text = getattr(f, "_text", None)
+    if text is None:
+        text = _print_node(f)
+        object.__setattr__(f, "_text", text)
+    return text
+
+
+def _print_node(f: Formula) -> str:
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Bottom):

@@ -813,7 +813,10 @@ def nnf(f: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Hash caching: nodes are immutable but deep, and the rewriting passes hash
-# the same subtrees over and over, so each node remembers its hash.
+# the same subtrees over and over, so each node remembers its hash.  It is
+# kept in the instance dict, outside the dataclass fields, so ==, repr and
+# the hash itself do not see it; sexpr.print_formula keeps a node's text
+# ("_text") the same way.
 
 def _install_cached_hash(cls):
     generated = cls.__hash__

@@ -31,6 +31,10 @@ SUM_MODEL = LexModel((IntComp(), IntComp(), IntComp()), sum_mod=2)
 
 Z_MODEL = LexModel((IntComp(),))
 
+# every shape of model the exact arithmetic meets: Z, Q and Z[1/m]
+# components, ranks one to five, and a sum constraint
+TYPED_MODELS = FIXTURE_MODELS + [MIXED_RANK5, SUM_MODEL]
+
 
 @pytest.fixture
 def rng():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    AUX_FREE, FIXTURE_MODELS, MIXED_RANK5, SUM_MODEL, Z_MODEL,
+    AUX_FREE, FIXTURE_MODELS, SUM_MODEL, TYPED_MODELS, Z_MODEL,
     aux_assignment, main_assignment, rand_bool, rand_mixed_atom, rand_term,
 )
 from oagqe import solver
@@ -27,7 +27,7 @@ from oagqe.syntax import (
     And, Atom, AuxAsymp, AuxLe, AuxVar, Bottom, CongDot, DimFloor, DimSucc,
     Discr, DPred, EqDot, Exists, Forall, Fresh, LinTerm, MainRel, Not, Or,
     PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, Top, conj, disj, free_vars,
-    neg, sort_ac, sort_ae, substitute,
+    neg, sort_ac, sort_ae, sort_aep, substitute,
 )
 
 # the module; the package exports its function `evaluate` under that name
@@ -351,7 +351,6 @@ def ref_family(model, fuf, box=DEFAULT_BOX):
 # ---------------------------------------------------------------------------
 # The compiled evaluator against the reference
 
-DIFF_MODELS = FIXTURE_MODELS + [MIXED_RANK5, SUM_MODEL]
 A1 = AUX_FREE[0]
 B = AuxVar("b", sort_ac(2))
 
@@ -410,7 +409,7 @@ def assignments(model, rng, n):
 def test_evaluator_matches_reference(rng):
     unknown = 0
     for trial in range(120):
-        model = DIFF_MODELS[trial % len(DIFF_MODELS)]
+        model = TYPED_MODELS[trial % len(TYPED_MODELS)]
         f = rand_quantified(rng, model)
         box = 2 if model.rank <= 2 else DEFAULT_BOX
         run, ref = evaluator(model, f, box), ref_evaluator(model, f, box)
@@ -453,6 +452,44 @@ def test_unassigned_variable_raises_when_it_cancels():
             evaluate(ZZ, asg, a)
         with pytest.raises(KeyError):
             evaluator(ZZ, conj([a, PlainRel("lt", y, zero)]))(asg)
+
+
+def test_compiled_relations_match_reference(rng):
+    # every main and plain relation, k in -2..2, constant anchors at every
+    # cut up to the rank and a variable anchor, on every model shape; the
+    # terms t - u and (x + u) - x, whose x cancels
+    for model in TYPED_MODELS:
+        anchors = ([SortMin(sort_ac(2)), SortMin(sort_ae(2)), B]
+                   + [SpineRef(sort_ac(2), "g%d" % c)
+                      for c in range(model.rank + 1)])
+        pts = spine(model, sort_ac(2)) + spine(model, sort_aep(2))
+        same = main_assignment(model, rng, ["x"])["x"]
+        asgs = [{v: model.zero() for v in "xyz"}, {v: same for v in "xyz"}]
+        asgs += [main_assignment(model, rng, ["x", "y", "z"])
+                 for _ in range(4)]
+        for asg in asgs:
+            asg["b"] = rng.choice(pts)
+        for trial in range(4):
+            u = rand_term(rng, ["y", "z"])
+            t = x + u if trial == 0 else rand_term(rng, ["x", "y", "z"])
+            rhs = x if trial == 0 else u
+            m = rng.choice([1, 2, 3, 4])
+            atoms = [PlainRel("lt", t, rhs), PlainRel("cong", t, rhs, m=m)]
+            for aux in anchors:
+                atoms.append(MainRel("congb", t, rhs, 0, aux, m=m, mp=4))
+                for k in range(-2, 3):
+                    atoms += [MainRel("eq", t, rhs, k, aux),
+                              MainRel("lt", t, rhs, k, aux),
+                              MainRel("cong", t, rhs, k, aux, m=m)]
+            for a in atoms:
+                run = EV._atom_fn(model, a)
+                for asg in asgs:
+                    assert run(asg) == ref_atom(model, asg, a), (model, a)
+                if trial == 0:
+                    # x cancels, but an unassigned x still raises
+                    no_x = {v: e for v, e in asgs[-1].items() if v != "x"}
+                    with pytest.raises(KeyError):
+                        run(no_x)
 
 
 def test_quantifier_alternation():

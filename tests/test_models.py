@@ -6,8 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURE_MODELS, MIXED_RANK5, SUM_MODEL, Z_MODEL
-from oagqe.evaluate import _fallback_candidates, eval_lin
+from conftest import (
+    FIXTURE_MODELS, SUM_MODEL, TYPED_MODELS, Z_MODEL,
+)
+from oagqe.evaluate import (
+    _difference, _fallback_candidates, _term_fn, eval_lin,
+)
 from oagqe.models import (
     IntComp, LexModel, LocComp, RatComp, TOPG, ac_class_of, ae_class_of,
     aep_of, comp_divisible, definitional_spine_oracle, dim_query,
@@ -99,7 +103,7 @@ def test_minpos_rep():
     assert SUM_MODEL.proj_sign(r, 1) == 1
 
 
-@pytest.mark.parametrize("model", FIXTURE_MODELS + [MIXED_RANK5, SUM_MODEL])
+@pytest.mark.parametrize("model", TYPED_MODELS)
 def test_spine_matches_definitional_oracle(model):
     for n in (2, 3, 4, 5, 6):
         samples = list(residue_box(model, n + 1))
@@ -159,7 +163,7 @@ def test_dim_query_sum_constrained():
 
 
 def test_model_file_roundtrip():
-    for model in FIXTURE_MODELS + [MIXED_RANK5, SUM_MODEL]:
+    for model in TYPED_MODELS:
         assert parse_model(format_model(model)) == model
     m = parse_model("Z # bottom\n\nQ\nZ[1/6]\n")
     assert m == LexModel((IntComp(), RatComp(), LocComp(6)))
@@ -199,9 +203,6 @@ def _reference_lin(model, asg, t):
     return out
 
 
-TYPED_MODELS = FIXTURE_MODELS + [MIXED_RANK5, SUM_MODEL]
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_coordinates_are_ints_on_z_components(seed):
@@ -225,6 +226,16 @@ def test_coordinates_are_ints_on_z_components(seed):
             got, want = eval_lin(model, asg, t), _reference_lin(model, asg, t)
             _assert_coords(model, got)
             assert got == want and hash(got) == hash(want), (model, t)
+            # the compiled difference t - u, u sharing some names with t;
+            # with u = t every term cancels
+            for u in (t, LinTerm.make({v: rng.randint(-4, 4)
+                                       for v in rng.sample(names, 2)})):
+                ref = _reference_lin(model, asg, u)
+                want = tuple(a - b for a, b in
+                             zip(_reference_lin(model, asg, t), ref))
+                got = _term_fn(model, _difference(t, u), model.zero())(asg)
+                _assert_coords(model, got)
+                assert got == want and hash(got) == hash(want), (model, t, u)
         for e in itertools.islice(_fallback_candidates(model, asg, 2), 200):
             _assert_coords(model, e)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import rand_bool, rand_mixed_atom
+from oagqe import sexpr
 from oagqe.sexpr import ParseError, parse_formula, print_formula, print_sort
 from oagqe.syntax import (
     FALSE, TRUE, And, AuxVar, CongDot, Discr, EqDot, Exists, Forall, LinTerm,
@@ -149,3 +150,52 @@ def test_connectives_parse_to_smart_constructor_values():
     # the same values as the smart constructors give
     assert parse_formula("(and (not %s) (or %s))" % (ta, tb)) == conj(
         [neg(a), disj([b])])
+
+
+def _tree_print(f):
+    """print_formula as a plain walk of the tree, with no text kept on the
+    nodes; atoms have no subformulas and go to the node printer."""
+
+    if isinstance(f, Not):
+        return "(not %s)" % _tree_print(f.arg)
+    if isinstance(f, (And, Or)):
+        if not f.args:
+            return "true" if isinstance(f, And) else "false"
+        return "(%s %s)" % ("and" if isinstance(f, And) else "or",
+                            " ".join(_tree_print(g) for g in f.args))
+    if isinstance(f, (Exists, Forall)):
+        return "(%s %s %s %s)" % ("E" if isinstance(f, Exists) else "A",
+                                  f.var, print_sort(f.sort),
+                                  _tree_print(f.body))
+    return sexpr._print_node(f)
+
+
+def _shared_dag(rng):
+    """A formula whose subformulas occur several times, as one object."""
+
+    parts = [rand_bool(rng, 2, rand_mixed_atom) for _ in range(3)]
+    shared = And((parts[0], parts[1]))
+    return Or((And((shared, parts[2])), Not(shared),
+               Exists("x", SORT_G, Or((shared, Not(parts[2])))),
+               Forall("a1", sort_ac(2), shared)))
+
+
+def test_print_formula_prints_each_shared_node_once(monkeypatch):
+    for seed in range(20):
+        # two equal formulas built separately
+        f = _shared_dag(random.Random(seed))
+        g = _shared_dag(random.Random(seed))
+        assert f == g and f is not g
+        h, r = hash(f), repr(f)
+        calls = []
+        node = sexpr._print_node
+        monkeypatch.setattr(sexpr, "_print_node",
+                            lambda n: calls.append(n) or node(n))
+        text = print_formula(f)
+        monkeypatch.undo()
+        assert text == _tree_print(f)
+        # one node printer call per distinct node object
+        assert len(calls) == len({id(n) for n in calls})
+        # the kept text changes neither equality, nor hash, nor repr
+        assert f == g and hash(f) == h == hash(g) and repr(f) == r
+        assert print_formula(f) == text == print_formula(g)

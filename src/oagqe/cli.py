@@ -28,7 +28,7 @@ from .piecewise import (
     FunctionalityError, decompose, verify_decomposition,
 )
 from .sexpr import parse_formula, print_formula, print_sort
-from .syntax import free_vars, sort_ac, sort_ae, sort_aep
+from .syntax import SORT_G, free_vars, sort_ac, sort_ae, sort_aep
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -90,6 +90,17 @@ def _parse_point(model: LexModel, text: str):
         return model.element(coords)
     except ValueError as e:
         raise InputError(str(e))
+
+
+def _parse_spine_point(model: LexModel, sort, text: str):
+    """The spine point of sort whose id, as `oagqe spine` prints it, is
+    text."""
+
+    for pt in model_spine(model, sort):
+        if pt.class_id == text:
+            return pt
+    raise InputError("%r is not a spine point of %s (see oagqe spine)"
+                     % (text, print_sort(sort)))
 
 
 def cmd_eliminate(args) -> int:
@@ -190,14 +201,19 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     f = _load_formula(args.formula)
     model = _load_model(args.model)
+    fv = free_vars(f)
     asg = {}
     for item in args.assign:
         if "=" not in item:
-            raise InputError("assignment %r is not name=coords" % item)
+            raise InputError("assignment %r is not name=value" % item)
         name, text = item.split("=", 1)
-        asg[name] = _parse_point(model, text)
-    missing = [v for v, s in free_vars(f).items()
-               if v not in asg and (s is None or s.is_main)]
+        sort = fv.get(name, SORT_G)
+        if sort is None:
+            raise InputError("auxiliary variable %s has no declared sort"
+                             % name)
+        asg[name] = (_parse_point(model, text) if sort.is_main
+                     else _parse_spine_point(model, sort, text))
+    missing = [v for v in fv if v not in asg]
     if missing:
         raise InputError("unassigned variables: %s"
                          % ", ".join(sorted(missing)))
@@ -272,8 +288,10 @@ def make_parser() -> argparse.ArgumentParser:
         "--max-branches")
     p = add("eval", cmd_eval, "evaluate at an assignment",
             "--formula", "--model", "--box")
-    p.add_argument("assign", nargs="*", metavar="name=coords",
-                   help="element assignment, least significant first")
+    p.add_argument("assign", nargs="*", metavar="name=value",
+                   help="coordinates of a main variable, least significant "
+                        "first, or the spine point id (as spine prints it) "
+                        "of a declared auxiliary variable")
     p = add("piecewise", cmd_piecewise, "piecewise-linear decomposition",
             "--formula", "--model", "--box", "--json")
     p.add_argument("--value", default="y", help="value variable of the graph")

@@ -4,9 +4,10 @@ Atoms are evaluated exactly.  Auxiliary quantifiers range over the finite
 spine and are expanded.  A single main-sort existential is decided completely
 by grounding its matrix (resolving every auxiliary term, case-splitting the
 canonical maps applied to terms containing the bound variable) and running
-the per-coordinate witness search of the solver module.  Only matrices that
-contain further main-sort quantifiers fall back to a bounded candidate search
-and can report Unknown.
+the per-coordinate witness search of the solver module on the leaves of its
+decision tree, taken lazily: the first witness ends the search.  Matrices
+with further main-sort quantifiers, or more than 512 leaves before a
+witness, fall back to a bounded candidate search and can report Unknown.
 
 A formula is compiled once, when its `evaluator` or `family_evaluator` is
 built, into a tree of closures that is then called at every assignment.
@@ -31,11 +32,12 @@ from .models import (
     h_cut, spine, spine_min,
 )
 from .models import _ac_cuts  # realized cut sets, shared with spine()
+from .normal import ResourceLimit, boolean_units, disjoint_clauses
 from .syntax import (
     AE, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, CongDot, Discr,
     DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula, Fresh,
     LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SpineRef, SuccPlus,
-    Top, TRUE, atom_aux_terms, conj, disj, free_names, main_vars, neg, nnf,
+    Top, TRUE, atom_aux_terms, conj, disj, free_names, main_vars, neg,
     replace_aux_terms, sort_ac, sort_ae, subformulas, substitute,
 )
 
@@ -476,49 +478,14 @@ def ground_for_var(model: LexModel, asg: Assignment, var: str,
 
 
 # ---------------------------------------------------------------------------
-# DNF over the remaining atoms
+# Disjoint clauses over the remaining atoms
 
-def dnf_clauses(f: Formula, cap: int = 512) -> list[dict[Atom, bool]]:
-    f = nnf(f)
+def dnf_clauses(f: Formula, cap: int = 512):
+    """The leaves of the grounded matrix f over its atoms, lazily.  Its own
+    name because perfbench/tracing.py patches it, which `--trace 1` and
+    `--determinism` runs depend on."""
 
-    def go(g: Formula) -> list[dict[Atom, bool]]:
-        if isinstance(g, Top):
-            return [{}]
-        if isinstance(g, Bottom):
-            return []
-        if isinstance(g, Atom):
-            return [{g: True}]
-        if isinstance(g, Not):
-            return [{g.arg: False}]
-        if isinstance(g, Or):
-            out = []
-            for h in g.args:
-                out.extend(go(h))
-                if len(out) > cap:
-                    raise Uncompilable("clause cap exceeded")
-            return out
-        if isinstance(g, And):
-            acc: list[dict[Atom, bool]] = [{}]
-            for h in g.args:
-                nxt = []
-                for left in acc:
-                    for right in go(h):
-                        merged = dict(left)
-                        clash = False
-                        for a, pol in right.items():
-                            if merged.get(a, pol) != pol:
-                                clash = True
-                                break
-                            merged[a] = pol
-                        if not clash:
-                            nxt.append(merged)
-                if len(nxt) > cap:
-                    raise Uncompilable("clause cap exceeded")
-                acc = nxt
-            return acc
-        raise Uncompilable("quantifier left in matrix")
-
-    return go(f)
+    return disjoint_clauses(f, boolean_units(f), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +559,9 @@ def _literal_alternatives(model, asg, var, atom: Atom, positive: bool):
     raise Uncompilable("atom %r not compilable" % (atom,))
 
 
-def compile_clause(model, asg, var,
-                   lits: dict[Atom, bool]) -> list[solver.Clause]:
+def compile_clause(model, asg, var, lits) -> list[solver.Clause]:
     alt_lists = []
-    for atom, pol in lits.items():
+    for atom, pol in lits:
         alts = _literal_alternatives(model, asg, var, atom, pol)
         if alts is _TRUE:
             continue
@@ -631,19 +597,19 @@ def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
                        box: int, run_body) -> Tri:
     """Exists var. body, for one assignment of the other variables.
 
-    The grounded search is complete.  When the body cannot be grounded, the
-    compiled body run_body is tried at the bounded fallback candidates."""
+    The grounded search is complete; each leaf of the grounded matrix is
+    compiled and solved as it comes, and the first witness ends it.  When
+    the body cannot be grounded, has more than 512 leaves before a witness
+    or reaches a solver limit, run_body is tried at the fallback points."""
 
     try:
         g = ground_for_var(model, asg, var, body)
-        clauses = dnf_clauses(g)
-        for lits in clauses:
+        for lits, _ in dnf_clauses(g):
             for cl in compile_clause(model, asg, var, lits):
-                w = solver.solve_clause(model, cl)
-                if w is not None:
+                if solver.solve_clause(model, cl) is not None:
                     return True
         return False
-    except (Uncompilable, solver.SolverLimit):
+    except (Uncompilable, ResourceLimit, solver.SolverLimit):
         pass
     # bounded fallback: only a True answer is ever definite here
     for cand in _fallback_candidates(model, asg, box):

@@ -9,14 +9,16 @@ them with those images inside every psi is what makes distinct instantiations
 clash.
 
 Every case split over the boolean skeleton goes through one Shannon
-splitter (`ShannonSplitter`): the disjoint normal form, the hoisting of
-main-sort atoms out of auxiliary blocks and the truth table of
-`to_family_union`.  Any decision tree over the units gives clauses that
-pairwise contradict each other, which is all a family union form needs.
-The splitter caches, per subformula, the units it mentions and its
-cofactors, keyed by value (every node caches its hash), so a remainder
-reached along several branches is split once.  Its caches live for one
-call of the function that built it.
+splitter (`ShannonSplitter`), and one generator, `disjoint_clauses`, turns
+its decision tree into clauses for the disjoint normal form,
+`to_family_union` and the evaluator's existential decision.  Any decision
+tree over the units gives clauses that pairwise contradict each other,
+which is all a family union form needs.  `hoist_main_units` keeps its own
+walk over the splitter, since it builds a shared if-then-else.  The
+splitter caches, per conjunction and disjunction, the units it mentions and
+its cofactors, keyed by value (every node caches its hash), so a remainder
+reached along several branches is split once.  Its caches live for one call
+of the function that built it.
 
 The other rewrites (canonical-map extraction, hoisting, inlining of pinned
 parameters) are `syntax.rebuild` with a rule for atoms and one for
@@ -48,26 +50,20 @@ def boolean_units(f: Formula) -> list[Formula]:
     first-occurrence order."""
 
     out: list[Formula] = []
-    seen = set()
     visited: set = set()
-
-    def walk(g: Formula):
+    # depth first, children pushed in reverse so that they pop in order
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if g in visited:
-            return
+            continue
         visited.add(g)
-        if isinstance(g, (Top, Bottom)):
-            return
         if isinstance(g, Not):
-            walk(g.arg)
+            stack.append(g.arg)
         elif isinstance(g, (And, Or)):
-            for h in g.args:
-                walk(h)
-        else:
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
-
-    walk(f)
+            stack.extend(reversed(g.args))
+        elif not isinstance(g, (Top, Bottom)):
+            out.append(g)
     return out
 
 
@@ -75,11 +71,13 @@ class ShannonSplitter:
     """Cofactors of boolean skeletons over one ordered list of units.
 
     Only the listed units are split on; any other unit is an opaque leaf.
-    For every subformula it meets, the splitter caches the set of listed
-    units the subformula mentions (a bit mask of their indices), its
-    cofactor for each (unit, polarity) pair and its split.  The caches are
-    keyed by value, never by identity, and live as long as the splitter,
-    which its callers build once per call.  A subtree that does not mention
+    For every conjunction and disjunction it meets, the splitter caches the
+    set of listed units the subformula mentions (a bit mask of their
+    indices), its cofactor for each (unit, polarity) pair and its split; a
+    leaf needs only a lookup of its index and a negation passes to its
+    argument, so neither is cached.  The caches are keyed by value, never
+    by identity, and live as long as the splitter, which its callers build
+    once per call.  A subtree that does not mention
     the split unit is its own cofactor; the others are rebuilt with the
     smart constructors, which fold the constants.  So a formula it splits
     must itself be built with the smart constructors, as `parse_formula`
@@ -89,59 +87,62 @@ class ShannonSplitter:
 
     def __init__(self, units):
         self._index = {u: i for i, u in enumerate(units)}
-        self._mask: dict = {}
-        self._cof: dict = {}
-        self._split: dict = {}
+        # per conjunction or disjunction: [mask, split, {(i, pol): cofactor}]
+        self._node: dict = {}
+
+    def _record(self, g: Formula) -> list:
+        rec = self._node.get(g)
+        if rec is None:
+            m = 0
+            for h in g.args:
+                m |= self.mask(h)
+            rec = self._node[g] = [m, None, {}]
+        return rec
 
     def mask(self, g: Formula) -> int:
         """Bit i is set when the listed unit i occurs in g."""
 
-        hit = self._mask.get(g)
-        if hit is not None:
-            return hit
         if isinstance(g, Not):
-            m = self.mask(g.arg)
-        elif isinstance(g, (And, Or)):
-            m = 0
-            for h in g.args:
-                m |= self.mask(h)
-        else:
-            i = self._index.get(g)
-            m = 0 if i is None else 1 << i
-        self._mask[g] = m
-        return m
+            return self.mask(g.arg)
+        if isinstance(g, (And, Or)):
+            return self._record(g)[0]
+        i = self._index.get(g)
+        return 0 if i is None else 1 << i
 
     def split(self, g: Formula) -> tuple:
         """(i, g with unit i true, g with unit i false) for the live listed
         unit i of g with the lowest index; () when none is live."""
 
-        hit = self._split.get(g)
-        if hit is None:
-            m = self.mask(g)
+        if isinstance(g, Not):
+            node = self.split(g.arg)
+            return (node[0], neg(node[1]), neg(node[2])) if node else ()
+        if not isinstance(g, (And, Or)):
+            i = self._index.get(g)
+            return () if i is None else (i, TRUE, FALSE)
+        rec = self._record(g)
+        if rec[1] is None:
+            m = rec[0]
             i = (m & -m).bit_length() - 1
-            hit = ((i, self.cofactor(g, i, True), self.cofactor(g, i, False))
-                   if i >= 0 else ())
-            self._split[g] = hit
-        return hit
+            rec[1] = ((i, self.cofactor(g, i, True),
+                       self.cofactor(g, i, False)) if i >= 0 else ())
+        return rec[1]
 
     def cofactor(self, g: Formula, i: int, pol: bool) -> Formula:
         """g with the listed unit i set to the truth value pol."""
 
-        if not self.mask(g) >> i & 1:
-            return g
-        key = (g, i, pol)
-        hit = self._cof.get(key)
-        if hit is not None:
-            return hit
         if isinstance(g, Not):
-            out = neg(self.cofactor(g.arg, i, pol))
-        elif isinstance(g, And):
-            out = conj(self.cofactor(h, i, pol) for h in g.args)
-        elif isinstance(g, Or):
-            out = disj(self.cofactor(h, i, pol) for h in g.args)
-        else:
-            out = TRUE if pol else FALSE
-        self._cof[key] = out
+            h = self.cofactor(g.arg, i, pol)
+            return g if h is g.arg else neg(h)
+        if not isinstance(g, (And, Or)):
+            return (TRUE if pol else FALSE) if self._index.get(g) == i else g
+        m, _, cof = self._record(g)
+        if not m >> i & 1:
+            return g
+        out = cof.get((i, pol))
+        if out is None:
+            parts = (self.cofactor(h, i, pol) for h in g.args)
+            out = conj(parts) if isinstance(g, And) else disj(parts)
+            cof[i, pol] = out
         return out
 
 
@@ -174,41 +175,50 @@ def unit_involves_main(u: Formula, memo: dict) -> bool:
     return hit
 
 
-def dnf_disjoint_tree(f: Formula, cap: int = 4096):
-    """Pairwise-disjoint disjunctive normal form by decision-tree splitting.
+def disjoint_clauses(f: Formula, units, cap: int):
+    """The leaves (literals, remainder) of the decision tree of f over the
+    listed units, lazily.
 
-    Units are assigned in first-occurrence order, each remainder splitting on
-    its first live unit, and a clause is emitted as soon as the rest of the
-    formula is decided, so clauses list only the units up to the decision
-    point.  Two distinct clauses still disagree with opposite polarity on
-    the unit where their branches split.  The tree is walked depth first,
-    true branch first, and the cap is checked at each emitted clause; the
-    cofactors come from one splitter for this call, so a remainder that
-    recurs on several branches is rewritten once.  f must be built with the
-    smart constructors (see `ShannonSplitter`).
+    Each remainder splits on its live listed unit of lowest index, and a
+    leaf is reached once none is live: its literals are the units on its
+    branch and its remainder is what the unlisted units leave (`TRUE` when
+    every unit is listed).  Two leaves disagree on the unit where their
+    branches split.  The walk is depth first, true branch first; false
+    leaves are dropped, and `ResourceLimit` is raised once more than cap
+    leaves have been emitted.  f must be built with the smart constructors
+    (see `ShannonSplitter`).
     """
 
-    units = boolean_units(f)
     sp = ShannonSplitter(units)
-    clauses = []
+    emitted = 0
     # explicit stack: the unit list can be long and recursion depth tracks it
     stack = [(f, [])]
     while stack:
         g, lits = stack.pop()
-        if isinstance(g, Bottom):
-            continue
-        if isinstance(g, Top):
-            clauses.append(lits)
-            if len(clauses) > cap:
-                raise ResourceLimit("disjoint clause cap exceeded")
-            continue
         node = sp.split(g)
-        if not node:
+        if node:
+            i, hi, lo = node
+            u = units[i]
+            if not isinstance(lo, Bottom):
+                stack.append((lo, lits + [(u, False)]))
+            if not isinstance(hi, Bottom):
+                stack.append((hi, lits + [(u, True)]))
+        elif not isinstance(g, Bottom):
+            emitted += 1
+            if emitted > cap:
+                raise ResourceLimit("disjoint clause cap exceeded")
+            yield lits, g
+
+
+def dnf_disjoint_tree(f: Formula, cap: int = 4096):
+    """Pairwise-disjoint disjunctive normal form: the literal lists of the
+    leaves of `disjoint_clauses` over every boolean unit of f, in order."""
+
+    clauses = []
+    for lits, rest in disjoint_clauses(f, boolean_units(f), cap):
+        if not isinstance(rest, Top):
             raise AssertionError("skeleton did not fully evaluate")
-        i, hi, lo = node
-        u = units[i]
-        stack.append((lo, lits + [(u, False)]))
-        stack.append((hi, lits + [(u, True)]))
+        clauses.append(lits)
     return clauses
 
 
@@ -447,10 +457,10 @@ def to_family_union(f: Formula, cap_atoms: int = 14) -> FamilyUnionForm:
 
     Canonical-map images of main terms are pulled out into fresh parameters
     theta; every clause carries the defining equations, which is what keeps
-    distinct parameter instantiations inconsistent.  The main-sort atoms are
-    then case-split by a full truth table: every clause lists every
-    main-sort atom, and its guard is the cofactor of the matrix along the
-    row, taken from one splitter for this call.
+    distinct parameter instantiations inconsistent.  The clauses are the
+    leaves of `disjoint_clauses` over the main-sort atoms: a clause lists
+    the main atoms on its branch, which ends once none is live, and its
+    guard is the remainder there.
     """
 
     if has_main_quantifier(f):
@@ -469,40 +479,20 @@ def to_family_union(f: Formula, cap_atoms: int = 14) -> FamilyUnionForm:
         defs.append((AuxLe(var, t), True))
         defs.append((AuxLe(t, var), True))
 
-    units = boolean_units(g)
-    main_units = []
     involves: dict = {}
-    for u in units:
-        if not unit_involves_main(u, involves):
-            continue
-        if not isinstance(u, Atom):
-            raise ValueError(
-                "main-sort atom under an auxiliary quantifier is outside "
-                "the supported fragment")
-        main_units.append(u)
+    main_units = [u for u in boolean_units(g)
+                  if unit_involves_main(u, involves)]
+    if not all(isinstance(u, Atom) for u in main_units):
+        raise ValueError(
+            "main-sort atom under an auxiliary quantifier is outside "
+            "the supported fragment")
 
-    theta = tuple(theta)
-    if not main_units:
-        return FamilyUnionForm((FUClause(theta, g, tuple(defs)),))
     if len(main_units) > cap_atoms:
         raise ResourceLimit(
             "%d main-sort atoms in one matrix" % len(main_units))
 
-    # the truth table, rows in lexicographic order with true first; a row
-    # prefix whose remainder is already false is not extended
-    sp = ShannonSplitter(main_units)
-    clauses = []
-
-    def rows(xi: Formula, row: tuple):
-        if isinstance(xi, Bottom):
-            return
-        i = len(row)
-        if i == len(main_units):
-            psi = tuple(zip(main_units, row)) + tuple(defs)
-            clauses.append(FUClause(theta, xi, psi))
-            return
-        for b in (True, False):
-            rows(sp.cofactor(xi, i, b), row + (b,))
-
-    rows(g, ())
-    return FamilyUnionForm(tuple(clauses))
+    # at most 2^cap_atoms leaves, so the leaf cap never binds
+    theta, defs = tuple(theta), tuple(defs)
+    return FamilyUnionForm(tuple(
+        FUClause(theta, xi, tuple(lits) + defs)
+        for lits, xi in disjoint_clauses(g, main_units, 1 << cap_atoms)))

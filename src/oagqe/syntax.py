@@ -777,41 +777,6 @@ def substitute(f: Formula, sub: Subst, fresh: Optional[Fresh] = None) -> Formula
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form
-
-def nnf(f: Formula) -> Formula:
-    if isinstance(f, (Atom, Top, Bottom)):
-        return f
-    if isinstance(f, And):
-        return conj(nnf(g) for g in f.args)
-    if isinstance(f, Or):
-        return disj(nnf(g) for g in f.args)
-    if isinstance(f, Exists):
-        return Exists(f.var, f.sort, nnf(f.body))
-    if isinstance(f, Forall):
-        return Forall(f.var, f.sort, nnf(f.body))
-    if isinstance(f, Not):
-        g = f.arg
-        if isinstance(g, Atom):
-            return f
-        if isinstance(g, Top):
-            return FALSE
-        if isinstance(g, Bottom):
-            return TRUE
-        if isinstance(g, Not):
-            return nnf(g.arg)
-        if isinstance(g, And):
-            return disj(nnf(Not(h)) for h in g.args)
-        if isinstance(g, Or):
-            return conj(nnf(Not(h)) for h in g.args)
-        if isinstance(g, Exists):
-            return Forall(g.var, g.sort, nnf(Not(g.body)))
-        if isinstance(g, Forall):
-            return Exists(g.var, g.sort, nnf(Not(g.body)))
-    raise TypeError("not a formula: %r" % (f,))
-
-
-# ---------------------------------------------------------------------------
 # Hash caching: nodes are immutable but deep, and the rewriting passes hash
 # the same subtrees over and over, so each node remembers its hash.  It is
 # kept in the instance dict, outside the dataclass fields, so ==, repr and

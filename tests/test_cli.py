@@ -99,6 +99,27 @@ def test_eval_input_errors(capsys, zz):
     assert "coordinates" in capsys.readouterr().err
 
 
+def test_eval_free_auxiliary_variable(capsys, zz):
+    # a declared free auxiliary variable takes a spine id from `spine`
+    main(["spine", "--model", zz, "c2"])
+    ids = [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
+    assert ids == ["g0", "g1"]
+    f = "(decl a1 (Ac 2) (and (le a1 c2min) (plainlt 0 x)))"
+    for a1, want in (("g0", "true"), ("g1", "false")):
+        assert main(["eval", "--model", zz, "--formula", f,
+                     "x=1,0", "a1=" + a1]) == 0
+        assert capsys.readouterr().out.strip() == want
+    for argv, err in ((["x=1,0"], "unassigned variables: a1"),
+                      (["x=1,0", "a1=g7"], "not a spine point"),
+                      (["x=1,0", "a1=1,0"], "not a spine point")):
+        assert main(["eval", "--model", zz, "--formula", f] + argv) == 1
+        assert err in capsys.readouterr().err
+    # without the declaration its sort, hence its spine, is unknown
+    assert main(["eval", "--model", zz, "--formula", "(le a1 c2min)",
+                 "a1=g0"]) == 1
+    assert "no declared sort" in capsys.readouterr().err
+
+
 def test_malformed_formula_reports_position(capsys, zz):
     rc = main(["eval", "--model", zz, "--formula", "(plainlt 0"])
     assert rc == 1

@@ -15,7 +15,7 @@ from oagqe import solver
 from oagqe.eliminate import qe_driver
 from oagqe.evaluate import (
     DEFAULT_BOX, Uncompilable, _discrete_cuts, _fallback_candidates,
-    compile_clause, dnf_clauses, eval_atom, eval_lin, evaluate, evaluator,
+    compile_clause, eval_atom, eval_lin, evaluate, evaluator,
     family_evaluator, ground_for_var, k_all, k_any, k_not, resolve_aux,
 )
 from oagqe.models import (
@@ -255,11 +255,70 @@ def ref_atom(model, asg, a):
     raise TypeError("not an atom: %r" % (a,))
 
 
+# The clause source of the evaluator as it was before it took its clauses
+# from the Shannon splitter: a negation normal form, then a disjunctive
+# normal form that is not disjoint, built in full, with a cap of 512 clauses
+# that sends the decision to the bounded fallback.  Kept as the reference
+# that the lazy disjoint leaves must agree with.
+
+def _ref_nnf(f):
+    if isinstance(f, (Atom, Top, Bottom)):
+        return f
+    if isinstance(f, And):
+        return conj(_ref_nnf(g) for g in f.args)
+    if isinstance(f, Or):
+        return disj(_ref_nnf(g) for g in f.args)
+    g = f.arg
+    if isinstance(g, Atom):
+        return f
+    if isinstance(g, (Top, Bottom)):
+        return neg(g)
+    if isinstance(g, Not):
+        return _ref_nnf(g.arg)
+    if isinstance(g, And):
+        return disj(_ref_nnf(Not(h)) for h in g.args)
+    return conj(_ref_nnf(Not(h)) for h in g.args)
+
+
+def _ref_dnf_clauses(f, cap=512):
+    def go(g):
+        if isinstance(g, Top):
+            return [{}]
+        if isinstance(g, Bottom):
+            return []
+        if isinstance(g, Atom):
+            return [{g: True}]
+        if isinstance(g, Not):
+            return [{g.arg: False}]
+        if isinstance(g, Or):
+            out = []
+            for h in g.args:
+                out.extend(go(h))
+                if len(out) > cap:
+                    raise Uncompilable("clause cap exceeded")
+            return out
+        acc = [{}]
+        for h in g.args:
+            nxt = []
+            for left in acc:
+                for right in go(h):
+                    merged = dict(left)
+                    if all(merged.setdefault(a, pol) == pol
+                           for a, pol in right.items()):
+                        nxt.append(merged)
+            if len(nxt) > cap:
+                raise Uncompilable("clause cap exceeded")
+            acc = nxt
+        return acc
+
+    return go(_ref_nnf(f))
+
+
 def ref_decide(model, asg, var, body, box, memo):
     try:
         g = ground_for_var(model, asg, var, body)
-        for lits in dnf_clauses(g):
-            for cl in compile_clause(model, asg, var, lits):
+        for lits in _ref_dnf_clauses(g):
+            for cl in compile_clause(model, asg, var, lits.items()):
                 if solver.solve_clause(model, cl) is not None:
                     return True
         return False
@@ -419,6 +478,50 @@ def test_evaluator_matches_reference(rng):
             assert evaluate(model, asg, f, box) == want
             unknown += want is None
     assert unknown > 0   # the fallback's undecided answers were compared
+
+
+def _pairs_over_x(n):
+    """(0 < i x or i x < 0) for i = 2..n+1: n distinct pairs of atoms, none
+    of them 0 < x or x < 0, whose disjoint decision tree has 2^n leaves."""
+
+    return [disj([PlainRel("lt", zero, LinTerm.make({"x": i})),
+                  PlainRel("lt", LinTerm.make({"x": i}), zero)])
+            for i in range(2, n + 2)]
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = solver.solve_clause
+
+    def counted(model, cl):
+        calls.append(cl)
+        return solve(model, cl)
+
+    monkeypatch.setattr(solver, "solve_clause", counted)
+    return calls
+
+
+def test_first_satisfiable_leaf_ends_the_search(monkeypatch):
+    # 1024 leaves, more than the cap, but the first one has a witness
+    calls = _count_solves(monkeypatch)
+    f = Exists("x", SORT_G, conj(_pairs_over_x(10)))
+    assert evaluate(ZZ, {}, f) is True
+    assert len(calls) == 1
+
+
+def test_leaf_cap_goes_to_the_fallback(monkeypatch):
+    # every leaf needs x < 0 and 0 < x, so no leaf has a witness; after 512
+    # leaves the cap sends the decision to the bounded search
+    calls = _count_solves(monkeypatch)
+    never = [PlainRel("lt", x, zero), PlainRel("lt", zero, x)]
+    f = Exists("x", SORT_G, conj(never + _pairs_over_x(10)))
+    assert evaluate(ZZ, {}, f) is None
+    assert len(calls) == 512
+    # the witness x = y lies beyond the cap; the fallback tries y first
+    same = [neg(PlainRel("lt", x, y)), neg(PlainRel("lt", y, x))]
+    g = Exists("x", SORT_G, disj([conj(never + _pairs_over_x(10)),
+                                  conj(same)]))
+    assert evaluate(ZZ, {"y": ZZ.element([3, 0])}, g) is True
 
 
 def test_family_evaluator_matches_reference(rng):

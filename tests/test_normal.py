@@ -82,7 +82,7 @@ def _skeleton_truth(f, val):
 
 
 def truth_table(f, **kwargs):
-    """The clauses of to_family_union's truth table, as unit lists."""
+    """The clauses of to_family_union over main atoms only, as unit lists."""
 
     fuf = to_family_union(f, **kwargs)
     assert all(cl.xi is TRUE and cl.theta == () for cl in fuf.clauses)
@@ -425,3 +425,109 @@ def test_to_family_union_equivalence(rng):
                 assert want == got, (f, model, asg)
             # instantiated clauses must stay mutually exclusive
             assert sum(1 for v in vals if v is True) <= 1
+
+
+# The truth table that to_family_union built before it took its clauses
+# from the splitter's leaves: every main atom in every row, in lexicographic
+# order with true first, a row prefix whose remainder is false not extended.
+# Kept to bound the clause count of the leaves.
+
+def _ref_truth_table_rows(f, units):
+    sp = ShannonSplitter(units)
+    rows = []
+
+    def go(xi, row):
+        if isinstance(xi, Bottom):
+            return
+        if len(row) == len(units):
+            rows.append(row)
+            return
+        for b in (True, False):
+            go(sp.cofactor(xi, len(row), b), row + (b,))
+
+    go(f, ())
+    return rows
+
+
+def _main_and_aux_leaf(rng):
+    a1 = AUX_FREE[0]
+    if rng.random() < 0.3:
+        return rng.choice([Discr(a1), AuxLe(BOT, a1), AuxLe(a1, BOT)])
+    return atom(rng.randint(1, 6))
+
+
+def test_to_family_union_clauses_are_branches():
+    # no canonical-map image, so no parameter and no pin: psi is the branch
+    rng = random.Random(19)
+    fewer = 0
+    for _ in range(60):
+        f = rand_bool(rng, rng.randint(1, 4), _main_and_aux_leaf)
+        units = [u for u in boolean_units(f) if atom_involves_main(u)]
+        fuf = to_family_union(f)
+        sp = ShannonSplitter(units)
+        for cl in fuf.clauses:
+            assert cl.theta == ()
+            g = f
+            for u, pol in cl.psi:
+                i, hi, lo = sp.split(g)
+                assert units[i] == u
+                g = hi if pol else lo
+            assert sp.split(g) == () and cl.xi == g
+        rows = _ref_truth_table_rows(f, units)
+        assert len(fuf.clauses) <= len(rows)
+        fewer += len(fuf.clauses) < len(rows)
+    assert fewer >= 10
+
+
+def _can_leaf(rng):
+    """A restricted-language atom, or an auxiliary atom over a
+    canonical-map image of a main term (which becomes a parameter)."""
+
+    if rng.random() < 0.3:
+        s = Sc(2, 1, LinTerm.var(rng.choice(["y", "z"])))
+        return rng.choice([Discr(s), AuxLe(s, AUX_FREE[0])])
+    return rand_syn_atom(rng)
+
+
+def test_to_family_union_psi_is_branch_then_pins():
+    rng = random.Random(23)
+    pinned = 0
+    for _ in range(40):
+        f = rand_bool(rng, rng.randint(1, 2), _can_leaf)
+        try:
+            fuf = to_family_union(f)
+        except ResourceLimit:
+            continue
+        branches = []
+        for cl in fuf.clauses:
+            n = len(cl.psi) - 2 * len(cl.theta)
+            names = {name for name, _ in cl.theta}
+            for a, pol in cl.psi[n:]:
+                assert pol and isinstance(a, AuxLe)
+                assert {getattr(t, "name", None) for t in (a.lhs, a.rhs)} \
+                    & names
+            pinned += n < len(cl.psi)
+            branch = cl.psi[:n]
+            assert all(atom_involves_main(a) for a, _ in branch)
+            assert len({a for a, _ in branch}) == n
+            branches.append(branch)
+        # the branches of one tree: two of them first differ on one atom,
+        # taken with opposite polarities
+        for p in branches:
+            for q in branches:
+                if p is q:
+                    continue
+                k = next(k for k, (l1, l2) in enumerate(zip(p, q))
+                         if l1 != l2)
+                assert p[k][0] == q[k][0] and p[k][1] != q[k][1]
+    assert pinned >= 10
+
+
+def test_to_family_union_stops_at_the_decision():
+    f = disj([atom(1), conj([atom(i) for i in range(2, 7)])])
+    units = boolean_units(f)
+    assert len(_ref_truth_table_rows(f, units)) == 33
+    fuf = to_family_union(f)
+    assert [list(cl.psi) for cl in fuf.clauses] == [
+        [(atom(1), True)], [(atom(1), False)] + [(atom(i), True)
+                                                  for i in range(2, 7)]]

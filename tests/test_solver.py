@@ -16,6 +16,7 @@ from oagqe.evaluate import (
     Uncompilable, compile_clause, dnf_clauses, evaluate, ground_for_var,
 )
 from oagqe.models import IntComp, RatComp, comp_contains, comp_divisible
+from oagqe.normal import ResourceLimit
 from oagqe.solver import (
     _ALLOWED, _FINAL_OK, Clause, SumCong, _ints_window, clause_modulus,
 )
@@ -175,8 +176,8 @@ def _clauses(model, rng):
     body = rand_bool(rng, rng.randint(0, 3), rand_mixed_atom)
     try:
         g = ground_for_var(model, asg, "x", body)
-        lits = dnf_clauses(g)
-    except Uncompilable:
+        lits = [ls for ls, _ in dnf_clauses(g)]
+    except (Uncompilable, ResourceLimit):
         return None
     return asg, body, [cl for ls in lits
                        for cl in compile_clause(model, asg, "x", ls)]

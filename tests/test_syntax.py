@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from oagqe.syntax import (
     And, AuxVar, Bottom, CongDot, EqDot, Exists, FALSE, Forall, LinTerm,
     MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SORT_G, TRUE, Top,
-    conj, disj, free_vars, has_main_quantifier, implies, neg, nnf,
+    conj, disj, free_vars, has_main_quantifier, implies, neg,
     sort_ac, sort_ae, sort_aep, subformulas, subst_lin, substitute,
 )
 
@@ -127,17 +127,6 @@ def test_substitute_renames_capture():
     assert isinstance(g, Exists)
     assert g.var != "y"  # the binder moved out of the way
     assert free_vars(g) == {"y": SORT_G}
-
-
-def test_nnf_pushes_negation_to_literals():
-    a = PlainRel("lt", LinTerm.var("x"), LinTerm.zero())
-    b = EqDot(1, LinTerm.var("y"))
-    f = Not(And((a, Exists("z", SORT_G, Or((b, Not(a)))))))
-    g = nnf(f)
-    for h in subformulas(g):
-        if isinstance(h, Not):
-            assert isinstance(h.arg, (PlainRel, EqDot))
-    assert isinstance(g, Or)
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "oagqe"

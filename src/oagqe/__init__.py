@@ -6,27 +6,20 @@ from .models import (
     definitional_spine_oracle, parse_model, spine,
 )
 from .evaluate import evaluate, evaluator, family_evaluator
-from .normal import FamilyUnionForm, ResourceLimit, to_family_union
-from .eliminate import (
-    Coset, CosetSystem, eliminate_exists_main, normalize_coefficients,
-    part1_inequalities, part2_congruences, power_sum_bound, qe_driver,
-    sat_membership_condition,
-)
+from .normal import FamilyUnionForm, ResourceLimit
+from .eliminate import eliminate_exists_main, power_sum_bound, qe_driver
 from .piecewise import (
     FunctionalityError, LinearPiece, PieceSet, decompose,
     verify_decomposition,
 )
 
 __all__ = [
-    "Coset", "CosetSystem", "FamilyUnionForm", "FunctionalityError",
-    "IntComp", "LexModel", "LinearPiece", "LocComp", "ParseError",
-    "PieceSet", "RatComp", "ResourceLimit", "SpinePoint",
-    "decompose", "definitional_spine_oracle", "dim_query",
-    "eliminate_exists_main", "evaluate", "evaluator", "family_evaluator",
-    "normalize_coefficients", "parse_formula", "parse_model",
-    "part1_inequalities", "part2_congruences", "power_sum_bound",
-    "print_formula", "qe_driver", "sat_membership_condition", "spine",
-    "to_family_union", "verify_decomposition",
+    "FamilyUnionForm", "FunctionalityError", "IntComp", "LexModel",
+    "LinearPiece", "LocComp", "ParseError", "PieceSet", "RatComp",
+    "ResourceLimit", "SpinePoint", "decompose", "definitional_spine_oracle",
+    "dim_query", "eliminate_exists_main", "evaluate", "evaluator",
+    "family_evaluator", "parse_formula", "parse_model", "power_sum_bound",
+    "print_formula", "qe_driver", "spine", "verify_decomposition",
 ]
 
 __version__ = "0.1.0"

@@ -8,9 +8,12 @@ and a counting condition on quotient dimensions.  Everything a step cannot
 decide outright is pushed into guard formulas over the auxiliary sorts, so
 the output is quantifier-free in the main sort and exactly equivalent.
 
-`qe_driver` wires the step into full formulas: innermost main quantifiers
-are eliminated first, the results are re-expressed through the canonical
-maps, and the final matrix is brought back into family union form.
+`eliminate_exists_main` is the one entry to the step: the Part 1
+(inequality) and Part 2 (congruence) analyses below are private and reached
+only through it.  `qe_driver` wires the step into full formulas: innermost
+main quantifiers are eliminated first, the results are re-expressed through
+the canonical maps, and the final matrix is brought back into family union
+form.
 """
 
 from __future__ import annotations
@@ -37,29 +40,6 @@ from .translate import (
 # Data shapes
 
 @dataclass(frozen=True)
-class LiteralConj:
-    """A conjunction of signed atoms."""
-
-    lits: tuple  # of (Atom, bool)
-
-    def formula(self) -> Formula:
-        return conj([a if pol else Not(a) for a, pol in self.lits])
-
-
-@dataclass(frozen=True)
-class GuardedResult:
-    """One guard region of the inequality analysis.
-
-    Within the region, the existential over the input conjunction is
-    equivalent to: for every group, some case admits a witness.  Guards of
-    distinct results are pairwise inconsistent.
-    """
-
-    guard: Formula
-    residuals: tuple  # of tuple[LiteralConj, ...]
-
-
-@dataclass(frozen=True)
 class Coset:
     """One congruence condition x in c + k*1_aux + (group at aux + p^r G).
 
@@ -73,17 +53,6 @@ class Coset:
     s: Optional[int]
     c: LinTerm
     k: int
-
-
-@dataclass(frozen=True)
-class CosetSystem:
-    """A one-prime system: at most one positive coset and a set of excluded
-    ones, all at modulus exponent r."""
-
-    p: int
-    r: int
-    positive: Optional[Coset]
-    negatives: tuple  # of Coset
 
 
 @dataclass(frozen=True)
@@ -233,7 +202,10 @@ def _gather(var: str, lits):
         d = a.lhs - a.rhs
         r = d.coeff(var)
         if r == 0:
-            xfree.append((a, pol))
+            # var cancels: restate the literal without it
+            xfree.append((MainRel(a.op, a.lhs.without(var),
+                                  a.rhs.without(var), a.k, a.aux,
+                                  m=a.m, mp=a.mp), pol))
             continue
         raws.append((a.op, pol, r, d.without(var), a.k, a.m, a.mp, a.aux))
     return xfree, raws
@@ -279,58 +251,6 @@ def _cong_m0(congs) -> int:
     for rec in congs:
         m0 = m0 * rec.m // math.gcd(m0, rec.m)
     return m0
-
-
-def _rec_atom(var: str, rec) -> tuple:
-    """The (atom, polarity) literal of a scaled record, in the variable."""
-
-    x = LinTerm.var(var)
-    if isinstance(rec, _EqRep):
-        return MainRel("eq", x, rec.c, rec.k, rec.aux), True
-    if isinstance(rec, _CongRec):
-        if rec.mp is None:
-            return (MainRel("cong", x, rec.c, rec.k, rec.aux, m=rec.m),
-                    rec.pol)
-        return (MainRel("congb", x, rec.c, 0, rec.aux, m=rec.m, mp=rec.mp),
-                rec.pol)
-    raise TypeError("no atom form for %r" % (rec,))
-
-
-def _bound_atom(var: str, b: _Bound, lower: bool) -> tuple:
-    x = LinTerm.var(var)
-    if lower:
-        if b.strict:
-            return MainRel("lt", b.c, x, -b.k, b.aux), True
-        return MainRel("lt", x, b.c, b.k, b.aux), False
-    if b.strict:
-        return MainRel("lt", x, b.c, b.k, b.aux), True
-    return MainRel("lt", b.c, x, -b.k, b.aux), False
-
-
-def normalize_coefficients(var: str, lits, *,
-                           keep_free: bool = True) -> LiteralConj:
-    """An equivalent-for-existence conjunction whose anchored literals all
-    carry the variable with coefficient one.
-
-    The variable is read as R times the original one; membership in RG is
-    recorded as a congruence at the bottom class.
-    """
-
-    xfree, raws = _gather(var, lits)
-    lowers, uppers, eqs, nes, congs, _ = _scale_records(raws)
-    out = list(xfree) if keep_free else []
-    for b in lowers:
-        out.append(_bound_atom(var, b, True))
-    for b in uppers:
-        out.append(_bound_atom(var, b, False))
-    for e in eqs:
-        out.append(_rec_atom(var, e))
-    for e in nes:
-        a, _ = _rec_atom(var, e)
-        out.append((a, False))
-    for rec in congs:
-        out.append(_rec_atom(var, rec))
-    return LiteralConj(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -400,61 +320,6 @@ def _pair_branches(lo: _Bound, up: _Bound, congs, m0: int, ctx: _Ctx):
                        _mk_eq(up.c, lo.c, ell + klo - kup, gamma)),
                  cases)
     return branches
-
-
-def part1_inequalities(var: str, lits, fresh: Fresh = None, *,
-                       max_branches: int = 20000) -> list:
-    """Reduce the order part of a coefficient-one conjunction.
-
-    Input literals must all mention the variable; equalities must be
-    positive (split inequations into clauses first).  The existential is
-    equivalent to the disjunction over the results of
-
-        guard  and  (for every group: some case has a witness)
-
-    where the cases are congruence systems with at most one equality.
-    """
-
-    if fresh is None:
-        fresh = Fresh("b", _names_of_lits(lits) | {var})
-    ctx = _Ctx(fresh, max_branches)
-    xfree, raws = _gather(var, lits)
-    if xfree:
-        raise ValueError("literal without the quantified variable: "
-                         "%r" % (xfree[0][0],))
-    lowers, uppers, eqs, nes, congs, R = _scale_records(raws)
-    if R > 1:
-        raise ValueError("coefficients are not one; normalize first")
-    if nes:
-        raise ValueError("negative equality; split it into bound clauses")
-    for e in eqs:
-        lowers.append(_Bound(e.aux, e.c, e.k, False))
-        uppers.append(_Bound(e.aux, e.c, e.k, False))
-    m0 = _cong_m0(congs)
-
-    def case_conj(case) -> LiteralConj:
-        eq, cs = case
-        lits_out = [] if eq is None else [_rec_atom(var, eq)]
-        lits_out += [_rec_atom(var, rec) for rec in cs]
-        return LiteralConj(tuple(lits_out))
-
-    if not lowers or not uppers:
-        return [GuardedResult(TRUE,
-                              ((case_conj((None, tuple(congs))),),))]
-    per_pair = [_pair_branches(lo, up, congs, m0, ctx)
-                for lo in lowers for up in uppers]
-    results = []
-    for combo in product(*per_pair):
-        ctx.tick()
-        guard = conj([g for g, _ in combo])
-        groups = tuple(tuple(case_conj(c) for c in cases)
-                       for _, cases in combo)
-        results.append(GuardedResult(guard, groups))
-    return results
-
-
-def _names_of_lits(lits):
-    return all_names(conj([a if pol else Not(a) for a, pol in lits]))
 
 
 # ---------------------------------------------------------------------------
@@ -777,88 +642,6 @@ def _part2_core(eq: Optional[_EqRep], congs, ctx: _Ctx) -> Formula:
     return res
 
 
-def part2_congruences(var: str, system: LiteralConj, fresh: Fresh = None, *,
-                      max_branches: int = 20000) -> Formula:
-    """Eliminate the variable from congruence literals plus at most one
-    positive equality, all with coefficient one."""
-
-    if fresh is None:
-        fresh = Fresh("b", _names_of_lits(system.lits) | {var})
-    ctx = _Ctx(fresh, max_branches)
-    xfree, raws = _gather(var, system.lits)
-    if xfree:
-        raise ValueError("literal without the quantified variable: "
-                         "%r" % (xfree[0][0],))
-    lowers, uppers, eqs, nes, congs, R = _scale_records(raws)
-    if R > 1:
-        raise ValueError("coefficients are not one; normalize first")
-    if lowers or uppers or nes:
-        raise ValueError("only congruences and a positive equality remain "
-                         "after the order analysis")
-    if len(eqs) > 1:
-        raise ValueError("at most one equality is supported")
-    return _part2_core(eqs[0] if eqs else None, congs, ctx)
-
-
-def sat_membership_condition(var: str, system: CosetSystem,
-                             fresh: Fresh = None, *, gexp: int = None,
-                             qs=None, max_branches: int = 20000) -> Formula:
-    """One reduction step for a coset system: a formula whose solvability
-    in the variable matches the system's, with all memberships relaxed to
-    modulus exponent gexp (default r - 1).
-
-    With qs given (one index per excluded coset, None meaning infinite),
-    the counting conditions are decided numerically; otherwise they are
-    spelled out through quotient-dimension formulas, which requires the
-    uniform level r and gexp = r - 1.
-    """
-
-    p, r = system.p, system.r
-    pos, negs = system.positive, list(system.negatives)
-    if gexp is None:
-        gexp = r - 1
-    if fresh is None:
-        fresh = Fresh("b", {var})
-    ctx = _Ctx(fresh, max_branches)
-    if qs is None:
-        if gexp != r - 1:
-            raise ValueError("dimension counting needs gexp = r - 1")
-        for cs in ([pos] if pos else []) + negs:
-            if cs.r != r:
-                raise ValueError("dimension counting needs uniform level")
-    elif len(qs) != len(negs):
-        raise ValueError("one index per excluded coset")
-
-    x = LinTerm.var(var)
-
-    def mem(cs: Coset) -> Formula:
-        if gexp == 0:
-            return TRUE
-        if cs.s is not None:
-            return MainRel("congb", x, cs.c, 0, cs.aux,
-                           m=p ** gexp, mp=p ** cs.s)
-        return MainRel("cong", x, cs.c, cs.k % p ** gexp, cs.aux,
-                       m=p ** gexp)
-
-    out = []
-    for n in range(len(negs) + 1):
-        for chosen in combinations(range(len(negs)), n):
-            ctx.tick()
-            if qs is not None:
-                total = sum((Fraction(1, qs[i])
-                             for i in chosen if qs[i] is not None),
-                            Fraction(0))
-                sumc = TRUE if total < 1 else FALSE
-            else:
-                sumc = _sum_condition(p, r, pos,
-                                      [negs[i] for i in chosen], ctx)
-            lits = [mem(pos)] if pos is not None else []
-            lits += [mem(negs[i]) if i in chosen else neg(mem(negs[i]))
-                     for i in range(len(negs))]
-            out.append(conj([sumc] + lits))
-    return disj(out)
-
-
 # ---------------------------------------------------------------------------
 # The composed step and the driver
 
@@ -889,7 +672,8 @@ def eliminate_exists_main(var: str, lits, fresh: Fresh = None, *,
 
     lits = list(lits)
     if fresh is None:
-        fresh = Fresh("b", _names_of_lits(lits) | {var})
+        fresh = Fresh("b", all_names(conj([a if pol else Not(a)
+                                           for a, pol in lits])) | {var})
     ctx = _Ctx(fresh, max_branches)
     xfree, raws = _gather(var, lits)
     lowers, uppers, eqs, nes, congs, _ = _scale_records(raws)

@@ -6,23 +6,23 @@ sorts, psi is a conjunction of literals over the main variables and theta,
 and any two instantiated clauses are mutually inconsistent.  The theta
 parameters stand for the canonical-map images of main-sort terms; equating
 them with those images inside every psi is what makes distinct instantiations
-clash.
+clash.  This module holds the form (`FamilyUnionForm`) and the passes its
+one builder, `translate.syn_qf_to_qe_fuf`, runs.
 
 Every case split over the boolean skeleton goes through one Shannon
 splitter (`ShannonSplitter`), and one generator, `disjoint_clauses`, turns
-its decision tree into clauses for the disjoint normal form,
-`to_family_union` and the evaluator's existential decision.  Any decision
-tree over the units gives clauses that pairwise contradict each other,
-which is all a family union form needs.  `hoist_main_units` keeps its own
-walk over the splitter, since it builds a shared if-then-else.  The
-splitter caches, per conjunction and disjunction, the units it mentions and
-its cofactors, keyed by value (every node caches its hash), so a remainder
-reached along several branches is split once.  Its caches live for one call
-of the function that built it.
+its decision tree into clauses for the disjoint normal form and the
+evaluator's existential decision.  Any decision tree over the units gives
+clauses that pairwise contradict each other, which is all a family union
+form needs.  `hoist_main_units` keeps its own walk over the splitter, since
+it builds a shared if-then-else.  The splitter caches, per conjunction and
+disjunction, the units it mentions and its cofactors, keyed by value (every
+node caches its hash), so a remainder reached along several branches is
+split once.  Its caches live for one call of the function that built it.
 
-The other rewrites (canonical-map extraction, hoisting, inlining of pinned
-parameters) are `syntax.rebuild` with a rule for atoms and one for
-quantifiers; no memo here is keyed by node identity.
+The other rewrites (canonical-map extraction and hoisting) are
+`syntax.rebuild` with a rule for atoms and one for quantifiers; no memo
+here is keyed by node identity.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    FALSE, TRUE, Atom, AuxLe, AuxTerm, AuxVar, Bottom, Exists, Forall,
-    Formula, Fresh, Not, And, Or, Sc, Se, Sort, SuccPlus, Top,
-    atom_aux_terms, atom_lin_terms, atoms_of, aux_free_vars, aux_term_sort,
-    conj, disj, free_names, free_vars, has_main_quantifier, main_vars, neg,
-    rebuild, replace_aux_terms, subformulas, substitute,
+    FALSE, TRUE, Atom, AuxTerm, AuxVar, Bottom, Exists, Forall, Formula,
+    Fresh, Not, And, Or, Sc, Se, Sort, SuccPlus, Top, atom_aux_terms,
+    atom_lin_terms, atoms_of, aux_term_sort, conj, disj, free_names,
+    free_vars, main_vars, neg, rebuild, replace_aux_terms, subformulas,
 )
 
 
@@ -377,43 +376,6 @@ def _guard_facts(g: Formula, cache: dict):
     return out
 
 
-def inline_defined_params(f: Formula) -> Formula:
-    """Remove auxiliary existentials whose variable is pinned to a term.
-
-    An  E v. (v <= t and t <= v and rest)  block, with v not occurring in t,
-    is equivalent to rest with t for v.  Family union forms produced here
-    always pin their parameters this way, so this pass makes their negations
-    acceptable input again.
-    """
-
-    return rebuild(f, lambda a: a, _inline_block)
-
-
-def _inline_block(f: Formula, body: Formula) -> Formula:
-    if isinstance(f, Forall) or f.sort.is_main:
-        return type(f)(f.var, f.sort, body)
-    parts = list(body.args) if isinstance(body, And) else [body]
-
-    def is_var(t):
-        return isinstance(t, AuxVar) and t.name == f.var
-
-    pin = None
-    for a in parts:
-        if (isinstance(a, AuxLe) and is_var(a.lhs)
-                and f.var not in aux_free_vars(a.rhs)
-                and any(isinstance(b, AuxLe) and is_var(b.rhs)
-                        and b.lhs == a.rhs for b in parts)):
-            pin = a.rhs
-            break
-    if pin is None:
-        return Exists(f.var, f.sort, body)
-    rest = [a for a in parts
-            if not (isinstance(a, AuxLe)
-                    and ((is_var(a.lhs) and a.rhs == pin)
-                         or (is_var(a.rhs) and a.lhs == pin)))]
-    return substitute(conj(rest), {f.var: pin})
-
-
 def _can_subterms(t: AuxTerm, out: list):
     if isinstance(t, (Sc, Se)):
         if t not in out:
@@ -449,50 +411,3 @@ def extract_can_terms(f: Formula, fresh: Fresh):
         extracted.append((name, sort, t))
     g = rebuild(f, lambda a: replace_aux_terms(a, mapping)) if mapping else f
     return g, extracted
-
-
-def to_family_union(f: Formula, cap_atoms: int = 14) -> FamilyUnionForm:
-    """Rewrite a formula without main-sort quantifiers into family union
-    form.
-
-    Canonical-map images of main terms are pulled out into fresh parameters
-    theta; every clause carries the defining equations, which is what keeps
-    distinct parameter instantiations inconsistent.  The clauses are the
-    leaves of `disjoint_clauses` over the main-sort atoms: a clause lists
-    the main atoms on its branch, which ends once none is live, and its
-    guard is the remainder there.
-    """
-
-    if has_main_quantifier(f):
-        raise ValueError("input contains a main-sort quantifier")
-    f = inline_defined_params(f)
-
-    # extract canonical-map images into parameters
-    fresh = Fresh("th", all_names(f))
-    g, extracted = extract_can_terms(f, fresh)
-    g = hoist_main_units(g)
-    theta = []
-    defs = []
-    for name, sort, t in extracted:
-        var = AuxVar(name, sort)
-        theta.append((name, sort))
-        defs.append((AuxLe(var, t), True))
-        defs.append((AuxLe(t, var), True))
-
-    involves: dict = {}
-    main_units = [u for u in boolean_units(g)
-                  if unit_involves_main(u, involves)]
-    if not all(isinstance(u, Atom) for u in main_units):
-        raise ValueError(
-            "main-sort atom under an auxiliary quantifier is outside "
-            "the supported fragment")
-
-    if len(main_units) > cap_atoms:
-        raise ResourceLimit(
-            "%d main-sort atoms in one matrix" % len(main_units))
-
-    # at most 2^cap_atoms leaves, so the leaf cap never binds
-    theta, defs = tuple(theta), tuple(defs)
-    return FamilyUnionForm(tuple(
-        FUClause(theta, xi, tuple(lits) + defs)
-        for lits, xi in disjoint_clauses(g, main_units, 1 << cap_atoms)))

@@ -4,7 +4,8 @@ One test per acceptance requirement, in order: spine counts on reference
 models, strict bracket membership in the sum-constrained model, class-map
 identities, exhaustive coset-exclusion counting, power-sum truncation,
 the integer congruence differential, random end-to-end elimination, the
-piecewise fixtures, and negation closure of family unions.
+piecewise fixtures, and negation closure of family unions: `qe_driver`
+gives a formula and its negation family unions that disagree everywhere.
 """
 
 import math
@@ -17,15 +18,13 @@ from conftest import (
     FIXTURE_MODELS, MIXED_RANK5, SUM_MODEL, Z_MODEL, aux_assignment,
     main_assignment, rand_bool, rand_mixed_atom, rand_syn_atom,
 )
-from oagqe.eliminate import (
-    Coset, CosetSystem, power_sum_bound, qe_driver, sat_membership_condition,
-)
+from oagqe.eliminate import eliminate_exists_main, power_sum_bound, qe_driver
 from oagqe.evaluate import evaluate, evaluator, family_evaluator
 from oagqe.models import (
     IntComp, LexModel, LocComp, ac_class_of, ae_class_of, aep_of,
     definitional_spine_oracle, residue_box, sample_element, spine,
 )
-from oagqe.normal import ResourceLimit, to_family_union
+from oagqe.normal import ResourceLimit
 from oagqe.piecewise import (
     LinearPiece, PieceSet, decompose, verify_decomposition,
 )
@@ -163,19 +162,22 @@ def test_coset_exclusion_counting_exhaustive():
                 checks += 1
                 if (x in direct) != (c1 and tot < 1):
                     violations += 1
-            # the same condition as produced by the formula encoding,
-            # restricted to excluded groups inside the relaxation group
+            # the same set as the eliminator describes it: exists v with
+            # v = a0 (2^e0), v != a (2^e) for each excluded coset and
+            # v = x (2^g), restricted to excluded groups inside the
+            # relaxation group
             if g > e0 or any(g > e for e, _ in subset):
                 continue
-            pos = Coset(BOT, 2, e0, None, zero, a0)
-            negs = tuple(Coset(BOT, 2, e, None, zero, a) for e, a in subset)
-            r = max([e0] + [e for e, _ in subset])
-            qs = [2 ** (e - e0) for e, _ in subset]
-            f = sat_membership_condition(
-                "x", CosetSystem(2, r, pos, negs), gexp=g, qs=qs)
+            v = LinTerm.var("v")
+            lits = ([(MainRel("cong", v, zero, a0, BOT, m=2 ** e0), True)]
+                    + [(MainRel("cong", v, zero, a, BOT, m=2 ** e), False)
+                       for e, a in subset]
+                    + [(MainRel("cong", v, LinTerm.var("x"), 0, BOT,
+                                m=2 ** g), True)])
+            ev = evaluator(Z, eliminate_exists_main("v", lits))
             for x in range(-8, 9):
                 checks += 1
-                got = evaluate(Z, {"x": Z.element([x])}, f)
+                got = ev({"x": Z.element([x])})
                 if got is not ((x % 8) in direct):
                     violations += 1
     assert checks > 2000
@@ -398,10 +400,11 @@ def test_negation_closure_of_family_unions():
     while done < 50:
         f = rand_bool(rng, rng.randint(1, 2), rand_syn_atom)
         try:
-            fuf = to_family_union(f)
-            nf = to_family_union(neg(fuf.to_formula()))
+            fuf = qe_driver(f)
+            nf = qe_driver(neg(f))
         except ResourceLimit:
             continue
+        assert fuf.well_formed() == []
         assert nf.well_formed() == []
         model = FIXTURE_MODELS[done % len(FIXTURE_MODELS)]
         done += 1

@@ -135,6 +135,15 @@ def test_check_differential(capsys, z):
     assert "mismatches 0" in out
 
 
+def test_check_cancelled_variable(capsys, z):
+    # x cancels from both sides, so the elimination result must not
+    # mention it
+    rc = main(["check", "--model", z, "--samples", "30", "--seed", "5",
+               "--formula", "(E x G (plainlt (+ x y) (+ x z)))"])
+    assert rc == 0
+    assert "mismatches 0" in capsys.readouterr().out
+
+
 def test_check_seed_determinism(capsys, z, monkeypatch):
     argv = ["check", "--model", z, "--samples", "20",
             "--formula", "(E x G (lt c2min y x 0))"]

@@ -1,18 +1,15 @@
-"""Main-variable elimination: scaling, order analysis, congruence systems."""
+"""Main-variable elimination: scaling, order analysis, congruence systems,
+all through `eliminate_exists_main` and `qe_driver`."""
 
 import pytest
 
 from conftest import FIXTURE_MODELS, Z_MODEL, main_assignment, rand_term
-from oagqe.eliminate import (
-    Coset, CosetSystem, LiteralConj, eliminate_exists_main,
-    normalize_coefficients, part1_inequalities, part2_congruences,
-    power_sum_bound, qe_driver, sat_membership_condition,
-)
-from oagqe.evaluate import evaluate, k_all, k_any
+from oagqe.eliminate import eliminate_exists_main, power_sum_bound, qe_driver
+from oagqe.evaluate import evaluate, family_evaluator
 from oagqe.models import IntComp, LexModel
 from oagqe.syntax import (
-    Exists, Fresh, LinTerm, MainRel, Not, PlainRel, SORT_G, Sc, SortMin,
-    conj, sort_ac,
+    Exists, LinTerm, MainRel, Not, PlainRel, SORT_G, SortMin, conj,
+    free_vars, sort_ac,
 )
 
 x = LinTerm.var("x")
@@ -51,121 +48,16 @@ def _exists_x(model, asg, lits):
     return evaluate(model, asg, f)
 
 
-def test_normalize_coefficients_structure():
-    lits = [
-        (MainRel("lt", y, LinTerm.var("x", 2), 0, BOT), True),
-        (MainRel("cong", LinTerm.var("x", 3), z, 1, BOT, m=2), True),
-        (PlainRel("lt", zero, y), True),
-    ]
-    out = normalize_coefficients("x", lits)
-    for a, pol in out.lits:
-        if isinstance(a, MainRel) and "x" in (a.lhs - a.rhs).vars():
-            assert abs((a.lhs - a.rhs).coeff("x")) == 1
-    # the var-free literal survives untouched
-    assert (PlainRel("lt", zero, y), True) in out.lits
-    # divisibility of the scaled variable is recorded at the bottom class
-    ms = [a.m for a, _ in out.lits
-          if isinstance(a, MainRel) and a.op == "cong"]
-    assert 6 in ms
+def _check_elimination(rng, model, lits, samples):
+    """eliminate_exists_main on lits agrees with evaluating exists x."""
 
-
-def test_normalize_preserves_existence(rng):
-    for trial in range(40):
-        lits = []
-        for _ in range(rng.randint(1, 3)):
-            t = LinTerm.var("x", rng.choice([1, 2, 3, -2]))
-            w = rand_term(rng, ["y", "z"])
-            op = rng.choice(["lt", "eq", "cong"])
-            kwargs = {"m": rng.choice([2, 3, 4])} if op == "cong" else {}
-            lits.append((MainRel(op, t, w, rng.randint(-1, 1), BOT,
-                                 **kwargs), rng.random() < 0.8))
-        norm = normalize_coefficients("x", lits)
-        model = (Z_MODEL, ZZ)[trial % 2]
-        for _ in range(3):
-            asg = main_assignment(model, rng, ["y", "z"])
-            r1 = _exists_x(model, asg, lits)
-            r2 = _exists_x(model, asg, list(norm.lits))
-            if r1 is not None and r2 is not None:
-                assert r1 == r2, (lits, model, asg)
-
-
-def test_part1_rejects_unprepared_input():
-    with pytest.raises(ValueError):
-        part1_inequalities("x", [(PlainRel("lt", zero, y), True)])
-    with pytest.raises(ValueError):
-        part1_inequalities("x", [(MainRel("lt", y, LinTerm.var("x", 2),
-                                          0, BOT), True)])
-    with pytest.raises(ValueError):
-        part1_inequalities("x", [(MainRel("eq", x, y, 0, BOT), False)])
-
-
-def _part1_truth(model, asg, results):
-    """The documented reading of a part-one result list."""
-
-    vals = []
-    for res in results:
-        g = evaluate(model, asg, res.guard)
-        groups = [k_any([_exists_x(model, asg, list(case.lits))
-                         for case in cases])
-                  for cases in res.residuals]
-        vals.append(k_all([g] + groups))
-    return k_any(vals)
-
-
-def test_part1_differential(rng):
-    for trial in range(12):
-        lits = [
-            (MainRel("lt", rand_term(rng, ["y"]), x,
-                     rng.randint(-1, 1), BOT), True),
-            (MainRel("lt", x, rand_term(rng, ["z"]),
-                     rng.randint(-1, 1), BOT), True),
-        ]
-        if trial % 2:
-            lits.append((MainRel("cong", x, y, rng.randint(0, 1), BOT,
-                                 m=rng.choice([2, 3])), True))
-        results = part1_inequalities("x", lits)
-        model = (Z_MODEL, ZZ)[trial % 2]
-        for _ in range(4):
-            asg = main_assignment(model, rng, ["y", "z"])
-            want = _exists_x(model, asg, lits)
-            got = _part1_truth(model, asg, results)
-            if want is not None and got is not None:
-                assert want == got, (lits, model, asg)
-
-
-def test_part2_rejects_order_literals():
-    sys_bad = LiteralConj(((MainRel("lt", y, x, 0, BOT), True),))
-    with pytest.raises(ValueError):
-        part2_congruences("x", sys_bad)
-    two_eqs = LiteralConj((
-        (MainRel("eq", x, y, 0, BOT), True),
-        (MainRel("eq", x, z, 0, BOT), True),
-    ))
-    with pytest.raises(ValueError):
-        part2_congruences("x", two_eqs)
-    ne = LiteralConj(((MainRel("eq", x, y, 0, BOT), False),))
-    with pytest.raises(ValueError):
-        part2_congruences("x", ne)
-
-
-def test_part2_differential(rng):
-    for trial in range(15):
-        lits = []
-        for _ in range(rng.randint(1, 3)):
-            lits.append((MainRel("cong", x, rand_term(rng, ["y", "z"]),
-                                 rng.randint(0, 2), BOT,
-                                 m=rng.choice([2, 3, 4, 6])),
-                        rng.random() < 0.7))
-        if trial % 3 == 0:
-            lits.append((MainRel("eq", x, y, 0, BOT), True))
-        out = part2_congruences("x", LiteralConj(tuple(lits)))
-        model = (Z_MODEL, ZZ)[trial % 2]
-        for _ in range(4):
-            asg = main_assignment(model, rng, ["y", "z"])
-            want = _exists_x(model, asg, lits)
-            got = evaluate(model, asg, out)
-            if want is not None and got is not None:
-                assert want == got, (lits, model, asg)
+    out = eliminate_exists_main("x", lits)
+    for _ in range(samples):
+        asg = main_assignment(model, rng, ["y", "z"])
+        want = _exists_x(model, asg, lits)
+        got = evaluate(model, asg, out)
+        if want is not None and got is not None:
+            assert want == got, (lits, model, asg)
 
 
 def test_eliminate_exists_main_differential(rng):
@@ -178,30 +70,63 @@ def test_eliminate_exists_main_differential(rng):
             kwargs = {"m": rng.choice([2, 3])} if op == "cong" else {}
             lits.append((MainRel(op, t, w, rng.randint(-1, 1), BOT,
                                  **kwargs), rng.random() < 0.8))
-        out = eliminate_exists_main("x", lits)
         model = FIXTURE_MODELS[trial % len(FIXTURE_MODELS)]
-        for _ in range(3):
-            asg = main_assignment(model, rng, ["y", "z"])
-            want = _exists_x(model, asg, lits)
-            got = evaluate(model, asg, out)
-            if want is not None and got is not None:
-                assert want == got, (lits, model, asg)
+        _check_elimination(rng, model, lits, 3)
+    # the Part 1 shape: a lower and an upper bound, with or without a
+    # congruence
+    for trial in range(12):
+        lits = [
+            (MainRel("lt", rand_term(rng, ["y"]), x,
+                     rng.randint(-1, 1), BOT), True),
+            (MainRel("lt", x, rand_term(rng, ["z"]),
+                     rng.randint(-1, 1), BOT), True),
+        ]
+        if trial % 2:
+            lits.append((MainRel("cong", x, y, rng.randint(0, 1), BOT,
+                                 m=rng.choice([2, 3])), True))
+        _check_elimination(rng, (Z_MODEL, ZZ)[trial % 2], lits, 4)
+    # the Part 2 shape: congruences of either sign and at most one equality
+    for trial in range(15):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            lits.append((MainRel("cong", x, rand_term(rng, ["y", "z"]),
+                                 rng.randint(0, 2), BOT,
+                                 m=rng.choice([2, 3, 4, 6])),
+                        rng.random() < 0.7))
+        if trial % 3 == 0:
+            lits.append((MainRel("eq", x, y, 0, BOT), True))
+        _check_elimination(rng, (Z_MODEL, ZZ)[trial % 2], lits, 4)
+    # coefficients other than one, which the step scales away, beside a
+    # literal without x
+    fixed = [
+        (MainRel("lt", y, LinTerm.var("x", 2), 0, BOT), True),
+        (MainRel("cong", LinTerm.var("x", 3), z, 1, BOT, m=2), True),
+        (PlainRel("lt", zero, y), True),
+    ]
+    for model in (Z_MODEL, ZZ):
+        _check_elimination(rng, model, fixed, 6)
+    for trial in range(40):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            t = LinTerm.var("x", rng.choice([1, 2, 3, -2]))
+            w = rand_term(rng, ["y", "z"])
+            op = rng.choice(["lt", "eq", "cong"])
+            kwargs = {"m": rng.choice([2, 3, 4])} if op == "cong" else {}
+            lits.append((MainRel(op, t, w, rng.randint(-1, 1), BOT,
+                                 **kwargs), rng.random() < 0.8))
+        _check_elimination(rng, (Z_MODEL, ZZ)[trial % 2], lits, 3)
 
 
-def test_sat_membership_condition_validation():
-    c0 = Coset(BOT, 2, 3, None, zero, 0)
-    n1 = Coset(BOT, 2, 3, None, y, 0)
-    sys_ok = CosetSystem(2, 3, c0, (n1,))
-    with pytest.raises(ValueError):
-        sat_membership_condition("x", sys_ok, gexp=1)
-    with pytest.raises(ValueError):
-        sat_membership_condition(
-            "x", CosetSystem(2, 3, c0, (Coset(BOT, 2, 2, None, y, 0),)))
-    with pytest.raises(ValueError):
-        sat_membership_condition("x", sys_ok, gexp=1, qs=[2, 4])
-    f = sat_membership_condition("x", sys_ok, gexp=1, qs=[2])
-    from oagqe.syntax import free_vars
-    assert set(free_vars(f)) <= {"x", "y"}
+def test_qe_driver_drops_a_cancelled_variable():
+    # x + y < x + z: the coefficients of x cancel, and so must x
+    f = Exists("x", SORT_G, PlainRel("lt", x + y, x + z))
+    fuf = qe_driver(f)
+    assert set(free_vars(fuf.to_formula())) <= set(free_vars(f))
+    fam = family_evaluator(Z_MODEL, fuf)
+    for vy, vz in ((0, 1), (1, 0), (2, 2), (-3, 4)):
+        vals = fam({"y": Z_MODEL.element([vy]), "z": Z_MODEL.element([vz])})
+        assert (True in vals) is (vy < vz), (vy, vz, vals)
+        assert all(v is not None for v in vals)
 
 
 def test_qe_driver_presburger_smoke(rng):

@@ -1,4 +1,4 @@
-"""Boolean skeleton passes and family union form."""
+"""Boolean skeleton passes, disjoint clauses and family union form."""
 
 import random
 
@@ -12,8 +12,8 @@ from oagqe.evaluate import evaluate
 from oagqe.models import IntComp, LexModel
 from oagqe.normal import (
     FamilyUnionForm, FUClause, ResourceLimit, ShannonSplitter,
-    atom_involves_main, boolean_units, dnf_disjoint_tree, hoist_main_units,
-    inline_defined_params, to_family_union,
+    atom_involves_main, boolean_units, disjoint_clauses, dnf_disjoint_tree,
+    hoist_main_units,
 )
 from oagqe.syntax import (
     FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, Discr, Exists, Forall,
@@ -81,16 +81,20 @@ def _skeleton_truth(f, val):
     return val[f]
 
 
-def truth_table(f, **kwargs):
-    """The clauses of to_family_union over main atoms only, as unit lists."""
+def main_atom_leaves(f, cap):
+    """The literal lists of the leaves of disjoint_clauses over the main
+    atoms of f, which must leave no remainder."""
 
-    fuf = to_family_union(f, **kwargs)
-    assert all(cl.xi is TRUE and cl.theta == () for cl in fuf.clauses)
-    return [list(cl.psi) for cl in fuf.clauses]
+    units = [u for u in boolean_units(f) if atom_involves_main(u)]
+    out = []
+    for lits, rest in disjoint_clauses(f, units, cap):
+        assert rest is TRUE
+        out.append(lits)
+    return out
 
 
 @pytest.mark.parametrize("dnf,kwargs", [
-    (truth_table, {"cap_atoms": 5}),
+    (main_atom_leaves, {"cap": 32}),
     (dnf_disjoint_tree, {}),
 ])
 def test_dnf_cover_and_disjoint(dnf, kwargs):
@@ -113,8 +117,6 @@ def test_dnf_tree_emits_short_clauses():
     assert min(len(cl) for cl in clauses) == 1
     with pytest.raises(ResourceLimit):
         dnf_disjoint_tree(disj([atom(i) for i in range(1, 6)]), cap=2)
-    with pytest.raises(ResourceLimit):
-        to_family_union(conj([atom(i) for i in range(1, 6)]), cap_atoms=4)
 
 
 # The disjoint normal form as it was before the splitter: every node
@@ -381,56 +383,11 @@ def test_well_formed_matches_reference():
     assert problems >= 100
 
 
-def test_inline_defined_params():
-    v = AuxVar("v", sort_ac(2))
-    t = Sc(2, 1, LinTerm.var("y"))
-    body = conj([AuxLe(v, t), AuxLe(t, v), Discr(v)])
-    f = Exists("v", sort_ac(2), body)
-    assert inline_defined_params(f) == Discr(t)
-    # without the two-sided pin the quantifier stays
-    g = Exists("v", sort_ac(2), conj([AuxLe(v, t), Discr(v)]))
-    assert isinstance(inline_defined_params(g), Exists)
-
-
-def test_to_family_union_rejects_main_quantifier():
-    f = Exists("x", SORT_G, PlainRel("lt", zero, LinTerm.var("x")))
-    with pytest.raises(ValueError):
-        to_family_union(f)
-
-
-def test_to_family_union_cap():
-    plains = [PlainRel("cong", LinTerm.var("y"), zero, m=m)
-              for m in range(2, 9)]
-    with pytest.raises(ResourceLimit):
-        to_family_union(conj(plains), cap_atoms=3)
-
-
-def test_to_family_union_equivalence(rng):
-    for trial in range(30):
-        f = rand_bool(rng, rng.randint(1, 2), rand_syn_atom)
-        try:
-            fuf = to_family_union(f)
-        except ResourceLimit:
-            continue
-        assert fuf.well_formed() == []
-        model = FIXTURE_MODELS[trial % len(FIXTURE_MODELS)]
-        for _ in range(4):
-            asg = main_assignment(model, rng, ["x", "y", "z"])
-            want = evaluate(model, asg, f)
-            vals = [evaluate(model, asg, cl.to_formula())
-                    for cl in fuf.clauses]
-            got = (True if any(v is True for v in vals)
-                   else (False if all(v is False for v in vals) else None))
-            if want is not None and got is not None:
-                assert want == got, (f, model, asg)
-            # instantiated clauses must stay mutually exclusive
-            assert sum(1 for v in vals if v is True) <= 1
-
-
-# The truth table that to_family_union built before it took its clauses
-# from the splitter's leaves: every main atom in every row, in lexicographic
-# order with true first, a row prefix whose remainder is false not extended.
-# Kept to bound the clause count of the leaves.
+# The truth table over the main atoms that the family-union builders made
+# before they took their clauses from the splitter's leaves: every main atom
+# in every row, in lexicographic order with true first, a row prefix whose
+# remainder is false not extended.  Kept to bound the clause count of the
+# leaves.
 
 def _ref_truth_table_rows(f, units):
     sp = ShannonSplitter(units)
@@ -456,78 +413,36 @@ def _main_and_aux_leaf(rng):
     return atom(rng.randint(1, 6))
 
 
-def test_to_family_union_clauses_are_branches():
-    # no canonical-map image, so no parameter and no pin: psi is the branch
+def test_disjoint_clauses_are_branches():
+    # over the main atoms only: a leaf's literals replay the splitter's
+    # branch, and its remainder is the auxiliary rest of f there
     rng = random.Random(19)
     fewer = 0
     for _ in range(60):
         f = rand_bool(rng, rng.randint(1, 4), _main_and_aux_leaf)
         units = [u for u in boolean_units(f) if atom_involves_main(u)]
-        fuf = to_family_union(f)
+        leaves = list(disjoint_clauses(f, units, 1 << len(units)))
         sp = ShannonSplitter(units)
-        for cl in fuf.clauses:
-            assert cl.theta == ()
+        for lits, rest in leaves:
             g = f
-            for u, pol in cl.psi:
+            for u, pol in lits:
                 i, hi, lo = sp.split(g)
                 assert units[i] == u
                 g = hi if pol else lo
-            assert sp.split(g) == () and cl.xi == g
+            assert sp.split(g) == () and rest == g
         rows = _ref_truth_table_rows(f, units)
-        assert len(fuf.clauses) <= len(rows)
-        fewer += len(fuf.clauses) < len(rows)
+        assert len(leaves) <= len(rows)
+        fewer += len(leaves) < len(rows)
     assert fewer >= 10
 
 
-def _can_leaf(rng):
-    """A restricted-language atom, or an auxiliary atom over a
-    canonical-map image of a main term (which becomes a parameter)."""
-
-    if rng.random() < 0.3:
-        s = Sc(2, 1, LinTerm.var(rng.choice(["y", "z"])))
-        return rng.choice([Discr(s), AuxLe(s, AUX_FREE[0])])
-    return rand_syn_atom(rng)
-
-
-def test_to_family_union_psi_is_branch_then_pins():
-    rng = random.Random(23)
-    pinned = 0
-    for _ in range(40):
-        f = rand_bool(rng, rng.randint(1, 2), _can_leaf)
-        try:
-            fuf = to_family_union(f)
-        except ResourceLimit:
-            continue
-        branches = []
-        for cl in fuf.clauses:
-            n = len(cl.psi) - 2 * len(cl.theta)
-            names = {name for name, _ in cl.theta}
-            for a, pol in cl.psi[n:]:
-                assert pol and isinstance(a, AuxLe)
-                assert {getattr(t, "name", None) for t in (a.lhs, a.rhs)} \
-                    & names
-            pinned += n < len(cl.psi)
-            branch = cl.psi[:n]
-            assert all(atom_involves_main(a) for a, _ in branch)
-            assert len({a for a, _ in branch}) == n
-            branches.append(branch)
-        # the branches of one tree: two of them first differ on one atom,
-        # taken with opposite polarities
-        for p in branches:
-            for q in branches:
-                if p is q:
-                    continue
-                k = next(k for k, (l1, l2) in enumerate(zip(p, q))
-                         if l1 != l2)
-                assert p[k][0] == q[k][0] and p[k][1] != q[k][1]
-    assert pinned >= 10
-
-
-def test_to_family_union_stops_at_the_decision():
+def test_disjoint_clauses_stops_at_the_decision():
     f = disj([atom(1), conj([atom(i) for i in range(2, 7)])])
     units = boolean_units(f)
     assert len(_ref_truth_table_rows(f, units)) == 33
-    fuf = to_family_union(f)
-    assert [list(cl.psi) for cl in fuf.clauses] == [
+    # two leaves, so a cap of two does not bind
+    leaves = list(disjoint_clauses(f, units, 2))
+    assert all(rest is TRUE for _, rest in leaves)
+    assert [lits for lits, _ in leaves] == [
         [(atom(1), True)], [(atom(1), False)] + [(atom(i), True)
                                                   for i in range(2, 7)]]

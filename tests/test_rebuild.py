@@ -20,14 +20,14 @@ from oagqe.eliminate import eliminate_exists_main
 from oagqe.normal import (
     FamilyUnionForm, FUClause, ResourceLimit, _can_subterms, _hoist_block,
     all_names, dnf_disjoint_tree, extract_can_terms, hoist_main_units,
-    inline_defined_params, unit_involves_main,
+    unit_involves_main,
 )
 from oagqe.syntax import (
     FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, Discr, Exists, Forall,
     Fresh, LinTerm, MainRel, Not, Or, PlainRel, SORT_G, Sc, Se, SortMin,
-    SuccPlus, Top, atom_aux_terms, atom_lin_terms, atoms_of, aux_free_vars,
-    aux_term_sort, conj, disj, free_names, free_vars, neg, rebuild,
-    replace_aux_terms, sort_ac, sort_aep, subformulas, substitute,
+    SuccPlus, Top, atom_aux_terms, atom_lin_terms, atoms_of, aux_term_sort,
+    conj, disj, free_names, free_vars, neg, rebuild, replace_aux_terms,
+    sort_ac, sort_aep, subformulas,
 )
 from oagqe.translate import (
     _pin_formula, _syn_atom_rewrite, qe_atom_to_syn, syn_qf_to_qe_fuf,
@@ -163,42 +163,6 @@ def _ref_hoist_main_units(f, cap=10):
         return out
 
     return walk(f)
-
-
-def _ref_inline_defined_params(f):
-    if isinstance(f, (Atom, Top, Bottom)):
-        return f
-    if isinstance(f, Not):
-        return neg(_ref_inline_defined_params(f.arg))
-    if isinstance(f, And):
-        return conj(_ref_inline_defined_params(g) for g in f.args)
-    if isinstance(f, Or):
-        return disj(_ref_inline_defined_params(g) for g in f.args)
-    if isinstance(f, Forall):
-        return Forall(f.var, f.sort, _ref_inline_defined_params(f.body))
-    body = _ref_inline_defined_params(f.body)
-    if f.sort.is_main:
-        return Exists(f.var, f.sort, body)
-    parts = list(body.args) if isinstance(body, And) else [body]
-
-    def is_var(t):
-        return isinstance(t, AuxVar) and t.name == f.var
-
-    pin = None
-    for a in parts:
-        if (isinstance(a, AuxLe) and is_var(a.lhs)
-                and f.var not in aux_free_vars(a.rhs)
-                and any(isinstance(b, AuxLe) and is_var(b.rhs)
-                        and b.lhs == a.rhs for b in parts)):
-            pin = a.rhs
-            break
-    if pin is None:
-        return Exists(f.var, f.sort, body)
-    rest = [a for a in parts
-            if not (isinstance(a, AuxLe)
-                    and ((is_var(a.lhs) and a.rhs == pin)
-                         or (is_var(a.rhs) and a.lhs == pin)))]
-    return substitute(conj(rest), {f.var: pin})
 
 
 def _ref_syn_qf_to_qe_fuf(f, cap=4096):
@@ -397,20 +361,6 @@ def test_hoist_main_units_matches_reference():
         f = rand_dag(rng, leaves, rng.randint(2, 8))
         assert _outcome(hoist_main_units, f) == \
             _outcome(_ref_hoist_main_units, f), f
-
-
-def test_inline_defined_params_matches_reference():
-    rng = random.Random(26)
-    inlined = 0
-    for _ in range(100):
-        leaves = ([_rand_pinned(rng) for _ in range(3)]
-                  + [rand_syn_atom(rng),
-                     Exists("x", SORT_G, rand_syn_atom(rng))])
-        f = rand_dag(rng, leaves, rng.randint(2, 8))
-        got = inline_defined_params(f)
-        assert got == _ref_inline_defined_params(f), f
-        inlined += len(all_names(f)) > len(all_names(got))
-    assert inlined > 10
 
 
 def test_free_names_equals_free_vars():

@@ -193,23 +193,28 @@ def test_every_import_is_read():
     assert sorted(unread) == sorted(KEPT_IMPORTS)
 
 
-# Top-level functions and classes that nothing in the package uses and
-# that the package does not export, each with the test (file::name) that
-# keeps it.
+# Top-level functions and classes that nothing in the package uses, each
+# with the test (file::name) that keeps it.  An export is no use: a public
+# name needs a caller in the package too, or an entry here.
 KEPT_DEFINITIONS = {
     "models.ac_class_of": "test_models.py::test_class_maps_land_on_spine",
     "models.ae_class_of": "test_models.py::test_class_maps_land_on_spine",
+    "models.definitional_spine_oracle":
+        "test_models.py::test_spine_matches_definitional_oracle",
     "models.format_model": "test_models.py::test_model_file_roundtrip",
     "models.residue_box":
         "test_models.py::test_spine_matches_definitional_oracle",
+    "syntax.has_main_quantifier":
+        "test_acceptance.py::test_random_formula_elimination_end_to_end",
 }
 
 
 def test_every_definition_is_used():
     trees = _src_trees()
     reads = Counter()
-    for tree in trees.values():
-        reads.update(_reads(tree))
+    for name, tree in trees.items():
+        if name != "__init__":
+            reads.update(_reads(tree))
     unused = []
     for name, tree in trees.items():
         for node in tree.body:

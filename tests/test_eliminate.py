@@ -72,6 +72,9 @@ def test_eliminate_exists_main_differential(rng):
                                  **kwargs), rng.random() < 0.8))
         model = FIXTURE_MODELS[trial % len(FIXTURE_MODELS)]
         _check_elimination(rng, model, lits, 3)
+
+
+def test_part1_differential(rng):
     # the Part 1 shape: a lower and an upper bound, with or without a
     # congruence
     for trial in range(12):
@@ -85,6 +88,9 @@ def test_eliminate_exists_main_differential(rng):
             lits.append((MainRel("cong", x, y, rng.randint(0, 1), BOT,
                                  m=rng.choice([2, 3])), True))
         _check_elimination(rng, (Z_MODEL, ZZ)[trial % 2], lits, 4)
+
+
+def test_part2_differential(rng):
     # the Part 2 shape: congruences of either sign and at most one equality
     for trial in range(15):
         lits = []
@@ -96,6 +102,9 @@ def test_eliminate_exists_main_differential(rng):
         if trial % 3 == 0:
             lits.append((MainRel("eq", x, y, 0, BOT), True))
         _check_elimination(rng, (Z_MODEL, ZZ)[trial % 2], lits, 4)
+
+
+def test_normalize_preserves_existence(rng):
     # coefficients other than one, which the step scales away, beside a
     # literal without x
     fixed = [

@@ -168,8 +168,8 @@ def cmd_check(args) -> int:
     fv = free_vars(f)
     t0 = time.time()
     fuf = qe_driver(f, max_branches=args.max_branches)
-    output_ev = family_evaluator(model, fuf, box=args.box)
-    input_ev = evaluator(model, f, box=args.box)
+    output_ev = family_evaluator(model, fuf)
+    input_ev = evaluator(model, f)
     t1 = time.time()
     mismatches = unknown = done = 0
     for _ in range(args.samples):
@@ -217,7 +217,7 @@ def cmd_eval(args) -> int:
     if missing:
         raise InputError("unassigned variables: %s"
                          % ", ".join(sorted(missing)))
-    r = evaluate(model, asg, f, box=args.box)
+    r = evaluate(model, asg, f)
     if r is None:
         print("unknown")
         return EXIT_UNKNOWN
@@ -258,7 +258,7 @@ FLAGS = {
     "--formula": {"help": "s-expression or file path"},
     "--model": {"help": "model description file"},
     "--box": {"type": int, "default": 8,
-              "help": "search radius for bounded evaluation"},
+              "help": "radius of the verification box"},
     "--samples": {"type": int, "default": 100},
     "--seed": {"type": int, "default": None,
                "help": "rng seed (fallback: OAGQE_SEED)"},
@@ -284,10 +284,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = add("spine", cmd_spine, "list auxiliary spine points", "--model")
     p.add_argument("sorts", nargs="*", help="sort specs like c2 e3 ep2")
     add("check", cmd_check, "differential test against evaluation",
-        "--formula", "--model", "--box", "--samples", "--seed",
-        "--max-branches")
+        "--formula", "--model", "--samples", "--seed", "--max-branches")
     p = add("eval", cmd_eval, "evaluate at an assignment",
-            "--formula", "--model", "--box")
+            "--formula", "--model")
     p.add_argument("assign", nargs="*", metavar="name=value",
                    help="coordinates of a main variable, least significant "
                         "first, or the spine point id (as spine prints it) "

@@ -6,11 +6,15 @@ by grounding its matrix (resolving every auxiliary term, case-splitting the
 canonical maps applied to terms containing the bound variable) and running
 the per-coordinate witness search of the solver module on the leaves of its
 decision tree, taken lazily: the first witness ends the search.  Matrices
-with further main-sort quantifiers, or more than 512 leaves before a
-witness, fall back to a bounded candidate search and can report Unknown.
+with further main-sort quantifiers, or more than LEAF_CAP (512) leaves
+before a witness, fall back to a bounded candidate search (the main values
+of the assignment, then a box of radius 8 per coordinate, 3 on models of
+rank 3 or more) and can report Unknown.
 
-A formula is compiled once, when its `evaluator` or `family_evaluator` is
-built, into a tree of closures that is then called at every assignment.
+A formula is compiled as it is written, once, when its `evaluator` or
+`family_evaluator` is built, into a tree of closures that is then called
+at every assignment; bound names are not renamed, since each quantifier
+sets its own variable in a copy of the assignment.
 Compiling a main or plain relation reads lhs - rhs as one list of (name,
 coefficient) pairs and folds a constant anchor's offset into it; an order
 or equality at a constant anchor then stops at the first nonzero
@@ -35,10 +39,10 @@ from .models import _ac_cuts  # realized cut sets, shared with spine()
 from .normal import ResourceLimit, boolean_units, disjoint_clauses
 from .syntax import (
     AE, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, CongDot, Discr,
-    DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula, Fresh,
+    DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula,
     LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SpineRef, SuccPlus,
     Top, TRUE, atom_aux_terms, conj, disj, free_names, main_vars, neg,
-    replace_aux_terms, sort_ac, sort_ae, subformulas, substitute,
+    replace_aux_terms, sort_ac, sort_ae, substitute,
 )
 
 Value = Union[Element, SpinePoint]
@@ -309,68 +313,6 @@ def _discrete_cuts(model: LexModel) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Alpha renaming (unique bound variables)
-
-def _binders_clash(f: Formula, taken) -> bool:
-    """Whether a quantifier of f binds a name in taken (the free names) or
-    a name that another quantifier of f binds."""
-
-    bound = set()
-    for g in subformulas(f):
-        if isinstance(g, (Exists, Forall)):
-            if g.var in taken or g.var in bound:
-                return True
-            bound.add(g.var)
-    return False
-
-
-def _renamer(fresh: Fresh, free: dict, memo: dict):
-    """A walk(g, ren) that gives every quantifier of g a fresh variable,
-    ren mapping the outer bound names to their new (name, sort).  memo is
-    keyed by value on (node, renaming of its free names), so equal blocks
-    under the same renaming share one renamed copy; free is a `free_names`
-    cache."""
-
-    def walk(g: Formula, ren: dict) -> Formula:
-        live = tuple(sorted((v, ren[v][0]) for v in ren
-                            if v in free_names(g, free)))
-        key = (g, live)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(g, Atom):
-            if not live:
-                out = g
-            else:
-                mapping = {}
-                for old, (new, sort) in ren.items():
-                    if sort.is_main:
-                        mapping[old] = LinTerm.var(new)
-                    else:
-                        mapping[old] = AuxVar(new, sort)
-                out = substitute(g, mapping)
-        elif isinstance(g, (Top, Bottom)):
-            out = g
-        elif isinstance(g, Not):
-            out = Not(walk(g.arg, ren))
-        elif isinstance(g, And):
-            out = And(tuple(walk(h, ren) for h in g.args))
-        elif isinstance(g, Or):
-            out = Or(tuple(walk(h, ren) for h in g.args))
-        elif isinstance(g, (Exists, Forall)):
-            new = fresh(g.var)
-            inner = dict(ren)
-            inner[g.var] = (new, g.sort)
-            out = type(g)(new, g.sort, walk(g.body, inner))
-        else:
-            raise TypeError("not a formula: %r" % (g,))
-        memo[key] = out
-        return out
-
-    return walk
-
-
-# ---------------------------------------------------------------------------
 # Grounding a matrix for one distinguished main variable
 
 def _ref(pt: SpinePoint) -> SpineRef:
@@ -480,12 +422,16 @@ def ground_for_var(model: LexModel, asg: Assignment, var: str,
 # ---------------------------------------------------------------------------
 # Disjoint clauses over the remaining atoms
 
-def dnf_clauses(f: Formula, cap: int = 512):
+# leaves of one grounded matrix before the decision goes to the fallback
+LEAF_CAP = 512
+
+
+def dnf_clauses(f: Formula):
     """The leaves of the grounded matrix f over its atoms, lazily.  Its own
     name because perfbench/tracing.py patches it, which `--trace 1` and
     `--determinism` runs depend on."""
 
-    return disjoint_clauses(f, boolean_units(f), cap)
+    return disjoint_clauses(f, boolean_units(f), LEAF_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -590,17 +536,15 @@ def compile_clause(model, asg, var, lits) -> list[solver.Clause]:
 # ---------------------------------------------------------------------------
 # Formula evaluation
 
-DEFAULT_BOX = 8
-
-
 def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
-                       box: int, run_body) -> Tri:
+                       run_body) -> Tri:
     """Exists var. body, for one assignment of the other variables.
 
     The grounded search is complete; each leaf of the grounded matrix is
     compiled and solved as it comes, and the first witness ends it.  When
-    the body cannot be grounded, has more than 512 leaves before a witness
-    or reaches a solver limit, run_body is tried at the fallback points."""
+    the body cannot be grounded, has more than LEAF_CAP leaves before a
+    witness or reaches a solver limit, run_body is tried at the fallback
+    points."""
 
     try:
         g = ground_for_var(model, asg, var, body)
@@ -612,7 +556,7 @@ def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
     except (Uncompilable, ResourceLimit, solver.SolverLimit):
         pass
     # bounded fallback: only a True answer is ever definite here
-    for cand in _fallback_candidates(model, asg, box):
+    for cand in _fallback_candidates(model, asg):
         asg2 = dict(asg)
         asg2[var] = cand
         if run_body(asg2) is True:
@@ -620,14 +564,17 @@ def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
     return None
 
 
-def _fallback_candidates(model, asg: Assignment, box: int):
+def _fallback_candidates(model, asg: Assignment):
+    """The main values of asg, then the box of radius 8 per coordinate
+    (3 on models of rank 3 or more, where the box grows as 7^rank)."""
+
     params = [v for v in asg.values() if isinstance(v, tuple)]
     seen = set()
     for e in params:
         if e not in seen:
             seen.add(e)
             yield e
-    radius = min(box, 3 if model.rank >= 3 else box)
+    radius = 3 if model.rank >= 3 else 8
     # adding each component's zero makes the coordinate an int on Z and a
     # Fraction elsewhere
     axes = [[z + c for c in range(-radius, radius + 1)]
@@ -682,18 +629,17 @@ def _fold(fns, stop: bool):
     return run
 
 
-def _compile(model: LexModel, box: int, varied: frozenset, roots,
-             free: dict) -> list:
+def _compile(model: LexModel, varied: frozenset, roots, free: dict) -> list:
     """Each formula in roots compiled into a tree of closures
     run(assignment) -> Tri; the closures are returned in order.
 
     Equal subformulas are compiled once, keyed by value across the roots;
-    free is the `free_names` cache of the caller's renaming, whose answers
-    serve here too.  A node keeps a memo of its results, keyed by the
-    values of its free variables, only where a lookup can hit: a main-sort
-    quantifier, whose decision is the expensive step, or a node whose free
-    names are a strict subset of the names the caller varies, so that calls
-    differing only outside them share one entry.  The body of a main-sort
+    free is the caller's `free_names` cache, whose answers serve here too.
+    A node keeps a memo of its results, keyed by the values of its free
+    variables, only where a lookup can hit: a main-sort quantifier, whose
+    decision is the expensive step, or a node whose free names are a strict
+    subset of the names the caller varies, so that calls differing only
+    outside them share one entry.  The body of a main-sort
     quantifier is compiled when the bounded fallback first needs it; the
     complete search grounds the body itself.  The memos live as long as the
     returned closures, and no closure refers back to the compile caches, so
@@ -717,7 +663,7 @@ def _compile(model: LexModel, box: int, varied: frozenset, roots,
         elif isinstance(g, (And, Or)):
             run = _fold([comp(h) for h in g.args], isinstance(g, Or))
         elif isinstance(g, (Exists, Forall)) and g.sort.is_main:
-            run = _decide(model, box, varied, g)
+            run = _decide(model, varied, g)
         elif isinstance(g, (Exists, Forall)):
             run = _sweep(comp(g.body), g.var, spine(model, g.sort),
                          k_any if isinstance(g, Exists) else k_all)
@@ -735,20 +681,20 @@ def _compile(model: LexModel, box: int, varied: frozenset, roots,
     return out
 
 
-def _decide(model: LexModel, box: int, varied: frozenset, g: Formula):
+def _decide(model: LexModel, varied: frozenset, g: Formula):
     var = g.var
     body = g.body if isinstance(g, Exists) else Not(g.body)
     compiled: list = []
 
     def run_body(asg: Assignment) -> Tri:
         if not compiled:
-            compiled.extend(_compile(model, box, varied, [body], {}))
+            compiled.extend(_compile(model, varied, [body], {}))
         return compiled[0](asg)
 
     if isinstance(g, Exists):
-        return lambda asg: decide_exists_main(model, asg, var, body, box,
+        return lambda asg: decide_exists_main(model, asg, var, body,
                                               run_body)
-    return lambda asg: k_not(decide_exists_main(model, asg, var, body, box,
+    return lambda asg: k_not(decide_exists_main(model, asg, var, body,
                                                 run_body))
 
 
@@ -768,28 +714,24 @@ def _sweep(run_body, var: str, pts, fold):
     return sweep
 
 
-def evaluate(model: LexModel, asg: Assignment, f: Formula,
-             box: int = DEFAULT_BOX) -> Tri:
+def evaluate(model: LexModel, asg: Assignment, f: Formula) -> Tri:
     """Public entry for one-shot evaluation: a throwaway evaluator."""
 
-    return evaluator(model, f, box)(asg)
+    return evaluator(model, f)(asg)
 
 
-def evaluator(model: LexModel, f: Formula, box: int = DEFAULT_BOX):
+def evaluator(model: LexModel, f: Formula):
     """A reusable assignment -> truth value function for one formula;
     three-valued, it never returns a wrong definite answer.
 
-    The formula is compiled once into a tree of closures (see `_compile`).
-    Its bound variables are first alpha-renamed apart, but only when a
-    binder clashes: a name bound twice, or a bound name that is also free.
-    Otherwise f already has the form renaming gives, up to the choice of
-    names, and the closures read names only to look them up in the
-    assignment, so compiling f as it is gives the same answers.  (A
-    quantifier then overwrites a caller's value for its own name, one not
-    free in f, where a renamed one would add its value beside it; only the
-    bounded fallback, which tries every main value of the assignment and
-    answers True or unknown, can see the difference.)  Both steps read one
-    `free_names` cache, dropped when the build ends.  The
+    The formula is compiled once, as it is written, into a tree of closures
+    (see `_compile`).  A quantifier runs its body on a copy of the
+    assignment in which its own variable is set, so a name bound twice, or
+    bound and also free, or given a value by the caller, is shadowed as the
+    semantics say, and each memo is keyed by the values its node reads
+    there.  (A shadowed main value is missing from the candidates of a
+    bounded fallback further in, which tries the main values of the
+    assignment first; that search answers only True or unknown.)  The
     caller varies the free variables of f, so a node keeps a memo only when
     it is a main-sort quantifier or its free variables are a strict subset
     of those of f: for example a literal over x alone, asked at one x for
@@ -802,45 +744,33 @@ def evaluator(model: LexModel, f: Formula, box: int = DEFAULT_BOX):
     `oagqe check` run) and drop it afterwards, which frees the memos."""
 
     free: dict = {}
-    varied = free_names(f, free)
-    if _binders_clash(f, varied):
-        f = _renamer(Fresh("b", varied), free, {})(f, {})
-        # renaming keeps the free names; a main-sort quantifier at the root
-        # then compiles without walking its body
-        free[f] = varied
-    return _compile(model, box, varied, [f], free)[0]
+    return _compile(model, free_names(f, free), [f], free)[0]
 
 
-def family_evaluator(model: LexModel, fuf, box: int = DEFAULT_BOX):
+def family_evaluator(model: LexModel, fuf):
     """Assignment -> list of per-clause truth values for a family union form.
 
     All clause matrices are compiled by one `_compile` call, with one
     `free_names` cache, so literals and guards shared between clauses are
     compiled once and share one memo.  The caller varies the free variables
     of the matrices and the theta parameters, which are swept over the
-    spine points of their sorts directly, clause by clause.  A matrix is
-    alpha-renamed first only when one of its binders clashes, by the rule
-    of `evaluator` with the theta names counted as free; the renamed
-    matrices share one renaming pass and one source of fresh names.  A
-    node is memoized when it is a main-sort quantifier or its free
-    variables are a strict subset of these, such as a guard literal over
-    theta alone.  The memos live as long as the returned function."""
+    spine points of their sorts directly, clause by clause; a binder inside
+    a matrix shadows them as in `evaluator`.  A node is memoized when it is
+    a main-sort quantifier or its free variables are a strict subset of
+    these, such as a guard literal over theta alone.  The memos live as
+    long as the returned function."""
 
     matrices = [cl.matrix() for cl in fuf.clauses]
     free: dict = {}
     varied = set()
     for m in matrices:
         varied |= free_names(m, free)
-    fresh = Fresh("b", varied)
     sweeps = []
     for cl in fuf.clauses:
         varied.update(name for name, _ in cl.theta)
         sweeps.append((tuple(name for name, _ in cl.theta),
                        [spine(model, s) for _, s in cl.theta]))
-    walk = _renamer(fresh, free, {})
-    runs = _compile(model, box, frozenset(varied),
-                    [walk(m, {}) if _binders_clash(m, varied) else m
-                     for m in matrices], free)
+    runs = _compile(model, frozenset(varied), matrices, free)
 
     def run(asg: Assignment) -> list:
         out = []

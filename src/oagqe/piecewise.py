@@ -207,7 +207,7 @@ def _sample_points(n: int, box: int):
 
 
 def decompose(model, formula: Formula, value_var: str, args,
-              *, check_box: int = 4, dnf_cap: int = 4096) -> PieceSet:
+              *, check_box: int = 4) -> PieceSet:
     """Piecewise-linear decomposition of the function whose graph is the
     given quantifier-free formula.
 
@@ -221,7 +221,7 @@ def decompose(model, formula: Formula, value_var: str, args,
     # the caller may have built the formula with raw connectives; the
     # splitter needs the smart constructors' form
     formula = rebuild(formula, lambda a: a)
-    clauses = dnf_disjoint_tree(formula, cap=dnf_cap)
+    clauses = dnf_disjoint_tree(formula)
     for cl in clauses:
         for u, _ in cl:
             if not isinstance(u, Atom):

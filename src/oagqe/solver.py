@@ -34,6 +34,10 @@ class SolverLimit(Exception):
     """Raised when the search exceeds its node budget."""
 
 
+# search nodes one solve_clause call may visit before it raises SolverLimit
+SEARCH_BUDGET = 200_000
+
+
 # ---------------------------------------------------------------------------
 # Records
 
@@ -205,12 +209,11 @@ _FINAL_OK = {"ge": True, "eq": True, "lt": False, "ne": False}
 
 
 class _Search:
-    def __init__(self, model: LexModel, cl: Clause, budget: int):
+    def __init__(self, model: LexModel, cl: Clause):
         self.model = model
         self.cl = cl
         self.L = clause_modulus(model, cl)
         self.nodes = 0
-        self.budget = budget
         self.want_all = model.sum_mod is not None
         self.zero = model.zero()
 
@@ -227,7 +230,7 @@ class _Search:
 
     def _dfs(self, j: int, undecided: frozenset, coords: list):
         self.nodes += 1
-        if self.nodes > self.budget:
+        if self.nodes > SEARCH_BUDGET:
             raise SolverLimit("search budget exceeded")
         model, cl = self.model, self.cl
         if j < 0:
@@ -314,9 +317,8 @@ class _Search:
         return e
 
 
-def solve_clause(model: LexModel, cl: Clause,
-                 budget: int = 200_000) -> Optional[Element]:
+def solve_clause(model: LexModel, cl: Clause) -> Optional[Element]:
     """A witness x with all records of the clause satisfied, or None if no
     element of the model satisfies them (complete)."""
 
-    return _Search(model, cl, budget).run()
+    return _Search(model, cl).run()

@@ -198,6 +198,22 @@ def test_usage_errors_exit_as_input_errors(capsys, zz):
         assert "input error" in capsys.readouterr().err
 
 
+def test_box_is_a_piecewise_option(capsys, z):
+    # eval and check search a fixed radius; --box is the radius of the
+    # piecewise verification only
+    for argv in (["eval", "--model", z, "--formula", "(plainlt 0 x)",
+                  "--box", "3", "x=1"],
+                 ["check", "--model", z, "--formula", "(plainlt 0 x)",
+                  "--box", "3"]):
+        assert main(argv) == 1, argv
+        assert "--box" in capsys.readouterr().err
+    rc = main(["piecewise", "--model", z, "--formula",
+               "(and (not (lt c2min x (* 2 y) 0)) (lt c2min x (* 2 y) 2))",
+               "--value", "y", "--box", "6"])
+    assert rc == 0
+    assert "verified 13 points, 0 violations" in capsys.readouterr().out
+
+
 def test_every_subcommand_option_is_read():
     ap = make_parser()
     subs = next(a for a in ap._actions

@@ -3,7 +3,6 @@
 import importlib
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -14,9 +13,9 @@ from conftest import (
 from oagqe import solver
 from oagqe.eliminate import qe_driver
 from oagqe.evaluate import (
-    DEFAULT_BOX, Uncompilable, _discrete_cuts, _fallback_candidates,
-    compile_clause, eval_atom, eval_lin, evaluate, evaluator,
-    family_evaluator, ground_for_var, k_all, k_any, k_not, resolve_aux,
+    Uncompilable, _discrete_cuts, _fallback_candidates, compile_clause,
+    eval_atom, eval_lin, evaluate, evaluator, family_evaluator,
+    ground_for_var, k_all, k_any, k_not, resolve_aux,
 )
 from oagqe.models import (
     IntComp, LexModel, RatComp, ac_class_of, dim_query, h_cut, spine,
@@ -26,7 +25,7 @@ from oagqe.normal import ResourceLimit
 from oagqe.syntax import (
     And, Atom, AuxAsymp, AuxLe, AuxVar, Bottom, CongDot, DimFloor, DimSucc,
     Discr, DPred, EqDot, Exists, Forall, Fresh, LinTerm, MainRel, Not, Or,
-    PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, Top, conj, disj, free_vars,
+    PlainRel, Sc, SortMin, SORT_G, SpineRef, Top, conj, disj, free_vars,
     neg, sort_ac, sort_ae, sort_aep, substitute,
 )
 
@@ -314,7 +313,7 @@ def _ref_dnf_clauses(f, cap=512):
     return go(_ref_nnf(f))
 
 
-def ref_decide(model, asg, var, body, box, memo):
+def ref_decide(model, asg, var, body, memo):
     try:
         g = ground_for_var(model, asg, var, body)
         for lits in _ref_dnf_clauses(g):
@@ -324,10 +323,10 @@ def ref_decide(model, asg, var, body, box, memo):
         return False
     except (Uncompilable, solver.SolverLimit):
         pass
-    for cand in _fallback_candidates(model, asg, box):
+    for cand in _fallback_candidates(model, asg):
         asg2 = dict(asg)
         asg2[var] = cand
-        if ref_eval(model, asg2, body, box, memo) is True:
+        if ref_eval(model, asg2, body, memo) is True:
             return True
     return None
 
@@ -335,7 +334,7 @@ def ref_decide(model, asg, var, body, box, memo):
 _MISS = object()
 
 
-def ref_eval(model, asg, f, box, memo):
+def ref_eval(model, asg, f, memo):
     if isinstance(f, Top):
         return True
     if isinstance(f, Bottom):
@@ -348,36 +347,36 @@ def ref_eval(model, asg, f, box, memo):
     if isinstance(f, Atom):
         out = ref_atom(model, asg, f)
     elif isinstance(f, Not):
-        out = k_not(ref_eval(model, asg, f.arg, box, memo))
+        out = k_not(ref_eval(model, asg, f.arg, memo))
     elif isinstance(f, And):
-        out = k_all(ref_eval(model, asg, g, box, memo) for g in f.args)
+        out = k_all(ref_eval(model, asg, g, memo) for g in f.args)
     elif isinstance(f, Or):
-        out = k_any(ref_eval(model, asg, g, box, memo) for g in f.args)
+        out = k_any(ref_eval(model, asg, g, memo) for g in f.args)
     elif isinstance(f, Exists) and f.sort.is_main:
-        out = ref_decide(model, asg, f.var, f.body, box, memo)
+        out = ref_decide(model, asg, f.var, f.body, memo)
     elif isinstance(f, Forall) and f.sort.is_main:
-        out = k_not(ref_decide(model, asg, f.var, Not(f.body), box, memo))
+        out = k_not(ref_decide(model, asg, f.var, Not(f.body), memo))
     else:
         vals = []
         for pt in spine(model, f.sort):
             asg2 = dict(asg)
             asg2[f.var] = pt
-            vals.append(ref_eval(model, asg2, f.body, box, memo))
+            vals.append(ref_eval(model, asg2, f.body, memo))
         out = k_any(vals) if isinstance(f, Exists) else k_all(vals)
     memo["vals"][key] = out
     return out
 
 
-def ref_evaluator(model, f, box=DEFAULT_BOX):
+def ref_evaluator(model, f):
     fresh = Fresh("b")
     freec = {}
     fresh.reserve(_free_names(f, freec))
     g = _renamer(fresh, freec, {})(f, {})
     memo = {"free": {}, "vals": {}}
-    return lambda asg: ref_eval(model, asg, g, box, memo)
+    return lambda asg: ref_eval(model, asg, g, memo)
 
 
-def ref_family(model, fuf, box=DEFAULT_BOX):
+def ref_family(model, fuf):
     matrices = [cl.matrix() for cl in fuf.clauses]
     fresh = Fresh("b")
     freec = {}
@@ -395,7 +394,7 @@ def ref_family(model, fuf, box=DEFAULT_BOX):
                     *(spine(model, s) for _, s in cl.theta)):
                 asg2 = dict(asg)
                 asg2.update(zip((n for n, _ in cl.theta), combo))
-                v = ref_eval(model, asg2, mat, box, memo)
+                v = ref_eval(model, asg2, mat, memo)
                 if v is True:
                     val = True
                     break
@@ -470,12 +469,11 @@ def test_evaluator_matches_reference(rng):
     for trial in range(120):
         model = TYPED_MODELS[trial % len(TYPED_MODELS)]
         f = rand_quantified(rng, model)
-        box = 2 if model.rank <= 2 else DEFAULT_BOX
-        run, ref = evaluator(model, f, box), ref_evaluator(model, f, box)
+        run, ref = evaluator(model, f), ref_evaluator(model, f)
         for asg in assignments(model, rng, 8):
             want = ref(asg)
             assert run(asg) == want, (f, asg)
-            assert evaluate(model, asg, f, box) == want
+            assert evaluate(model, asg, f) == want
             unknown += want is None
     assert unknown > 0   # the fallback's undecided answers were compared
 
@@ -608,7 +606,7 @@ def test_quantifier_alternation():
 
 
 # ---------------------------------------------------------------------------
-# Alpha renaming only where a binder clashes
+# Shadowing: formulas are compiled as written, without renaming
 
 def _atom_over(rng, names):
     t, u = rand_term(rng, names), rand_term(rng, names)
@@ -659,47 +657,45 @@ CLASH_CASES = [_shadowing, _aux_shadowing, _bound_and_free, _sibling_blocks]
 
 
 @pytest.mark.parametrize("case", CLASH_CASES + [_nested_forall_z])
-def test_renaming_rule_matches_reference(case, rng, monkeypatch):
-    renamed = []
-    real = EV._renamer
-    monkeypatch.setattr(EV, "_renamer",
-                        lambda *a: renamed.append(1) or real(*a))
+def test_renaming_rule_matches_reference(case, rng):
+    # the reference renames every binder apart before it evaluates; the
+    # evaluator runs the formula as written, each quantifier setting its own
+    # name in a copy of the assignment, and must give the same answers
     for trial in range(24):
         model = FIXTURE_MODELS[trial % len(FIXTURE_MODELS)]
         f = case(rng)
-        box = 2
-        renamed.clear()
-        run = evaluator(model, f, box)
-        # one renaming for a clash, none for unique binders
-        assert len(renamed) == (case in CLASH_CASES), f
-        ref = ref_evaluator(model, f, box)
+        run, ref = evaluator(model, f), ref_evaluator(model, f)
         for asg in assignments(model, rng, 4):
             want = ref(asg)
             assert run(asg) == want, (f, asg)
-            assert evaluate(model, asg, f, box) == want, (f, asg)
+            assert evaluate(model, asg, f) == want, (f, asg)
 
 
-def test_unique_binders_are_not_renamed(monkeypatch):
-    renamed = []
-    real = EV._renamer
-    monkeypatch.setattr(EV, "_renamer",
-                        lambda *a: renamed.append(1) or real(*a))
+def test_caller_value_of_a_bound_name_is_shadowed():
+    # the caller assigns x and b, which the formulas bind; the quantifier's
+    # own value wins, also where x is free elsewhere in the formula
     z = LinTerm.var("z")
-    unique = [
-        PlainRel("lt", x, y),
-        Exists("x", SORT_G, PlainRel("lt", x, y)),
-        Exists("x", SORT_G, conj([PlainRel("lt", x, y),
-                                  Forall("z", SORT_G, PlainRel("lt", z, x))])),
-        # one block at two positions binds its name once
-        disj([Exists("x", SORT_G, PlainRel("lt", x, y)),
-              Not(Exists("x", SORT_G, PlainRel("lt", x, y)))]),
-    ]
-    for f in unique:
-        evaluator(ZZ, f)
-    assert renamed == []
+    between = Exists("x", SORT_G, conj([PlainRel("lt", y, x),
+                                        PlainRel("lt", x, z)]))
+    also_free = conj([PlainRel("lt", x, y), between])
+    pt = Z_MODEL.element
+    run, run2 = evaluator(Z_MODEL, between), evaluator(Z_MODEL, also_free)
+    for xv in range(-3, 4):
+        asg = {"x": pt([xv]), "y": pt([0])}
+        assert run(dict(asg, z=pt([2]))) is True
+        assert run(dict(asg, z=pt([1]))) is False
+        assert run2(dict(asg, z=pt([2]))) is (xv < 0)
+        assert evaluate(Z_MODEL, dict(asg, z=pt([2])), also_free) is (xv < 0)
+    # Q + Z has a quotient that is not discrete, whatever b the caller gives
+    m = LexModel((RatComp(), IntComp()))
+    some = Exists("b", sort_ac(2), Not(Discr(B)))
+    every = Forall("b", sort_ac(2), Discr(B))
+    for b in spine(m, sort_ac(2)):
+        assert evaluate(m, {"b": b}, some) is True
+        assert evaluate(m, {"b": b}, every) is False
 
 
-def test_family_evaluator_renames_a_clashing_matrix():
+def test_family_evaluator_shadows_in_a_clashing_matrix():
     # clause 0 binds its own parameter t inside the guard; clause 1 binds b,
     # which clause 2 binds too, in another matrix (no clash)
     from oagqe.normal import FamilyUnionForm, FUClause

@@ -9,9 +9,9 @@ from conftest import rand_bool, rand_mixed_atom
 from oagqe import sexpr
 from oagqe.sexpr import ParseError, parse_formula, print_formula, print_sort
 from oagqe.syntax import (
-    FALSE, TRUE, And, AuxVar, CongDot, Discr, EqDot, Exists, Forall, LinTerm,
-    MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SORT_G, SuccPlus, conj,
-    disj, neg, sort_ac, sort_ae, sort_aep, substitute,
+    FALSE, TRUE, And, AuxVar, Discr, EqDot, Exists, Forall, LinTerm,
+    MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SORT_G, conj, disj, neg,
+    sort_ac, sort_ae, sort_aep, substitute,
 )
 
 

@@ -230,7 +230,7 @@ def test_breakpoints_are_ints_only_where_integral():
 def test_check_sums_raises_on_a_non_divisible_sum_record():
     zero = SUM_MODEL.zero()
     cl = Clause(lex=[], div=[], ndiv=[], sums=[SumCong(2, 1, zero, False)])
-    search = solver._Search(SUM_MODEL, cl, 100)
+    search = solver._Search(SUM_MODEL, cl)
     with pytest.raises(AssertionError):
         search._check_sums([1, 0, 0])
     # quotients 2, 0, 0: sum 2, divisible by the sum modulus 2

@@ -1,19 +1,14 @@
 """Rewrites between the anchored and the restricted language."""
 
-import random
-
 from conftest import (
     AUX_FREE, FIXTURE_MODELS, aux_assignment, main_assignment, rand_term,
 )
 from oagqe.evaluate import evaluate
-from oagqe.models import spine
 from oagqe.syntax import (
     AuxVar, Fresh, LinTerm, MainRel, Sc, Se, SortMin, SuccPlus,
-    free_names, free_vars, sort_ac, sort_ae, sort_aep,
+    free_names, sort_ac, sort_ae, sort_aep,
 )
-from oagqe.translate import (
-    aux_lt, canc_term, discr_lift, qe_atom_to_syn, syn_qf_to_qe_fuf,
-)
+from oagqe.translate import aux_lt, canc_term, discr_lift, qe_atom_to_syn
 
 x, y, z = LinTerm.var("x"), LinTerm.var("y"), LinTerm.var("z")
 BOT = SortMin(sort_ac(2))

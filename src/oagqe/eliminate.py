@@ -660,14 +660,11 @@ def _clause_formula(lowers, uppers, congs, m0, ctx: _Ctx) -> Formula:
 
 
 def eliminate_exists_main(var: str, lits, fresh: Fresh = None, *,
-                          translate_syn: bool = False,
                           max_branches: int = 200000) -> Formula:
     """Eliminate an existential main quantifier from a literal conjunction.
 
     Returns a main-quantifier-free formula equivalent to exists var of the
-    conjunction.  With translate_syn, every anchored relation of the result
-    is re-expressed through plain relations, dotted predicates and
-    canonical-map comparisons.
+    conjunction.
     """
 
     lits = list(lits)
@@ -689,14 +686,8 @@ def eliminate_exists_main(var: str, lits, fresh: Fresh = None, *,
         ups = uppers + [_Bound(n.aux, n.c, n.k, True)
                         for n, side in zip(nes, sides) if side == 1]
         clause_fs.append(_clause_formula(los, ups, congs, m0, ctx))
-    out = conj([a if pol else Not(a) for a, pol in xfree] +
-               [disj(clause_fs)])
-    if translate_syn:
-        # rebuild translates each distinct atom once: equal atoms must come
-        # out as the same translation, or their fresh witnesses would make
-        # them distinct branching units downstream
-        out = rebuild(out, lambda a: qe_atom_to_syn(a, fresh))
-    return out
+    return conj([a if pol else Not(a) for a, pol in xfree] +
+                [disj(clause_fs)])
 
 
 def _push_out_main(f: Formula, fresh: Fresh, cap: int,
@@ -724,8 +715,13 @@ def _main_exists(var: str, body: Formula, fresh: Fresh, cap: int,
     parts = []
     for cl in fuf.clauses:
         chi = eliminate_exists_main(var, list(cl.psi), fresh,
-                                    translate_syn=True,
                                     max_branches=max_branches)
+        # every anchored relation is re-expressed through plain relations,
+        # dotted predicates and canonical-map comparisons; rebuild
+        # translates each distinct atom once: equal atoms must come out as
+        # the same translation, or their fresh witnesses would make them
+        # distinct branching units downstream
+        chi = rebuild(chi, lambda a: qe_atom_to_syn(a, fresh))
         inner = conj([cl.xi, chi])
         for name, sort in reversed(cl.theta):
             inner = Exists(name, sort, inner)

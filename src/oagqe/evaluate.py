@@ -8,8 +8,8 @@ the per-coordinate witness search of the solver module on the leaves of its
 decision tree, taken lazily: the first witness ends the search.  Matrices
 with further main-sort quantifiers, or more than LEAF_CAP (512) leaves
 before a witness, fall back to a bounded candidate search (the main values
-of the assignment, then a box of radius 8 per coordinate, 3 on models of
-rank 3 or more) and can report Unknown.
+of the quantified formula's own free variables, then a box of radius 8 per
+coordinate, 3 on models of rank 3 or more) and can report Unknown.
 
 A formula is compiled as it is written, once, when its `evaluator` or
 `family_evaluator` is built, into a tree of closures that is then called
@@ -323,44 +323,34 @@ def _zero() -> LinTerm:
     return LinTerm.zero()
 
 
-def _classify(model: LexModel, var: str, term: AuxTerm):
+def _classify(model: LexModel, term: AuxTerm):
     """Finite case split 'term = point' for an auxiliary term whose argument
-    contains var; yields (point, [condition atoms])."""
+    contains the distinguished variable; yields (point, [condition atoms]).
+    Sc and Se differ only in the relation, modulus and sort of the point."""
 
-    if isinstance(term, Sc):
-        n = term.p ** term.r
-        cuts = _ac_cuts(model, term.p)
-        for idx, c in enumerate(cuts):
-            conds: list[Formula] = []
-            if idx + 1 < len(cuts):
-                conds.append(MainRel("cong", term.arg, _zero(), 0,
-                                     _ref(SpinePoint(sort_ac(term.p),
-                                                     cuts[idx + 1])), m=n))
-            if c > 0:
-                conds.append(Not(MainRel("cong", term.arg, _zero(), 0,
-                                         _ref(SpinePoint(sort_ac(term.p), c)),
-                                         m=n)))
-            yield SpinePoint(sort_ac(term.p), c), conds
-        return
-    if isinstance(term, Se):
-        cuts = _ac_cuts(model, term.p)
-        for idx, c in enumerate(cuts):
-            conds = []
-            if idx + 1 < len(cuts):
-                conds.append(MainRel("eq", term.arg, _zero(), 0,
-                                     _ref(SpinePoint(sort_ac(term.p),
-                                                     cuts[idx + 1]))))
-            if c > 0:
-                conds.append(Not(MainRel("eq", term.arg, _zero(), 0,
-                                         _ref(SpinePoint(sort_ac(term.p),
-                                                         c)))))
-            yield SpinePoint(sort_ae(term.p), c), conds
-        return
     if isinstance(term, SuccPlus):
-        for pt, conds in _classify(model, var, term.arg):
+        for pt, conds in _classify(model, term.arg):
             yield aep_of(model, pt), conds
         return
-    raise Uncompilable("cannot case-split %r" % (term,))
+    if isinstance(term, Sc):
+        op, m, sort = "cong", term.p ** term.r, sort_ac(term.p)
+    elif isinstance(term, Se):
+        op, m, sort = "eq", 0, sort_ae(term.p)
+    else:
+        raise Uncompilable("cannot case-split %r" % (term,))
+
+    def inside(c: int) -> MainRel:
+        return MainRel(op, term.arg, _zero(), 0,
+                       _ref(SpinePoint(sort_ac(term.p), c)), m=m)
+
+    cuts = _ac_cuts(model, term.p)
+    for idx, c in enumerate(cuts):
+        conds: list[Formula] = []
+        if idx + 1 < len(cuts):
+            conds.append(inside(cuts[idx + 1]))
+        if c > 0:
+            conds.append(Not(inside(c)))
+        yield SpinePoint(sort, c), conds
 
 
 def ground_for_var(model: LexModel, asg: Assignment, var: str,
@@ -394,22 +384,18 @@ def ground_for_var(model: LexModel, asg: Assignment, var: str,
     for term in atom_aux_terms(f):
         if var in main_vars(term):
             cases = [conj(conds + [replace_aux_terms(f, {term: _ref(pt)})])
-                     for pt, conds in _classify(model, var, term)]
+                     for pt, conds in _classify(model, term)]
             return ground_for_var(model, asg, var, disj(cases))
-    if isinstance(f, EqDot):
-        cases = [MainRel("eq", f.t, _zero(), f.k,
-                         _ref(SpinePoint(sort_ac(2), c)))
-                 for c in _discrete_cuts(model)]
-        return ground_for_var(model, asg, var, disj(cases))
-    if isinstance(f, CongDot):
-        cases = [MainRel("cong", f.t, _zero(), f.k,
-                         _ref(SpinePoint(sort_ac(2), c)), m=f.m)
+    if isinstance(f, (EqDot, CongDot)):
+        op, m = ("cong", f.m) if isinstance(f, CongDot) else ("eq", 0)
+        cases = [MainRel(op, f.t, _zero(), f.k,
+                         _ref(SpinePoint(sort_ac(2), c)), m=m)
                  for c in _discrete_cuts(model)]
         return ground_for_var(model, asg, var, disj(cases))
     if isinstance(f, DPred):
         n, ns = f.p ** f.r, f.p ** f.s
         cases = []
-        for pt, conds in _classify(model, var, Sc(f.p, f.r, f.t)):
+        for pt, conds in _classify(model, Sc(f.p, f.r, f.t)):
             cases.append(conj(list(conds) + [
                 MainRel("congb", f.t, _zero(), 0, _ref(pt), m=n, mp=ns),
                 Not(MainRel("cong", f.t, _zero(), 0, _ref(pt), m=n)),
@@ -443,66 +429,54 @@ _FALSE = object()
 
 def _cong_alternatives(model, cut, m, r, u, positive):
     K = model.rank
-    if r == 0:
-        ok = model.member(u, cut, m)
-        return _TRUE if ok == positive else _FALSE
     if m == 1 or cut >= K:
         return _TRUE if positive else _FALSE
     if model.sum_mod is not None and cut == 0:
         if positive:
-            return [[solver.SumCong(m, r, u, False)]]
-        alts = [[solver.NDiv(i, m, r, u)] for i in range(K)
+            return [solver.SumCong(m, r, u, False)]
+        alts = [solver.NDiv(i, m, r, u) for i in range(K)
                 if comp_nontrivial_quotient(model.comps[i], m)]
-        alts.append([solver.SumCong(m, r, u, True)])
+        alts.append(solver.SumCong(m, r, u, True))
         return alts
     if positive:
-        return [[solver.Div(cut, m, r, u)]]
-    alts = [[solver.NDiv(i, m, r, u)] for i in range(cut, K)
+        return [solver.Div(cut, m, r, u)]
+    alts = [solver.NDiv(i, m, r, u) for i in range(cut, K)
             if comp_nontrivial_quotient(model.comps[i], m)]
     return alts if alts else _FALSE
 
 
 def _literal_alternatives(model, asg, var, atom: Atom, positive: bool):
-    """List of record-list alternatives, or _TRUE/_FALSE."""
+    """List of alternative solver records, or _TRUE/_FALSE.  A literal in
+    which var cancels is decided by the atom's own semantics."""
 
-    if isinstance(atom, MainRel):
-        alpha = resolve_aux(model, asg, atom.aux)
-        c = alpha.cut
-        d = atom.lhs - atom.rhs
-        r = d.coeff(var)
-        u = eval_lin(model, asg, d.without(var))
-        if atom.k != 0:
-            rep = model.minpos_rep(c)
-            if rep is not None:
-                u = model.sub(u, model.smul(atom.k, rep))
-        if atom.op == "eq":
-            if r == 0:
-                ok = model.in_cut(u, c)
-                return _TRUE if ok == positive else _FALSE
-            return [[solver.Lex("eq" if positive else "ne", c, r, u)]]
-        if atom.op == "lt":
-            if r == 0:
-                ok = model.proj_sign(u, c) < 0
-                return _TRUE if ok == positive else _FALSE
-            return [[solver.Lex("lt" if positive else "ge", c, r, u)]]
-        if atom.op == "cong":
-            return _cong_alternatives(model, c, atom.m, r, u, positive)
-        # bracket congruence
-        if c >= model.rank:
-            return _TRUE if positive else _FALSE
-        return _cong_alternatives(model, c + 1, gcd(atom.m, atom.mp), r, u,
-                                  positive)
+    if not isinstance(atom, (MainRel, PlainRel)):
+        raise Uncompilable("atom %r not compilable" % (atom,))
+    d = atom.lhs - atom.rhs
+    r = d.coeff(var)
+    if r == 0:
+        ok = eval_atom(model, {**asg, var: model.zero()}, atom)
+        return _TRUE if ok == positive else _FALSE
+    u = eval_lin(model, asg, d.without(var))
     if isinstance(atom, PlainRel):
-        d = atom.lhs - atom.rhs
-        r = d.coeff(var)
-        u = eval_lin(model, asg, d.without(var))
         if atom.op == "lt":
-            if r == 0:
-                ok = model.sign(u) < 0
-                return _TRUE if ok == positive else _FALSE
-            return [[solver.Lex("lt" if positive else "ge", 0, r, u)]]
+            return [solver.Lex("lt" if positive else "ge", 0, r, u)]
         return _cong_alternatives(model, 0, atom.m, r, u, positive)
-    raise Uncompilable("atom %r not compilable" % (atom,))
+    c = resolve_aux(model, asg, atom.aux).cut
+    if atom.k != 0:
+        rep = model.minpos_rep(c)
+        if rep is not None:
+            u = model.sub(u, model.smul(atom.k, rep))
+    if atom.op == "eq":
+        return [solver.Lex("eq" if positive else "ne", c, r, u)]
+    if atom.op == "lt":
+        return [solver.Lex("lt" if positive else "ge", c, r, u)]
+    if atom.op == "cong":
+        return _cong_alternatives(model, c, atom.m, r, u, positive)
+    # bracket congruence
+    if c >= model.rank:
+        return _TRUE if positive else _FALSE
+    return _cong_alternatives(model, c + 1, gcd(atom.m, atom.mp), r, u,
+                              positive)
 
 
 def compile_clause(model, asg, var, lits) -> list[solver.Clause]:
@@ -511,22 +485,21 @@ def compile_clause(model, asg, var, lits) -> list[solver.Clause]:
         alts = _literal_alternatives(model, asg, var, atom, pol)
         if alts is _TRUE:
             continue
-        if alts is _FALSE or alts == []:
+        if alts is _FALSE:
             return []
         alt_lists.append(alts)
     out = []
     for combo in itertools.product(*alt_lists):
         cl = solver.Clause(lex=[], div=[], ndiv=[], sums=[])
-        for recs in combo:
-            for rec in recs:
-                if isinstance(rec, solver.Lex):
-                    cl.lex.append(rec)
-                elif isinstance(rec, solver.Div):
-                    cl.div.append(rec)
-                elif isinstance(rec, solver.NDiv):
-                    cl.ndiv.append(rec)
-                else:
-                    cl.sums.append(rec)
+        for rec in combo:
+            if isinstance(rec, solver.Lex):
+                cl.lex.append(rec)
+            elif isinstance(rec, solver.Div):
+                cl.div.append(rec)
+            elif isinstance(rec, solver.NDiv):
+                cl.ndiv.append(rec)
+            else:
+                cl.sums.append(rec)
         if model.sum_mod is not None:
             cl.sums.append(solver.SumCong(1, 1, model.zero(), False))
         out.append(cl)
@@ -537,14 +510,15 @@ def compile_clause(model, asg, var, lits) -> list[solver.Clause]:
 # Formula evaluation
 
 def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
-                       run_body) -> Tri:
-    """Exists var. body, for one assignment of the other variables.
+                       run_body, names) -> Tri:
+    """Exists var. body, for one assignment of the other variables; names
+    are the free variables of the quantified formula.
 
     The grounded search is complete; each leaf of the grounded matrix is
     compiled and solved as it comes, and the first witness ends it.  When
     the body cannot be grounded, has more than LEAF_CAP leaves before a
     witness or reaches a solver limit, run_body is tried at the fallback
-    points."""
+    points, which read asg only at names."""
 
     try:
         g = ground_for_var(model, asg, var, body)
@@ -556,7 +530,7 @@ def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
     except (Uncompilable, ResourceLimit, solver.SolverLimit):
         pass
     # bounded fallback: only a True answer is ever definite here
-    for cand in _fallback_candidates(model, asg):
+    for cand in _fallback_candidates(model, [asg.get(v) for v in names]):
         asg2 = dict(asg)
         asg2[var] = cand
         if run_body(asg2) is True:
@@ -564,14 +538,14 @@ def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
     return None
 
 
-def _fallback_candidates(model, asg: Assignment):
-    """The main values of asg, then the box of radius 8 per coordinate
-    (3 on models of rank 3 or more, where the box grows as 7^rank)."""
+def _fallback_candidates(model, values):
+    """The main values among values, then the box of radius 8 per
+    coordinate (3 on models of rank 3 or more, where the box grows as
+    7^rank)."""
 
-    params = [v for v in asg.values() if isinstance(v, tuple)]
     seen = set()
-    for e in params:
-        if e not in seen:
+    for e in values:
+        if isinstance(e, tuple) and e not in seen:
             seen.add(e)
             yield e
     radius = 3 if model.rank >= 3 else 8
@@ -655,6 +629,7 @@ def _compile(model: LexModel, varied: frozenset, roots, free: dict) -> list:
             val = isinstance(g, Top)
             runs[g] = run = lambda asg: val
             return run
+        names = free_names(g, free)
         if isinstance(g, Atom):
             run = _atom_fn(model, g)
         elif isinstance(g, Not):
@@ -663,13 +638,12 @@ def _compile(model: LexModel, varied: frozenset, roots, free: dict) -> list:
         elif isinstance(g, (And, Or)):
             run = _fold([comp(h) for h in g.args], isinstance(g, Or))
         elif isinstance(g, (Exists, Forall)) and g.sort.is_main:
-            run = _decide(model, varied, g)
+            run = _decide(model, varied, g, tuple(sorted(names)))
         elif isinstance(g, (Exists, Forall)):
             run = _sweep(comp(g.body), g.var, spine(model, g.sort),
                          k_any if isinstance(g, Exists) else k_all)
         else:
             raise TypeError("not a formula: %r" % (g,))
-        names = free_names(g, free)
         if (isinstance(g, (Exists, Forall)) and g.sort.is_main
                 or names < varied):
             run = _memoized(run, tuple(sorted(names)))
@@ -681,7 +655,7 @@ def _compile(model: LexModel, varied: frozenset, roots, free: dict) -> list:
     return out
 
 
-def _decide(model: LexModel, varied: frozenset, g: Formula):
+def _decide(model: LexModel, varied: frozenset, g: Formula, names: tuple):
     var = g.var
     body = g.body if isinstance(g, Exists) else Not(g.body)
     compiled: list = []
@@ -693,9 +667,9 @@ def _decide(model: LexModel, varied: frozenset, g: Formula):
 
     if isinstance(g, Exists):
         return lambda asg: decide_exists_main(model, asg, var, body,
-                                              run_body)
+                                              run_body, names)
     return lambda asg: k_not(decide_exists_main(model, asg, var, body,
-                                                run_body))
+                                                run_body, names))
 
 
 def _sweep(run_body, var: str, pts, fold):
@@ -729,13 +703,12 @@ def evaluator(model: LexModel, f: Formula):
     assignment in which its own variable is set, so a name bound twice, or
     bound and also free, or given a value by the caller, is shadowed as the
     semantics say, and each memo is keyed by the values its node reads
-    there.  (A shadowed main value is missing from the candidates of a
-    bounded fallback further in, which tries the main values of the
-    assignment first; that search answers only True or unknown.)  The
-    caller varies the free variables of f, so a node keeps a memo only when
-    it is a main-sort quantifier or its free variables are a strict subset
-    of those of f: for example a literal over x alone, asked at one x for
-    many y.
+    there.  A bounded fallback tries the main values of its quantified
+    formula's own free variables first, which its memo key holds, so the
+    answer does not depend on the order of the calls.  The caller varies
+    the free variables of f, so a node keeps a memo only when it is a
+    main-sort quantifier or its free variables are a strict subset of those
+    of f: for example a literal over x alone, asked at one x for many y.
 
     The memos live as long as the returned function and grow by one entry
     per memoized node and distinct restricted assignment.  Callers that

@@ -169,15 +169,6 @@ class LexModel:
                 return i + 1
         return 0
 
-    def sign(self, a: Element) -> int:
-        v = self.significance(a)
-        if v == 0:
-            return 0
-        return 1 if a[v - 1] > 0 else -1
-
-    def cmp(self, a: Element, b: Element) -> int:
-        return self.sign(self.sub(a, b))
-
     def proj_sign(self, a: Element, cut: int) -> int:
         """Sign of the image of a in G / H_cut."""
 

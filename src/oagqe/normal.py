@@ -221,7 +221,11 @@ def dnf_disjoint_tree(f: Formula, cap: int = 4096):
     return clauses
 
 
-def hoist_main_units(f: Formula, cap: int = 10) -> Formula:
+# main-sort atoms under one auxiliary block before hoisting gives up
+MAIN_UNIT_CAP = 10
+
+
+def hoist_main_units(f: Formula) -> Formula:
     """Shannon-expand main-sort atoms out of auxiliary quantifier blocks.
 
     After canonical-map extraction, a main-sort atom sitting under an
@@ -240,11 +244,11 @@ def hoist_main_units(f: Formula, cap: int = 10) -> Formula:
     involves: dict = {}
     free: dict = {}
     return rebuild(f, lambda a: a,
-                   lambda q, body: _hoist_block(q, body, cap, involves, free))
+                   lambda q, body: _hoist_block(q, body, involves, free))
 
 
-def _hoist_block(q: Formula, body: Formula, cap: int,
-                 involves: dict, free: dict) -> Formula:
+def _hoist_block(q: Formula, body: Formula, involves: dict,
+                 free: dict) -> Formula:
     if q.sort.is_main:
         return type(q)(q.var, q.sort, body)
     units = [u for u in boolean_units(body)
@@ -256,7 +260,7 @@ def _hoist_block(q: Formula, body: Formula, cap: int,
             raise ValueError(
                 "main-sort atom depends on an auxiliary bound variable; "
                 "outside the supported fragment")
-    if len(units) > cap:
+    if len(units) > MAIN_UNIT_CAP:
         raise ResourceLimit("%d main-sort atoms under one auxiliary "
                             "quantifier" % len(units))
     sp = ShannonSplitter(units)

@@ -23,6 +23,7 @@ hold; that value witnesses the point's projection, so no main-sort
 quantifier is decided.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -198,12 +199,9 @@ def _clause_candidates(var: str, lits, args):
 
 
 def _sample_points(n: int, box: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _sample_points(n - 1, box):
-        for v in range(-box, box + 1):
-            yield rest + (v,)
+    """The integer points of [-box, box]^n, the last coordinate fastest."""
+
+    return itertools.product(range(-box, box + 1), repeat=n)
 
 
 def decompose(model, formula: Formula, value_var: str, args,

@@ -23,8 +23,7 @@ from .syntax import (
     AC, AEP, FALSE, TRUE, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, CongDot,
     DimFloor, DimSucc, Discr, DPred, EqDot, Exists, Forall, Formula, Fresh,
     LinTerm, MainRel, Not, PlainRel, Sc, Se, Sort, SortMin, SuccPlus,
-    aux_term_sort, conj, disj, free_names, implies, neg, rebuild, sort_ac,
-    sort_ae,
+    aux_term_sort, conj, disj, implies, neg, rebuild, sort_ac, sort_ae,
 )
 
 DIM_ELL_CAP = 8
@@ -55,15 +54,13 @@ def plain_eq0(t: LinTerm) -> Formula:
 # ---------------------------------------------------------------------------
 # Discreteness on arbitrary sorts
 
-def discr_lift(term: AuxTerm, fresh: Fresh = None) -> Formula:
+def discr_lift(term: AuxTerm, fresh: Fresh) -> Formula:
     """Discreteness of the quotient at any auxiliary point, phrased through
     the coordinate sorts when the point lives elsewhere."""
 
     sort = aux_term_sort(term)
     if sort is not None and sort.kind == AC:
         return Discr(term)
-    if fresh is None:
-        fresh = Fresh("d")
     name = fresh("d")
     v = AuxVar(name, sort_ac(2))
     return Exists(name, sort_ac(2), conj([AuxAsymp(v, term), Discr(v)]))
@@ -72,16 +69,13 @@ def discr_lift(term: AuxTerm, fresh: Fresh = None) -> Formula:
 # ---------------------------------------------------------------------------
 # Anchored atoms through the canonical maps
 
-def qe_atom_to_syn(a: Atom, fresh: Fresh = None) -> Formula:
+def qe_atom_to_syn(a: Atom, fresh: Fresh) -> Formula:
     """An anchored relation re-expressed without anchored relations: only
     plain relations, dotted predicates, and comparisons of canonical-map
     images.  Atoms of other kinds pass through unchanged."""
 
     if not isinstance(a, MainRel):
         return a
-    if fresh is None:
-        # the anchor's names are free too: a fresh name must not take one
-        fresh = Fresh("q", free_names(a, {}))
     t = a.lhs - a.rhs
     eta = a.aux
     if a.op == "eq":
@@ -313,7 +307,7 @@ def _dim_same_class(p, alpha, s_hi, s_lo, ell, fresh) -> Formula:
 
 
 def dim_chain_formula(p: int, lower, upper, ell: int,
-                      fresh: Fresh = None) -> Formula:
+                      fresh: Fresh) -> Formula:
     """Pure-auxiliary formula: the chain condition holds and the p-quotient
     dimension between the two bracket groups equals ell.
 
@@ -323,8 +317,6 @@ def dim_chain_formula(p: int, lower, upper, ell: int,
 
     if ell < 0 or ell > DIM_ELL_CAP:
         raise ResourceLimit("dimension target %d out of range" % ell)
-    if fresh is None:
-        fresh = Fresh("b")
     a1, s1 = lower
     if upper == TOPG:
         a2, s2, top = None, None, True

@@ -21,13 +21,15 @@ from oagqe.models import (
     IntComp, LexModel, RatComp, ac_class_of, dim_query, h_cut, spine,
     spine_min,
 )
-from oagqe.normal import ResourceLimit
+from oagqe.normal import ResourceLimit, all_names, extract_can_terms
 from oagqe.syntax import (
     And, Atom, AuxAsymp, AuxLe, AuxVar, Bottom, CongDot, DimFloor, DimSucc,
     Discr, DPred, EqDot, Exists, Forall, Fresh, LinTerm, MainRel, Not, Or,
-    PlainRel, Sc, SortMin, SORT_G, SpineRef, Top, conj, disj, free_vars,
-    neg, sort_ac, sort_ae, sort_aep, substitute,
+    PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, SuccPlus, Top, conj, disj,
+    aux_term_sort, free_vars, neg, rebuild, sort_ac, sort_ae, sort_aep,
+    substitute,
 )
+from oagqe.translate import _pin_formula, _syn_atom_rewrite
 
 # the module; the package exports its function `evaluate` under that name
 EV = importlib.import_module("oagqe.evaluate")
@@ -222,7 +224,7 @@ def ref_atom(model, asg, a):
     if isinstance(a, PlainRel):
         d = model.sub(eval_lin(model, asg, a.lhs), eval_lin(model, asg, a.rhs))
         if a.op == "lt":
-            return model.sign(d) < 0
+            return model.proj_sign(d, 0) < 0
         return model.member(d, 0, a.m)
     if isinstance(a, AuxLe):
         return (resolve_aux(model, asg, a.lhs).cut
@@ -323,7 +325,9 @@ def ref_decide(model, asg, var, body, memo):
         return False
     except (Uncompilable, solver.SolverLimit):
         pass
-    for cand in _fallback_candidates(model, asg):
+    # the fallback reads the values of the quantified formula's free names
+    names = sorted(_free_names(body, memo["free"]) - {var})
+    for cand in _fallback_candidates(model, [asg.get(v) for v in names]):
         asg2 = dict(asg)
         asg2[var] = cand
         if ref_eval(model, asg2, body, memo) is True:
@@ -409,7 +413,7 @@ def ref_family(model, fuf):
 # ---------------------------------------------------------------------------
 # The compiled evaluator against the reference
 
-A1 = AUX_FREE[0]
+A1, E1 = AUX_FREE
 B = AuxVar("b", sort_ac(2))
 
 
@@ -520,6 +524,22 @@ def test_leaf_cap_goes_to_the_fallback(monkeypatch):
     g = Exists("x", SORT_G, disj([conj(never + _pairs_over_x(10)),
                                   conj(same)]))
     assert evaluate(ZZ, {"y": ZZ.element([3, 0])}, g) is True
+
+
+def test_fallback_answer_does_not_depend_on_call_order():
+    # the inner A z sends E x to the bounded fallback, whose memo is keyed
+    # by y alone; the witness x = y + 50 lies outside the box, and w, which
+    # the formula does not read, must not offer it as a candidate
+    z = LinTerm.var("z")
+    f = Exists("x", SORT_G, conj([
+        MainRel("eq", x, y, 50, BOT),
+        Forall("z", SORT_G, Not(PlainRel("lt", z + x, z)))]))
+    pt = Z_MODEL.element
+    a = {"y": pt([0]), "w": pt([0])}
+    b = {"y": pt([0]), "w": pt([50])}
+    for order in ((a, b), (b, a)):
+        run = evaluator(Z_MODEL, f)
+        assert [run(asg) for asg in order] == [None, None]
 
 
 def test_family_evaluator_matches_reference(rng):
@@ -718,3 +738,117 @@ def test_family_evaluator_shadows_in_a_clashing_matrix():
         for asg in assignments(model, rng, 6):
             asg["t"] = asg["u"] = spine(model, sort_ac(2))[-1]
             assert run(asg) == ref(asg), asg
+
+
+# ---------------------------------------------------------------------------
+# Canonical maps of the quantified variable
+
+def _map_atom(rng):
+    """An atom applying sc, se, plus se or dpred to a term that contains x."""
+
+    t = LinTerm.var("x", rng.choice([1, 1, 2, -1, 3])) + \
+        rand_term(rng, ["y", "z"])
+    u, w = rand_term(rng, ["x", "y", "z"]), rand_term(rng, ["y", "z"])
+    c = rng.randint(0, 5)
+    if c == 0:
+        sc = Sc(2, rng.choice([1, 2]), t)
+        return AuxLe(sc, A1) if rng.random() < 0.5 else AuxLe(A1, sc)
+    if c == 1:
+        return Discr(Sc(rng.choice([2, 3]), 1, t))
+    if c == 2:
+        return AuxLe(Se(2, t), E1) if rng.random() < 0.5 else \
+            AuxAsymp(E1, Se(2, t))
+    if c == 3:
+        op = rng.choice(["lt", "eq", "cong"])
+        return MainRel(op, u, w, rng.randint(-1, 1), Sc(2, 1, t),
+                       m=3 if op == "cong" else 0)
+    if c == 4:
+        op = rng.choice(["lt", "eq", "cong"])
+        return MainRel(op, u, w, rng.randint(-1, 1), SuccPlus(Se(2, t)),
+                       m=2 if op == "cong" else 0)
+    r = rng.choice([1, 2])
+    return DPred(rng.choice([2, 3]), r, r + rng.choice([0, 1]), t)
+
+
+def _x_at(rng):
+    """x equal to a term over y and z, so that a map's value there counts."""
+
+    return MainRel("eq", x, rand_term(rng, ["y", "z"]), 0, BOT)
+
+
+X_AT_Y = MainRel("eq", x, y, 0, BOT)
+
+
+def _pinned(f):
+    """f, a main quantifier over a quantifier-free body, with each dotted
+    predicate rewritten as the translator does and each canonical-map
+    image replaced by an auxiliary witness that `_pin_formula` ties to it,
+    bound inside the main quantifier."""
+
+    body = rebuild(f.body, _syn_atom_rewrite)
+    g, extracted = extract_can_terms(body, Fresh("th", all_names(body)))
+    inner = conj([_pin_formula(AuxVar(name, sort), term)
+                  for name, sort, term in extracted] + [g])
+    for name, sort, _ in reversed(extracted):
+        inner = Exists(name, sort, inner)
+    return type(f)(f.var, f.sort, inner)
+
+
+def test_canonical_maps_of_x_match_their_pins():
+    # the grounding rules for sc, se, plus se and dpred of x against the
+    # translator's pins, which the evaluator expands over the spine
+    rng = random.Random(13)
+    decided = checked = 0
+    for trial in range(210):
+        model = FIXTURE_MODELS[trial % len(FIXTURE_MODELS)]
+        leaves = [_map_atom, _map_atom, rand_mixed_atom]
+        body = rand_bool(rng, rng.randint(0, 2), lambda r: r.choice(leaves)(r))
+        if trial % 2:
+            if rng.random() < 0.75:
+                body = conj([_x_at(rng), body])
+            f = Exists("x", SORT_G, body)
+        else:
+            if rng.random() < 0.75:
+                body = disj([neg(_x_at(rng)), body])
+            f = Forall("x", SORT_G, body)
+        run, ref = evaluator(model, f), evaluator(model, _pinned(f))
+        for asg in assignments(model, rng, 3):
+            got, want = run(asg), ref(asg)
+            if got is None or want is None:
+                continue
+            decided += 1
+            assert got == want, (f, model, asg)
+            if got is isinstance(f, Forall):
+                # a False E x or a True A x: a sampled witness or
+                # counterexample would refute it
+                for _ in range(6):
+                    xv = main_assignment(model, rng, ["x"])["x"]
+                    assert evaluate(model, dict(asg, x=xv), body) is \
+                        not (not got), (f, model, asg, xv)
+                    checked += 1
+    assert decided >= 500 and checked >= 1000
+
+
+def test_canonical_map_of_x_at_each_point():
+    # every case of each split: x is pinned to y, and the map of x is
+    # compared with each spine point of its sort; the answer must be the
+    # atom's own value at x = y
+    rng = random.Random(14)
+    t = x + LinTerm.var("z", 2)
+    terms = [Sc(2, 1, t), Sc(2, 2, t), Sc(3, 1, t), Se(2, t),
+             SuccPlus(Se(2, t))]
+    for model in FIXTURE_MODELS:
+        atoms = [DPred(p, r, s, t) for p, r, s in ((2, 1, 1), (2, 1, 2),
+                                                   (3, 2, 2))]
+        for term in terms:
+            for pt in spine(model, aux_term_sort(term)):
+                ref = SpineRef(pt.sort, pt.class_id)
+                atoms += [AuxAsymp(term, ref), AuxLe(term, ref)]
+        for a in atoms:
+            some = Exists("x", SORT_G, conj([X_AT_Y, a]))
+            every = Forall("x", SORT_G, disj([neg(X_AT_Y), a]))
+            for _ in range(8):
+                asg = main_assignment(model, rng, ["y", "z"])
+                want = evaluate(model, dict(asg, x=asg["y"]), a)
+                assert evaluate(model, asg, some) is want, (model, a, asg)
+                assert evaluate(model, asg, every) is want, (model, a, asg)

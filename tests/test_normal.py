@@ -299,7 +299,7 @@ def test_hoist_cap():
     a = AuxVar("a", sort_ac(2))
     f = Exists("a", sort_ac(2), conj([Discr(a)] + plains))
     with pytest.raises(ResourceLimit):
-        hoist_main_units(f, cap=4)
+        hoist_main_units(f)
 
 
 def test_well_formed_flags_problems():

@@ -142,7 +142,7 @@ def _ref_extract_can_terms(f, fresh):
     return g, extracted
 
 
-def _ref_hoist_main_units(f, cap=10):
+def _ref_hoist_main_units(f):
     memo, involves, free = {}, {}, {}
 
     def walk(g):
@@ -158,7 +158,7 @@ def _ref_hoist_main_units(f, cap=10):
         elif isinstance(g, Or):
             out = disj(walk(h) for h in g.args)
         else:
-            out = _hoist_block(g, walk(g.body), cap, involves, free)
+            out = _hoist_block(g, walk(g.body), involves, free)
         memo[g] = out
         return out
 
@@ -309,7 +309,8 @@ def test_eliminate_exists_main_translation_matches_reference():
             lits.append((MainRel(op, t, w, rng.randint(-1, 1), eta, **kw),
                          rng.random() < 0.8))
         f1, f2 = _fresh_pair()
-        got = eliminate_exists_main("x", lits, f1, translate_syn=True)
+        got = rebuild(eliminate_exists_main("x", lits, f1),
+                      lambda a: qe_atom_to_syn(a, f1))
         want = _ref_formula_to_syn(eliminate_exists_main("x", lits, f2), f2)
         assert got == want, lits
         assert _state(f1) == _state(f2)

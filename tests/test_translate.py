@@ -23,7 +23,7 @@ def test_canc_term_picks_prime_powers():
 
 def test_discr_lift_sorts():
     from oagqe.syntax import Discr, Exists
-    assert discr_lift(Sc(2, 1, x)) == Discr(Sc(2, 1, x))
+    assert discr_lift(Sc(2, 1, x), Fresh("d")) == Discr(Sc(2, 1, x))
     f = discr_lift(SuccPlus(Se(2, x)), Fresh("d"))
     # away from the coordinate sorts the lift goes through a witness point
     assert isinstance(f, Exists) and f.sort == sort_ac(2)
@@ -83,7 +83,7 @@ def test_anchored_atom_translation_differential(rng):
 
 def test_translation_without_fresh_source_keeps_free_names():
     # anchors named like the fresh names the translation draws must stay
-    # free: the default fresh source reserves every free name of the atom
+    # free when the fresh source reserves every free name of the atom
     anchors = [AuxVar("q0", sort_aep(2)), AuxVar("q0", sort_ac(2)),
                AuxVar("q0", sort_ae(2)), AuxVar("q1", sort_aep(3))]
     for eta in anchors:
@@ -91,5 +91,5 @@ def test_translation_without_fresh_source_keeps_free_names():
                   MainRel("lt", x, y, 0, eta), MainRel("lt", x, y, -1, eta),
                   MainRel("cong", x, y, 1, eta, m=4),
                   MainRel("congb", x, y, 0, eta, m=2, mp=4)):
-            f = qe_atom_to_syn(a)
+            f = qe_atom_to_syn(a, Fresh("q", free_names(a, {})))
             assert free_names(f, {}) == free_names(a, {}), (a, f)

@@ -4,9 +4,12 @@ The engine works on conjunctions of anchored literals in one distinguished
 main variable.  Coefficients are scaled to one, inequalities are reduced
 pair by pair to a gap analysis at the dominating class, and the remaining
 congruence systems are solved prime by prime through coset normalization
-and a counting condition on quotient dimensions.  Everything a step cannot
-decide outright is pushed into guard formulas over the auxiliary sorts, so
-the output is quantifier-free in the main sort and exactly equivalent.
+and a counting condition on quotient dimensions.  The gap analysis has one
+branch per candidate witness, each with at most one equality; the guards of
+these branches may overlap, and the final family union form is disjoint
+again.  Everything a step cannot decide outright is pushed into guard
+formulas over the auxiliary sorts, so the output is quantifier-free in the
+main sort and exactly equivalent.
 
 `eliminate_exists_main` is the one entry to the step: the Part 1
 (inequality) and Part 2 (congruence) analyses below are private and reached
@@ -27,9 +30,9 @@ from typing import Optional
 from .models import TOPG, prime_power_parts
 from .normal import FamilyUnionForm, ResourceLimit, all_names
 from .syntax import (
-    FALSE, TRUE, And, AuxTerm, AuxAsymp, AuxLe, Bottom, Exists, Forall,
-    Formula, Fresh, LinTerm, MainRel, Not, Or, Se, SortMin, Top, conj, disj,
-    main_vars, neg, rebuild, sort_ac,
+    FALSE, TRUE, AuxTerm, AuxAsymp, AuxLe, Bottom, Exists, Formula, Fresh,
+    LinTerm, MainRel, Not, Se, SortMin, Top, conj, disj, main_vars, neg,
+    rebuild, sort_ac,
 )
 from .translate import (
     dim_chain_formula, discr_lift, qe_atom_to_syn, syn_qf_to_qe_fuf,
@@ -259,16 +262,17 @@ def _cong_m0(congs) -> int:
 def _pair_branches(lo: _Bound, up: _Bound, congs, m0: int, ctx: _Ctx):
     """Branches for one lower/upper pair.
 
-    Each branch is (guard, cases); under the guard, the pair together with
-    the congruences admits a witness iff some case does.  A case is
-    (equality record or None, congruence records).  Guards of distinct
-    branches are inconsistent; regions covered by no branch admit none.
+    Each branch is (guard, equality record or None, congruence records);
+    under the guard, the pair together with the congruences admits a
+    witness iff some branch's guard holds and its equality and congruences
+    are solvable.  Guards of distinct branches may overlap; regions covered
+    by no branch admit none.
     """
 
     if (not lo.strict and not up.strict and lo.aux == up.aux
             and lo.c == up.c and lo.k == up.k):
         # degenerate interval: the witness is pinned to the bound
-        return [(TRUE, ((_EqRep(lo.aux, lo.c, lo.k), tuple(congs)),))]
+        return [(TRUE, _EqRep(lo.aux, lo.c, lo.k), tuple(congs))]
     t = up.c - lo.c
     M = m0 if m0 >= 2 else 2
     e = Se(M, t)
@@ -288,15 +292,15 @@ def _pair_branches(lo: _Bound, up: _Bound, congs, m0: int, ctx: _Ctx):
          (0, False), (0, False)),
     ]
 
-    def emit(guard, cases):
+    def emit(guard, eq, cs):
         if guard is not None:
-            branches.append((conj(guard), cases))
+            ctx.tick()
+            branches.append((conj(guard), eq, cs))
 
     for raw_pre, gamma, (klo, slo), (kup, sup) in gammas:
         pre = _grow([], *raw_pre)
         if pre is None:
             continue
-        ctx.tick()
         big = _mk_lt0(t, kup - klo - (m0 + 1), gamma)
         dg = ctx.discr(gamma)
         # a gap wider than the congruence period: the bounds only pin the
@@ -304,21 +308,19 @@ def _pair_branches(lo: _Bound, up: _Bound, congs, m0: int, ctx: _Ctx):
         wide = base
         if m0 > 1:
             wide = base + (_CongRec(True, gamma, m0, m0, lo.c, 0),)
-        emit(_grow(pre, big), ((None, wide),))
+        emit(_grow(pre, big), None, wide)
         if not slo and not sup:
             emit(_grow(pre, neg(big), neg(dg),
                        _mk_eq(up.c, lo.c, klo - kup, gamma)),
-                 ((_EqRep(gamma, lo.c, klo), base),))
-        for ell in range(m0 + 2):
-            i0 = 1 if slo else 0
-            i1 = ell - 1 if sup else ell
-            if i1 < i0:
-                continue
-            cases = tuple((_EqRep(gamma, lo.c, klo + i), base)
-                          for i in range(i0, i1 + 1))
+                 _EqRep(gamma, lo.c, klo), base)
+        # a discrete quotient holds only the integer multiples of its least
+        # step between 0 and m0 + 1, so a gap of at least i + s steps (s = 1
+        # against a strict upper bound) admits the witness i steps above lo
+        s = 1 if sup else 0
+        for i in range(1 if slo else 0, m0 + 2 - s):
             emit(_grow(pre, neg(big), dg,
-                       _mk_eq(up.c, lo.c, ell + klo - kup, gamma)),
-                 cases)
+                       _mk_lt0(t, kup - klo - i - s + 1, gamma)),
+                 _EqRep(gamma, lo.c, klo + i), base)
     return branches
 
 
@@ -350,25 +352,6 @@ def _group_le_static(a: Coset, b: Coset) -> bool:
     if b.s is None:
         return False
     return a.s >= b.s
-
-
-def _order_branches(a: Coset, b: Coset, ctx: _Ctx):
-    """Guard branches deciding which of the two groups contains the other.
-
-    Yields (extra guard atoms, True if a's group is the smaller one)."""
-
-    if a.aux == b.aux:
-        yield [], _group_le_static(a, b)
-        return
-    options = [
-        (_lt_cls(a.aux, b.aux), True),
-        (_lt_cls(b.aux, a.aux), False),
-        (_asymp_cls(a.aux, b.aux), _group_le_static(a, b)),
-    ]
-    for g, a_smaller in options:
-        extra = _grow([], g)
-        if extra is not None:
-            yield extra, a_smaller
 
 
 def _coset_member(small: Coset, big: Coset, p: int, r: int,
@@ -413,6 +396,30 @@ def _coset_member(small: Coset, big: Coset, p: int, r: int,
     return disj(out)
 
 
+def _compare(a: Coset, b: Coset, guard, p: int, r: int, ctx: _Ctx):
+    """Decide which of the two groups contains the other, and whether the
+    smaller coset's representative lies in the bigger coset.
+
+    Yields (True if a's group is the smaller one, guard extended by the
+    order atoms and the membership, guard extended by the order atoms and
+    its negation); a dead guard is None."""
+
+    if a.aux == b.aux:
+        options = [(TRUE, _group_le_static(a, b))]
+    else:
+        options = [
+            (_lt_cls(a.aux, b.aux), True),
+            (_lt_cls(b.aux, a.aux), False),
+            (_asymp_cls(a.aux, b.aux), _group_le_static(a, b)),
+        ]
+    for g, a_smaller in options:
+        if isinstance(g, Bottom):
+            continue
+        small, big = (a, b) if a_smaller else (b, a)
+        tst = _coset_member(small, big, p, r, ctx)
+        yield a_smaller, _grow(guard, g, tst), _grow(guard, g, neg(tst))
+
+
 def _coset_branches(p: int, r: int, level, ctx: _Ctx):
     """Normalize the top-level literals of one prime step.
 
@@ -429,12 +436,9 @@ def _coset_branches(p: int, r: int, level, ctx: _Ctx):
             if pos is None:
                 nxt.append((guard, cs, negs))
                 continue
-            for extra, cs_smaller in _order_branches(cs, pos, ctx):
-                small, big = (cs, pos) if cs_smaller else (pos, cs)
-                tst = _coset_member(small, big, p, r, ctx)
-                g2 = _grow(guard, *extra, tst)
-                if g2 is not None:
-                    nxt.append((g2, small, negs))
+            for cs_smaller, hit, _ in _compare(cs, pos, guard, p, r, ctx):
+                if hit is not None:
+                    nxt.append((hit, cs if cs_smaller else pos, negs))
                 # disjoint positives leave nothing: no branch emitted
         states = nxt
         ctx.tick(len(states))
@@ -453,22 +457,13 @@ def _coset_branches(p: int, r: int, level, ctx: _Ctx):
             if pos is None:
                 stack.append((g, kept + [cs], pending))
                 continue
-            for extra, cs_smaller in _order_branches(cs, pos, ctx):
-                if cs_smaller:
-                    tst = _coset_member(cs, pos, p, r, ctx)
-                    hit = _grow(g, *extra, tst)
-                    if hit is not None:
-                        stack.append((hit, kept + [cs], pending))
-                    miss = _grow(g, *extra, neg(tst))
-                    if miss is not None:
-                        stack.append((miss, kept, pending))
-                else:
-                    # the positive fits inside the negative: a hit empties
-                    # the state, a miss makes the negative irrelevant
-                    tst = _coset_member(pos, cs, p, r, ctx)
-                    miss = _grow(g, *extra, neg(tst))
-                    if miss is not None:
-                        stack.append((miss, kept, pending))
+            for cs_smaller, hit, miss in _compare(cs, pos, g, p, r, ctx):
+                # when the positive fits inside the negative, a hit empties
+                # the state; a miss always makes the negative irrelevant
+                if cs_smaller and hit is not None:
+                    stack.append((hit, kept + [cs], pending))
+                if miss is not None:
+                    stack.append((miss, kept, pending))
 
     # subsumption between negatives: keep a pairwise-disjoint set
     out = []
@@ -489,10 +484,7 @@ def _coset_branches(p: int, r: int, level, ctx: _Ctx):
                 stack.append((g, kept + [cs], None, 0, pending))
                 continue
             other = kept[idx]
-            for extra, cs_smaller in _order_branches(cs, other, ctx):
-                small, big = (cs, other) if cs_smaller else (other, cs)
-                tst = _coset_member(small, big, p, r, ctx)
-                hit = _grow(g, *extra, tst)
+            for cs_smaller, hit, miss in _compare(cs, other, g, p, r, ctx):
                 if hit is not None:
                     if cs_smaller:
                         # a hit folds the candidate into the kept one
@@ -500,7 +492,6 @@ def _coset_branches(p: int, r: int, level, ctx: _Ctx):
                     else:
                         rest = kept[:idx] + kept[idx + 1:]
                         stack.append((hit, rest, cs, idx, pending))
-                miss = _grow(g, *extra, neg(tst))
                 if miss is not None:
                     stack.append((miss, kept, cs, idx + 1, pending))
     return out
@@ -586,7 +577,7 @@ def _exists_prime(p: int, lits, ctx: _Ctx) -> Formula:
             live.append((pol, cs))
     if not live:
         return TRUE
-    key = (p, tuple(sorted(live, key=repr)))
+    key = (p, frozenset(live))
     cached = ctx.prime_cache.get(key)
     if cached is not None:
         return cached
@@ -652,10 +643,8 @@ def _clause_formula(lowers, uppers, congs, m0, ctx: _Ctx) -> Formula:
     for lo in lowers:
         for up in uppers:
             branches = _pair_branches(lo, up, congs, m0, ctx)
-            fs.append(disj([
-                conj([g, disj([_part2_core(eq, cs, ctx)
-                               for eq, cs in cases])])
-                for g, cases in branches]))
+            fs.append(disj([conj([g, _part2_core(eq, cs, ctx)])
+                            for g, eq, cs in branches]))
     return conj(fs)
 
 
@@ -692,21 +681,15 @@ def eliminate_exists_main(var: str, lits, fresh: Fresh = None, *,
 
 def _push_out_main(f: Formula, fresh: Fresh, cap: int,
                    max_branches: int) -> Formula:
-    if isinstance(f, Not):
-        return neg(_push_out_main(f.arg, fresh, cap, max_branches))
-    if isinstance(f, (And, Or)):
-        parts = [_push_out_main(g, fresh, cap, max_branches)
-                 for g in f.args]
-        return conj(parts) if isinstance(f, And) else disj(parts)
-    if isinstance(f, (Exists, Forall)):
-        body = _push_out_main(f.body, fresh, cap, max_branches)
-        if not f.sort.is_main:
-            return type(f)(f.var, f.sort, body)
-        if isinstance(f, Exists):
-            return _main_exists(f.var, body, fresh, cap, max_branches)
-        return neg(_main_exists(f.var, neg(body), fresh, cap,
+    def on_quant(q, body):
+        if not q.sort.is_main:
+            return type(q)(q.var, q.sort, body)
+        if isinstance(q, Exists):
+            return _main_exists(q.var, body, fresh, cap, max_branches)
+        return neg(_main_exists(q.var, neg(body), fresh, cap,
                                 max_branches))
-    return f
+
+    return rebuild(f, lambda a: a, on_quant)
 
 
 def _main_exists(var: str, body: Formula, fresh: Fresh, cap: int,

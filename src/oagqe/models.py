@@ -272,11 +272,10 @@ def spine(model: LexModel, sort: Sort) -> tuple[SpinePoint, ...]:
     if sort.is_main:
         raise ValueError("spine is defined for auxiliary sorts only")
     n = sort.n
-    if sort.kind == AC:
-        return tuple(SpinePoint(sort, c) for c in _ac_cuts(model, n))
-    if sort.kind == AE:
-        # the union of Ac-groups avoiding b is again a realized Ac-cut (or
-        # {0} for b = 0), and every Ac-cut arises this way
+    if sort.kind in (AC, AE):
+        # Ae points are Ac-cuts too: the union of Ac-groups avoiding b is
+        # again a realized Ac-cut (or {0} for b = 0), and every Ac-cut
+        # arises this way
         return tuple(SpinePoint(sort, c) for c in _ac_cuts(model, n))
     if sort.kind == AEP:
         cuts = _ac_cuts(model, n)

@@ -92,9 +92,6 @@ class Clause:
     sums: list
 
 
-Record = object
-
-
 def clause_modulus(model: LexModel, cl: Clause) -> int:
     mods = [1]
     mods += [d.m for d in cl.div]

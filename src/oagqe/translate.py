@@ -84,7 +84,7 @@ def qe_atom_to_syn(a: Atom, fresh: Fresh) -> Formula:
         return _lt_translate(eta, a.lhs, a.rhs, a.k, fresh)
     if a.op == "cong":
         return _cong_translate(eta, t, a.k, a.m, fresh)
-    return _congb_translate(eta, t, a.m, a.mp, fresh)
+    return _congb_translate(eta, t, a.m, a.mp)
 
 
 def _anchor_sort(eta: AuxTerm) -> Sort:
@@ -134,7 +134,7 @@ def _cong_translate(eta, t, k, m, fresh) -> Formula:
     return disj([dense, disc])
 
 
-def _congb_translate(eta, t, m, mp, fresh) -> Formula:
+def _congb_translate(eta, t, m, mp) -> Formula:
     rs = dict(prime_power_parts(math.gcd(m, mp)))
     parts = []
     for p, s in prime_power_parts(mp):

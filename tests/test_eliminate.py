@@ -6,10 +6,10 @@ import pytest
 from conftest import FIXTURE_MODELS, Z_MODEL, main_assignment, rand_term
 from oagqe.eliminate import eliminate_exists_main, power_sum_bound, qe_driver
 from oagqe.evaluate import evaluate, family_evaluator
-from oagqe.models import IntComp, LexModel
+from oagqe.models import IntComp, LexModel, RatComp
 from oagqe.syntax import (
-    Exists, LinTerm, MainRel, Not, PlainRel, SORT_G, SortMin, conj,
-    free_vars, sort_ac,
+    And, Exists, LinTerm, MainRel, Not, Or, PlainRel, SORT_G, SortMin, conj,
+    free_vars, sort_ac, subformulas,
 )
 
 x = LinTerm.var("x")
@@ -17,6 +17,7 @@ y, z = LinTerm.var("y"), LinTerm.var("z")
 zero = LinTerm.zero()
 BOT = SortMin(sort_ac(2))
 ZZ = LexModel((IntComp(), IntComp()))
+Q_MODEL, ZQ = LexModel((RatComp(),)), LexModel((IntComp(), RatComp()))
 
 
 def test_power_sum_bound_values():
@@ -75,19 +76,45 @@ def test_eliminate_exists_main_differential(rng):
 
 
 def test_part1_differential(rng):
-    # the Part 1 shape: a lower and an upper bound, with or without a
-    # congruence
-    for trial in range(12):
+    # the Part 1 shape: a lower and an upper bound, each strict or not (a
+    # negated lt), with or without a congruence, over discrete quotients
+    # and dense ones; bounds on one term leave a gap of a few steps.  Each
+    # model meets each choice of strictness and of the upper term twice.
+    models = (Z_MODEL, ZZ, Q_MODEL, ZQ)
+    for trial in range(64):
+        lo = rand_term(rng, ["y"])
+        up = lo if trial & 16 else rand_term(rng, ["z"])
+        k_lo, k_up = rng.randint(-2, 2), rng.randint(-2, 2)
         lits = [
-            (MainRel("lt", rand_term(rng, ["y"]), x,
-                     rng.randint(-1, 1), BOT), True),
-            (MainRel("lt", x, rand_term(rng, ["z"]),
-                     rng.randint(-1, 1), BOT), True),
+            (MainRel("lt", lo, x, k_lo, BOT), True) if trial & 4
+            else (MainRel("lt", x, lo, k_lo, BOT), False),
+            (MainRel("lt", x, up, k_up, BOT), True) if trial & 8
+            else (MainRel("lt", up, x, k_up, BOT), False),
         ]
-        if trial % 2:
-            lits.append((MainRel("cong", x, y, rng.randint(0, 1), BOT,
-                                 m=rng.choice([2, 3])), True))
-        _check_elimination(rng, (Z_MODEL, ZZ)[trial % 2], lits, 4)
+        if rng.random() < 0.7:
+            lits.append((MainRel("cong", x, y, rng.randint(-2, 2), BOT,
+                                 m=rng.randint(2, 12)), rng.random() < 0.8))
+        _check_elimination(rng, models[trial % 4], lits, 4)
+
+
+def _size(f):
+    """Sum of the connective arities over the distinct subformulas."""
+
+    return sum(len(g.args) if isinstance(g, (And, Or)) else 1
+               for g in set(subformulas(f)) if isinstance(g, (And, Or, Not)))
+
+
+def test_part1_size_is_linear_in_the_modulus():
+    # one branch per witness offset below the gap: the output grows with
+    # the modulus, not with its square
+    def size(m):
+        return _size(eliminate_exists_main("x", [
+            (MainRel("lt", y, x, 0, BOT), True),
+            (MainRel("lt", x, z, 0, BOT), True),
+            (MainRel("cong", x, y, 1, BOT, m=m), True),
+        ]))
+
+    assert size(96) < 5 * size(24)
 
 
 def test_part2_differential(rng):

@@ -252,3 +252,22 @@ def test_every_definition_is_used():
         text = (TESTS / path).read_text()
         assert "def %s(" % test_name in text, test
         assert qualified.rsplit(".", 1)[1] in text, test
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is a value every caller
+    # must still supply; lambdas and self are exempt
+    unread = []
+    for name, tree in _src_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            reads = set()
+            for stmt in node.body:
+                reads.update(_reads(stmt))
+            unread += ["%s.%s(%s)" % (name, node.name, p) for p in params
+                       if p != "self" and p not in reads]
+    assert unread == []

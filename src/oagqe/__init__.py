@@ -2,8 +2,8 @@
 
 from .sexpr import ParseError, parse_formula, print_formula
 from .models import (
-    IntComp, LexModel, LocComp, RatComp, SpinePoint, dim_query,
-    definitional_spine_oracle, parse_model, spine,
+    IntComp, LexModel, LocComp, RatComp, SpinePoint, dim_query, parse_model,
+    spine,
 )
 from .evaluate import evaluate, evaluator, family_evaluator
 from .normal import FamilyUnionForm, ResourceLimit
@@ -16,10 +16,10 @@ from .piecewise import (
 __all__ = [
     "FamilyUnionForm", "FunctionalityError", "IntComp", "LexModel",
     "LinearPiece", "LocComp", "ParseError", "PieceSet", "RatComp",
-    "ResourceLimit", "SpinePoint", "decompose", "definitional_spine_oracle",
-    "dim_query", "eliminate_exists_main", "evaluate", "evaluator",
-    "family_evaluator", "parse_formula", "parse_model", "power_sum_bound",
-    "print_formula", "qe_driver", "spine", "verify_decomposition",
+    "ResourceLimit", "SpinePoint", "decompose", "dim_query",
+    "eliminate_exists_main", "evaluate", "evaluator", "family_evaluator",
+    "parse_formula", "parse_model", "power_sum_bound", "print_formula",
+    "qe_driver", "spine", "verify_decomposition",
 ]
 
 __version__ = "0.1.0"

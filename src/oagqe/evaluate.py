@@ -20,7 +20,12 @@ coefficient) pairs and folds a constant anchor's offset into it; an order
 or equality at a constant anchor then stops at the first nonzero
 coordinate above the cut, without building an element (see `_atom_fn`).
 Results are memoized only at the nodes where a lookup can hit (see
-`_compile`), and the memos live as long as the compiled tree.
+`_compile`), and the memos live as long as the compiled tree.  A node's
+free names are read only where something uses them: its memo key, and the
+fallback's candidates, built when the fallback first runs.  The root of an
+`evaluator` keeps no memo, as its key would be the whole assignment, so a
+one-shot call on a main-quantified formula that the complete search
+decides reads no names at all.
 """
 
 from __future__ import annotations
@@ -446,17 +451,20 @@ def _cong_alternatives(model, cut, m, r, u, positive):
 
 
 def _literal_alternatives(model, asg, var, atom: Atom, positive: bool):
-    """List of alternative solver records, or _TRUE/_FALSE.  A literal in
-    which var cancels is decided by the atom's own semantics."""
+    """List of alternative solver records, or _TRUE/_FALSE.  lhs - rhs is
+    read by `_difference`, so a name that cancels must still be assigned;
+    a literal in which var cancels is decided by the atom's own
+    semantics."""
 
     if not isinstance(atom, (MainRel, PlainRel)):
         raise Uncompilable("atom %r not compilable" % (atom,))
-    d = atom.lhs - atom.rhs
-    r = d.coeff(var)
+    pairs = _difference(atom.lhs, atom.rhs)
+    r = dict(pairs).get(var, 0)
     if r == 0:
         ok = eval_atom(model, {**asg, var: model.zero()}, atom)
         return _TRUE if ok == positive else _FALSE
-    u = eval_lin(model, asg, d.without(var))
+    u = _term_fn(model, [(v, c) for v, c in pairs if v != var],
+                 model.zero())(asg)
     if isinstance(atom, PlainRel):
         if atom.op == "lt":
             return [solver.Lex("lt" if positive else "ge", 0, r, u)]
@@ -510,15 +518,14 @@ def compile_clause(model, asg, var, lits) -> list[solver.Clause]:
 # Formula evaluation
 
 def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
-                       run_body, names) -> Tri:
-    """Exists var. body, for one assignment of the other variables; names
-    are the free variables of the quantified formula.
+                       fallback) -> Tri:
+    """Exists var. body, for one assignment of the other variables.
 
     The grounded search is complete; each leaf of the grounded matrix is
     compiled and solved as it comes, and the first witness ends it.  When
     the body cannot be grounded, has more than LEAF_CAP leaves before a
-    witness or reaches a solver limit, run_body is tried at the fallback
-    points, which read asg only at names."""
+    witness or reaches a solver limit, the answer is fallback(asg), the
+    bounded search of `_decide`."""
 
     try:
         g = ground_for_var(model, asg, var, body)
@@ -528,14 +535,7 @@ def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
                     return True
         return False
     except (Uncompilable, ResourceLimit, solver.SolverLimit):
-        pass
-    # bounded fallback: only a True answer is ever definite here
-    for cand in _fallback_candidates(model, [asg.get(v) for v in names]):
-        asg2 = dict(asg)
-        asg2[var] = cand
-        if run_body(asg2) is True:
-            return True
-    return None
+        return fallback(asg)
 
 
 def _fallback_candidates(model, values):
@@ -603,25 +603,29 @@ def _fold(fns, stop: bool):
     return run
 
 
-def _compile(model: LexModel, varied: frozenset, roots, free: dict) -> list:
+def _compile(model: LexModel, varied, roots, free: dict,
+             memo_roots: bool = True) -> list:
     """Each formula in roots compiled into a tree of closures
     run(assignment) -> Tri; the closures are returned in order.
 
     Equal subformulas are compiled once, keyed by value across the roots;
-    free is the caller's `free_names` cache, whose answers serve here too.
-    A node keeps a memo of its results, keyed by the values of its free
-    variables, only where a lookup can hit: a main-sort quantifier, whose
-    decision is the expensive step, or a node whose free names are a strict
-    subset of the names the caller varies, so that calls differing only
-    outside them share one entry.  The body of a main-sort
+    free is a `free_names` cache, and varied() gives the names that the
+    caller varies.  A node keeps a memo of its results, keyed by the values
+    of its free variables, only where a lookup can hit: a main-sort
+    quantifier, whose decision is the expensive step, or a node whose free
+    names are a strict subset of varied(), so that calls differing only
+    outside them share one entry.  Free names are read only for these memo
+    decisions: with memo_roots false the roots keep no memo and read none,
+    so a formula whose root is a main-sort quantifier compiles without a
+    walk (see `evaluator` and `_decide`).  The body of a main-sort
     quantifier is compiled when the bounded fallback first needs it; the
     complete search grounds the body itself.  The memos live as long as the
-    returned closures, and no closure refers back to the compile caches, so
-    that dropping the closures frees the memos at once."""
+    returned closures, and no closure refers back to the table of compiled
+    nodes, so that dropping the closures frees the memos at once."""
 
     runs: dict = {}
 
-    def comp(g: Formula):
+    def comp(g: Formula, memo: bool = True):
         run = runs.get(g)
         if run is not None:
             return run
@@ -629,7 +633,7 @@ def _compile(model: LexModel, varied: frozenset, roots, free: dict) -> list:
             val = isinstance(g, Top)
             runs[g] = run = lambda asg: val
             return run
-        names = free_names(g, free)
+        main = isinstance(g, (Exists, Forall)) and g.sort.is_main
         if isinstance(g, Atom):
             run = _atom_fn(model, g)
         elif isinstance(g, Not):
@@ -637,39 +641,55 @@ def _compile(model: LexModel, varied: frozenset, roots, free: dict) -> list:
             run = lambda asg: k_not(arg(asg))
         elif isinstance(g, (And, Or)):
             run = _fold([comp(h) for h in g.args], isinstance(g, Or))
-        elif isinstance(g, (Exists, Forall)) and g.sort.is_main:
-            run = _decide(model, varied, g, tuple(sorted(names)))
+        elif main:
+            run = _decide(model, varied, g)
         elif isinstance(g, (Exists, Forall)):
             run = _sweep(comp(g.body), g.var, spine(model, g.sort),
                          k_any if isinstance(g, Exists) else k_all)
         else:
             raise TypeError("not a formula: %r" % (g,))
-        if (isinstance(g, (Exists, Forall)) and g.sort.is_main
-                or names < varied):
-            run = _memoized(run, tuple(sorted(names)))
+        if memo:
+            names = free_names(g, free)
+            if main or names < varied():
+                run = _memoized(run, tuple(sorted(names)))
         runs[g] = run
         return run
 
-    out = [comp(g) for g in roots]
+    out = [comp(g, memo_roots) for g in roots]
     runs.clear()
     return out
 
 
-def _decide(model: LexModel, varied: frozenset, g: Formula, names: tuple):
+def _decide(model: LexModel, varied, g: Formula):
+    """A main-sort quantifier: `decide_exists_main` on its body, negated
+    for Forall.  Its bounded fallback tries the main values of the sorted
+    free names of g, then a box (`_fallback_candidates`), and runs the
+    compiled body at each; the names and the body are read the first time
+    the fallback runs, so a call that the complete search decides never
+    walks the formula."""
+
     var = g.var
     body = g.body if isinstance(g, Exists) else Not(g.body)
-    compiled: list = []
+    built: list = []   # [names, run_body], once the fallback has run
 
-    def run_body(asg: Assignment) -> Tri:
-        if not compiled:
-            compiled.extend(_compile(model, varied, [body], {}))
-        return compiled[0](asg)
+    def fallback(asg: Assignment) -> Tri:
+        # only a True answer is ever definite here
+        if not built:
+            free: dict = {}
+            built.append(tuple(sorted(free_names(g, free))))
+            built.extend(_compile(model, varied, [body], free))
+        names, run_body = built
+        for cand in _fallback_candidates(model, [asg.get(v) for v in names]):
+            asg2 = dict(asg)
+            asg2[var] = cand
+            if run_body(asg2) is True:
+                return True
+        return None
 
     if isinstance(g, Exists):
-        return lambda asg: decide_exists_main(model, asg, var, body,
-                                              run_body, names)
+        return lambda asg: decide_exists_main(model, asg, var, body, fallback)
     return lambda asg: k_not(decide_exists_main(model, asg, var, body,
-                                                run_body, names))
+                                                fallback))
 
 
 def _sweep(run_body, var: str, pts, fold):
@@ -709,6 +729,11 @@ def evaluator(model: LexModel, f: Formula):
     the free variables of f, so a node keeps a memo only when it is a
     main-sort quantifier or its free variables are a strict subset of those
     of f: for example a literal over x alone, asked at one x for many y.
+    The root keeps none, since its key would be the whole assignment; so
+    the free names of f are read only when a node below the root makes its
+    memo decision or a fallback runs, and a one-shot call on a formula
+    whose root is a main-sort quantifier, decided by the complete search,
+    never walks the formula.
 
     The memos live as long as the returned function and grow by one entry
     per memoized node and distinct restricted assignment.  Callers that
@@ -717,7 +742,8 @@ def evaluator(model: LexModel, f: Formula):
     `oagqe check` run) and drop it afterwards, which frees the memos."""
 
     free: dict = {}
-    return _compile(model, free_names(f, free), [f], free)[0]
+    return _compile(model, lambda: free_names(f, free), [f], free,
+                    memo_roots=False)[0]
 
 
 def family_evaluator(model: LexModel, fuf):
@@ -743,7 +769,8 @@ def family_evaluator(model: LexModel, fuf):
         varied.update(name for name, _ in cl.theta)
         sweeps.append((tuple(name for name, _ in cl.theta),
                        [spine(model, s) for _, s in cl.theta]))
-    runs = _compile(model, frozenset(varied), matrices, free)
+    varied = frozenset(varied)
+    runs = _compile(model, lambda: varied, matrices, free)
 
     def run(asg: Assignment) -> list:
         out = []

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .syntax import AC, AE, AEP, Sort, sort_ac, sort_ae, sort_aep
+from .syntax import AC, AE, AEP, Sort, sort_aep
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,9 @@ class LexModel:
                 raise ValueError("sum constraint modulus must be >= 2")
             if not all(isinstance(c, IntComp) for c in self.comps):
                 raise ValueError("sum constraint requires all-Z components")
+        # built once: not a field, so == and hash read the fields alone
+        object.__setattr__(self, "_zero", tuple(
+            0 if isinstance(c, IntComp) else Fraction(0) for c in self.comps))
 
     @property
     def rank(self) -> int:
@@ -152,8 +155,7 @@ class LexModel:
         return tuple(e)
 
     def zero(self) -> Element:
-        return tuple(0 if isinstance(c, IntComp) else Fraction(0)
-                     for c in self.comps)
+        return self._zero
 
     def sub(self, a: Element, b: Element) -> Element:
         return tuple(x - y for x, y in zip(a, b))
@@ -305,24 +307,6 @@ def ae_cut(model: LexModel, a: Element, n: int) -> int:
     return best
 
 
-def ac_class_of(model: LexModel, a: Element, n: int) -> SpinePoint:
-    """The Ac(n)-point of a: the largest cut c with a outside H_c + nG
-    ({0} when a is in nG)."""
-
-    cut = h_cut(model, a, n)
-    pts = {p.cut: p for p in spine(model, sort_ac(n))}
-    if cut not in pts:
-        raise AssertionError("canonical class lands outside the spine")
-    return pts[cut]
-
-
-def ae_class_of(model: LexModel, a: Element, n: int) -> SpinePoint:
-    """The Ae(n)-point of a: the union of the Ac(n)-groups avoiding a."""
-
-    pts = {p.cut: p for p in spine(model, sort_ae(n))}
-    return pts[ae_cut(model, a, n)]
-
-
 def aep_of(model: LexModel, beta: SpinePoint) -> SpinePoint:
     """The successor point: smallest realized Ac-group strictly containing
     the group of beta, or G."""
@@ -336,54 +320,6 @@ def aep_of(model: LexModel, beta: SpinePoint) -> SpinePoint:
             succ = c
             break
     return SpinePoint(sort_aep(n), succ)
-
-
-def definitional_spine_oracle(model: LexModel, sort: Sort,
-                              samples: Iterable[Element]) -> list[int]:
-    """Realized groups (as cuts) computed literally from the definitions on
-    the given samples; cross-check for spine()."""
-
-    n = sort.n
-    realized: set[int] = set()
-    if sort.kind == AC:
-        for a in samples:
-            realized.add(h_cut(model, a, n))
-        return sorted(realized)
-    if sort.kind == AE:
-        ac = definitional_spine_oracle(model, sort_ac(n), samples)
-        for b in itertools.chain([model.zero()], samples):
-            v = model.significance(b)
-            avoid = [c for c in ac if c < v]
-            realized.add(max(avoid) if avoid else 0)
-        return sorted(realized)
-    if sort.kind == AEP:
-        ac = definitional_spine_oracle(model, sort_ac(n), samples)
-        ae = definitional_spine_oracle(model, sort_ae(n), samples)
-        for b in ae:
-            above = [c for c in ac if c > b]
-            realized.add(min(above) if above else model.rank)
-        return sorted(realized)
-    raise ValueError("unknown sort %r" % (sort,))
-
-
-def residue_box(model: LexModel, bound: int) -> Iterable[Element]:
-    """All residue representatives with coordinates in 0..bound-1 (rationals
-    get a small denominator sweep), restricted to the model's domain."""
-
-    ranges = []
-    for comp in model.comps:
-        if isinstance(comp, IntComp):
-            ranges.append(range(bound))
-        elif isinstance(comp, RatComp):
-            ranges.append([Fraction(v) for v in range(bound)]
-                          + [Fraction(1, 2), Fraction(1, 3)])
-        else:
-            ranges.append([Fraction(v) for v in range(bound)]
-                          + [Fraction(1, comp.m)])
-    for coords in itertools.product(*ranges):
-        if model.sum_mod is not None and sum(coords) % model.sum_mod != 0:
-            continue
-        yield coords
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +425,6 @@ def parse_model(text: str) -> LexModel:
         else:
             raise ValueError("line %d: unknown component %r" % (lineno, line))
     return LexModel(tuple(comps), sum_mod)
-
-
-def format_model(model: LexModel) -> str:
-    lines = [repr(c) for c in model.comps]
-    if model.sum_mod is not None:
-        lines.append("sum %d" % model.sum_mod)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -588,12 +588,6 @@ def atoms_of(f: Formula) -> Iterator[Atom]:
             yield g
 
 
-def has_main_quantifier(f: Formula) -> bool:
-    return any(
-        isinstance(g, (Exists, Forall)) and g.sort.is_main for g in subformulas(f)
-    )
-
-
 def rebuild(f: Formula, on_atom, on_quant=None) -> Formula:
     """f rebuilt bottom-up with each atom a replaced by on_atom(a).
 

@@ -18,11 +18,14 @@ from conftest import (
     FIXTURE_MODELS, MIXED_RANK5, SUM_MODEL, Z_MODEL, aux_assignment,
     main_assignment, rand_bool, rand_mixed_atom, rand_syn_atom,
 )
+from helpers import (
+    ac_class_of, ae_class_of, definitional_spine_oracle, has_main_quantifier,
+    residue_box,
+)
 from oagqe.eliminate import eliminate_exists_main, power_sum_bound, qe_driver
 from oagqe.evaluate import evaluate, evaluator, family_evaluator
 from oagqe.models import (
-    IntComp, LexModel, LocComp, ac_class_of, ae_class_of, aep_of,
-    definitional_spine_oracle, residue_box, sample_element, spine,
+    IntComp, LexModel, LocComp, aep_of, sample_element, spine,
 )
 from oagqe.normal import ResourceLimit
 from oagqe.piecewise import (
@@ -30,7 +33,7 @@ from oagqe.piecewise import (
 )
 from oagqe.syntax import (
     CongDot, DPred, EqDot, Exists, Forall, LinTerm, MainRel, Not, PlainRel,
-    SORT_G, Sc, SortMin, conj, disj, has_main_quantifier, neg, sort_ac,
+    SORT_G, Sc, SortMin, conj, disj, neg, sort_ac,
 )
 from oagqe.translate import _syn_atom_rewrite
 

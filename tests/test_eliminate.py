@@ -4,6 +4,7 @@ all through `eliminate_exists_main` and `qe_driver`."""
 import pytest
 
 from conftest import FIXTURE_MODELS, Z_MODEL, main_assignment, rand_term
+from helpers import has_main_quantifier
 from oagqe.eliminate import eliminate_exists_main, power_sum_bound, qe_driver
 from oagqe.evaluate import evaluate, family_evaluator
 from oagqe.models import IntComp, LexModel, RatComp
@@ -171,7 +172,6 @@ def test_qe_driver_presburger_smoke(rng):
     fuf = qe_driver(f)
     assert fuf.well_formed() == []
     g = fuf.to_formula()
-    from oagqe.syntax import has_main_quantifier
     assert not has_main_quantifier(g)
     for v in (-4, -3, 0, 3, 6):
         asg = {"y": Z_MODEL.element([v])}

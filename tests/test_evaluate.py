@@ -10,6 +10,7 @@ from conftest import (
     AUX_FREE, FIXTURE_MODELS, SUM_MODEL, TYPED_MODELS, Z_MODEL,
     aux_assignment, main_assignment, rand_bool, rand_mixed_atom, rand_term,
 )
+from helpers import ac_class_of
 from oagqe import solver
 from oagqe.eliminate import qe_driver
 from oagqe.evaluate import (
@@ -18,8 +19,7 @@ from oagqe.evaluate import (
     ground_for_var, k_all, k_any, k_not, resolve_aux,
 )
 from oagqe.models import (
-    IntComp, LexModel, RatComp, ac_class_of, dim_query, h_cut, spine,
-    spine_min,
+    IntComp, LexModel, RatComp, dim_query, h_cut, spine, spine_min,
 )
 from oagqe.normal import ResourceLimit, all_names, extract_can_terms
 from oagqe.syntax import (
@@ -542,6 +542,31 @@ def test_fallback_answer_does_not_depend_on_call_order():
         assert [run(asg) for asg in order] == [None, None]
 
 
+def test_flat_one_shot_call_reads_no_free_names(monkeypatch):
+    # a main quantifier at the root of an evaluator keeps no memo, and the
+    # complete search needs no names, so a flat call never walks the
+    # formula; the bounded fallback reads them when it first runs
+    calls = []
+    names = EV.free_names
+
+    def counted(f, cache):
+        calls.append(f)
+        return names(f, cache)
+
+    monkeypatch.setattr(EV, "free_names", counted)
+    asg = {"y": ZZ.element([3, 0])}
+    body = conj([PlainRel("lt", y, x), Not(PlainRel("cong", x, zero, m=2))])
+    assert evaluate(ZZ, asg, Exists("x", SORT_G, body)) is True
+    assert evaluate(ZZ, asg, Forall("x", SORT_G, body)) is False
+    assert calls == []
+    z = LinTerm.var("z")
+    nested = Exists("x", SORT_G, conj([
+        PlainRel("lt", y, x),
+        Forall("z", SORT_G, Not(PlainRel("lt", z + x, z)))]))
+    assert evaluate(ZZ, asg, nested) is True
+    assert calls
+
+
 def test_family_evaluator_matches_reference(rng):
     forms = 0
     for trial in range(60):
@@ -573,6 +598,10 @@ def test_unassigned_variable_raises_when_it_cancels():
             evaluate(ZZ, asg, a)
         with pytest.raises(KeyError):
             evaluator(ZZ, conj([a, PlainRel("lt", y, zero)]))(asg)
+    # the complete search reads lhs - rhs the same way: y cancels from
+    # x + y < y, and an unassigned y raises there too
+    with pytest.raises(KeyError):
+        evaluate(ZZ, {}, Exists("x", SORT_G, PlainRel("lt", x + y, y)))
 
 
 def test_compiled_relations_match_reference(rng):

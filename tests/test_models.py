@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_MODELS, SUM_MODEL, TYPED_MODELS
+from helpers import (
+    ac_class_of, ae_class_of, definitional_spine_oracle, format_model,
+    residue_box,
+)
 from oagqe.evaluate import (
     _difference, _fallback_candidates, _term_fn, eval_lin,
 )
 from oagqe.models import (
-    IntComp, LexModel, LocComp, RatComp, TOPG, ac_class_of, ae_class_of,
-    aep_of, comp_divisible, definitional_spine_oracle, dim_query,
-    format_model, parse_model, prime_power_parts, residue_box,
-    sample_element, spine, spine_min,
+    IntComp, LexModel, LocComp, RatComp, TOPG, aep_of, comp_divisible,
+    dim_query, parse_model, prime_power_parts, sample_element, spine,
+    spine_min,
 )
 from oagqe.syntax import LinTerm, sort_ac, sort_ae, sort_aep
 
@@ -158,6 +161,19 @@ def test_dim_query_sum_constrained():
     lo = (pts[0], None)
     assert dim_query(SUM_MODEL, 2, lo, TOPG) == 3
     assert dim_query(SUM_MODEL, 2, lo, (pts[1], None)) == 1
+
+
+def test_zero_is_built_once_per_model():
+    for model in TYPED_MODELS:
+        z = model.zero()
+        assert model.zero() is z
+        assert [type(c) for c in z] == [
+            int if isinstance(comp, IntComp) else Fraction
+            for comp in model.comps]
+        # the cached zero is no field: equality and hash read the fields
+        twin = LexModel(model.comps, model.sum_mod)
+        assert twin == model and hash(twin) == hash(model)
+        assert repr(twin) == repr(model)
 
 
 def test_model_file_roundtrip():

@@ -8,6 +8,7 @@ from conftest import (
     AUX_FREE, FIXTURE_MODELS, aux_assignment, main_assignment, rand_bool,
     rand_mixed_atom, rand_syn_atom,
 )
+from helpers import has_main_quantifier
 from oagqe.evaluate import evaluate
 from oagqe.models import IntComp, LexModel
 from oagqe.normal import (
@@ -18,8 +19,7 @@ from oagqe.normal import (
 from oagqe.syntax import (
     FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, Discr, Exists, Forall,
     LinTerm, MainRel, Not, Or, PlainRel, SORT_G, Sc, Sort, SortMin, Top,
-    atoms_of, conj, disj, free_vars, has_main_quantifier, neg, rebuild,
-    sort_ac, subformulas,
+    atoms_of, conj, disj, free_vars, neg, rebuild, sort_ac, subformulas,
 )
 
 ZZ = LexModel((IntComp(), IntComp()))

@@ -30,9 +30,9 @@ from typing import Optional
 from .models import TOPG, prime_power_parts
 from .normal import FamilyUnionForm, ResourceLimit, all_names
 from .syntax import (
-    FALSE, TRUE, AuxTerm, AuxAsymp, AuxLe, Bottom, Exists, Formula, Fresh,
-    LinTerm, MainRel, Not, Se, SortMin, Top, conj, disj, main_vars, neg,
-    rebuild, sort_ac,
+    FALSE, TRUE, AuxTerm, Bottom, Exists, Formula, Fresh, LinTerm, MainRel,
+    Not, Se, SortMin, Top, aux_asymp, aux_le, aux_lt, conj, disj, main_vars,
+    neg, rebuild, sort_ac,
 )
 from .translate import (
     dim_chain_formula, discr_lift, qe_atom_to_syn, syn_qf_to_qe_fuf,
@@ -113,24 +113,8 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# Folding constructors: sort minima are the bottom class, so comparisons
-# against them and between equal terms are decided on the spot.
-
-def _le_cls(a: AuxTerm, b: AuxTerm) -> Formula:
-    if a == b or isinstance(a, SortMin):
-        return TRUE
-    return AuxLe(a, b)
-
-
-def _lt_cls(a: AuxTerm, b: AuxTerm) -> Formula:
-    return neg(_le_cls(b, a))
-
-
-def _asymp_cls(a: AuxTerm, b: AuxTerm) -> Formula:
-    if a == b or (isinstance(a, SortMin) and isinstance(b, SortMin)):
-        return TRUE
-    return AuxAsymp(a, b)
-
+# Folding constructors for main relations; the auxiliary comparisons fold
+# in syntax.py (`aux_le`, `aux_lt`, `aux_asymp`).
 
 def _mk_cong(diff: LinTerm, k: int, aux: AuxTerm, m: int) -> Formula:
     k %= m
@@ -267,6 +251,11 @@ def _pair_branches(lo: _Bound, up: _Bound, congs, m0: int, ctx: _Ctx):
     witness iff some branch's guard holds and its equality and congruences
     are solvable.  Guards of distinct branches may overlap; regions covered
     by no branch admit none.
+
+    A witness-offset branch needs no cap on the gap: in a discrete quotient
+    the point i steps above the lower bound lies within the bounds whenever
+    the gap is at least i steps (i + 1 below a strict upper bound), however
+    wide.  The wide branch covers every gap of more than m0 + 1 steps.
     """
 
     if (not lo.strict and not up.strict and lo.aux == up.aux
@@ -280,15 +269,15 @@ def _pair_branches(lo: _Bound, up: _Bound, congs, m0: int, ctx: _Ctx):
     branches = []
     gammas = [
         # both bounds and their gap live at the lower bound's class
-        ((_asymp_cls(up.aux, lo.aux), _le_cls(e, lo.aux)), lo.aux,
+        ((aux_asymp(up.aux, lo.aux), aux_le(e, lo.aux)), lo.aux,
          (lo.k, lo.strict), (up.k, up.strict)),
         # the upper bound sits strictly below: it only cuts at lo's class
-        ((_lt_cls(up.aux, lo.aux), _le_cls(e, lo.aux)), lo.aux,
+        ((aux_lt(up.aux, lo.aux), aux_le(e, lo.aux)), lo.aux,
          (lo.k, lo.strict), (0, False)),
-        ((_lt_cls(lo.aux, up.aux), _le_cls(e, up.aux)), up.aux,
+        ((aux_lt(lo.aux, up.aux), aux_le(e, up.aux)), up.aux,
          (0, False), (up.k, up.strict)),
         # both bounds vanish below the class of the difference
-        ((_lt_cls(lo.aux, e), _lt_cls(up.aux, e)), e,
+        ((aux_lt(lo.aux, e), aux_lt(up.aux, e)), e,
          (0, False), (0, False)),
     ]
 
@@ -313,12 +302,11 @@ def _pair_branches(lo: _Bound, up: _Bound, congs, m0: int, ctx: _Ctx):
             emit(_grow(pre, neg(big), neg(dg),
                        _mk_eq(up.c, lo.c, klo - kup, gamma)),
                  _EqRep(gamma, lo.c, klo), base)
-        # a discrete quotient holds only the integer multiples of its least
-        # step between 0 and m0 + 1, so a gap of at least i + s steps (s = 1
-        # against a strict upper bound) admits the witness i steps above lo
+        # a gap of at least i + s steps (s = 1 against a strict upper bound)
+        # in a discrete quotient admits the witness i steps above lo
         s = 1 if sup else 0
         for i in range(1 if slo else 0, m0 + 2 - s):
-            emit(_grow(pre, neg(big), dg,
+            emit(_grow(pre, dg,
                        _mk_lt0(t, kup - klo - i - s + 1, gamma)),
                  _EqRep(gamma, lo.c, klo + i), base)
     return branches
@@ -386,8 +374,8 @@ def _coset_member(small: Coset, big: Coset, p: int, r: int,
         k = base
         guards = []
         for (kk, al), taken in zip(others, picks):
-            guards.append(_asymp_cls(al, big.aux) if taken
-                          else _lt_cls(al, big.aux))
+            guards.append(aux_asymp(al, big.aux) if taken
+                          else aux_lt(al, big.aux))
             if taken:
                 k += kk
         guards = _grow([], *guards, _mk_cong(diff, k, big.aux, m))
@@ -408,9 +396,9 @@ def _compare(a: Coset, b: Coset, guard, p: int, r: int, ctx: _Ctx):
         options = [(TRUE, _group_le_static(a, b))]
     else:
         options = [
-            (_lt_cls(a.aux, b.aux), True),
-            (_lt_cls(b.aux, a.aux), False),
-            (_asymp_cls(a.aux, b.aux), _group_le_static(a, b)),
+            (aux_lt(a.aux, b.aux), True),
+            (aux_lt(b.aux, a.aux), False),
+            (aux_asymp(a.aux, b.aux), _group_le_static(a, b)),
         ]
     for g, a_smaller in options:
         if isinstance(g, Bottom):

@@ -450,6 +450,26 @@ def implies(a: Formula, b: Formula) -> Formula:
     return disj([neg(a), b])
 
 
+# Comparisons of auxiliary points.  A sort minimum is the bottom class:
+# nothing lies strictly below it and all minima lie in one class, so these
+# comparisons, and those between equal terms, are decided on the spot.
+
+def aux_le(a: AuxTerm, b: AuxTerm) -> Formula:
+    if a == b or isinstance(a, SortMin):
+        return TRUE
+    return AuxLe(a, b)
+
+
+def aux_lt(a: AuxTerm, b: AuxTerm) -> Formula:
+    return neg(aux_le(b, a))
+
+
+def aux_asymp(a: AuxTerm, b: AuxTerm) -> Formula:
+    if a == b or (isinstance(a, SortMin) and isinstance(b, SortMin)):
+        return TRUE
+    return AuxAsymp(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Traversal helpers
 

@@ -8,6 +8,12 @@ out the quotient dimensions of the eliminator's counting condition as
 auxiliary formulas.  The eliminator scales coefficients and splits moduli
 into prime powers on its own records.  Every rewrite here is a pointwise
 equivalence, checked by sampling in the test suite.
+
+Auxiliary comparisons come from `syntax.aux_le`, `aux_lt` and `aux_asymp`,
+which fold at the sort minima.  So a relation anchored at a minimum, as is
+every plain relation in `syn_qf_to_qe_fuf`, translates to plain relations
+with no canonical-map image: no theta parameter to extract, and no pin of
+three units for the final case split to branch on.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ from .normal import (
     extract_can_terms, hoist_main_units, unit_involves_main,
 )
 from .syntax import (
-    AC, AEP, FALSE, TRUE, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, CongDot,
-    DimFloor, DimSucc, Discr, DPred, EqDot, Exists, Forall, Formula, Fresh,
-    LinTerm, MainRel, Not, PlainRel, Sc, Se, Sort, SortMin, SuccPlus,
-    aux_term_sort, conj, disj, implies, neg, rebuild, sort_ac, sort_ae,
+    AC, AEP, FALSE, TRUE, Atom, AuxTerm, AuxVar, Bottom, CongDot, DimFloor,
+    DimSucc, Discr, DPred, EqDot, Exists, Forall, Formula, Fresh, LinTerm,
+    MainRel, Not, PlainRel, Sc, Se, SortMin, SuccPlus, aux_asymp,
+    aux_le, aux_lt, aux_term_sort, conj, disj, implies, neg, rebuild, sort_ac,
 )
 
 DIM_ELL_CAP = 8
@@ -31,10 +37,6 @@ DIM_ELL_CAP = 8
 
 # ---------------------------------------------------------------------------
 # Small builders
-
-def aux_lt(a: AuxTerm, b: AuxTerm) -> Formula:
-    return Not(AuxLe(b, a))
-
 
 def canc_term(m: int, t: LinTerm) -> Sc:
     """The canonical map of exponent m, as a prime power when possible."""
@@ -63,7 +65,7 @@ def discr_lift(term: AuxTerm, fresh: Fresh) -> Formula:
         return Discr(term)
     name = fresh("d")
     v = AuxVar(name, sort_ac(2))
-    return Exists(name, sort_ac(2), conj([AuxAsymp(v, term), Discr(v)]))
+    return Exists(name, sort_ac(2), conj([aux_asymp(v, term), Discr(v)]))
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +89,39 @@ def qe_atom_to_syn(a: Atom, fresh: Fresh) -> Formula:
     return _congb_translate(eta, t, a.m, a.mp)
 
 
-def _anchor_sort(eta: AuxTerm) -> Sort:
+def _eq_zero(eta: AuxTerm, t: LinTerm, fresh: Fresh) -> Formula:
     sort = aux_term_sort(eta)
     if sort is None:
         raise ValueError("anchor sort unknown; declare the variable")
-    return sort
-
-
-def _eq_zero(eta: AuxTerm, t: LinTerm, fresh: Fresh) -> Formula:
-    sort = _anchor_sort(eta)
     if sort.kind == AEP:
         n = sort.n
         name = fresh("q")
         v = AuxVar(name, sort_ac(n))
         below = Forall(name, sort_ac(n),
-                       implies(AuxLe(eta, v), aux_lt(Se(n, t), v)))
+                       implies(aux_le(eta, v), aux_lt(Se(n, t), v)))
         return disj([plain_eq0(t), below])
     return disj([aux_lt(Se(sort.n, t), eta), plain_eq0(t)])
+
+
+def _by_discr(eta: AuxTerm, fresh: Fresh, dense: Formula,
+              disc: Formula) -> Formula:
+    """dense where the quotient at eta is dense, disc where it is discrete,
+    through one discreteness witness for both cases."""
+
+    d = discr_lift(eta, fresh)
+    return disj([conj([neg(d), dense]), conj([d, disc])])
+
+
+def _eq_step(eta: AuxTerm, t: LinTerm, k: int) -> Formula:
+    """t is k least positive steps at eta, a discrete quotient."""
+
+    return conj([aux_asymp(eta, Se(2, t)), EqDot(k, t)])
 
 
 def _eq_translate(eta, t, k, fresh) -> Formula:
     if k == 0:
         return _eq_zero(eta, t, fresh)
-    dense = conj([neg(discr_lift(eta, fresh)), _eq_zero(eta, t, fresh)])
-    disc = conj([discr_lift(eta, fresh), AuxAsymp(eta, Se(2, t)),
-                 EqDot(k, t)])
-    return disj([dense, disc])
+    return _by_discr(eta, fresh, _eq_zero(eta, t, fresh), _eq_step(eta, t, k))
 
 
 def _cong_zero(eta: AuxTerm, t: LinTerm, m: int) -> Formula:
@@ -123,15 +132,12 @@ def _cong_zero(eta: AuxTerm, t: LinTerm, m: int) -> Formula:
 
 
 def _cong_translate(eta, t, k, m, fresh) -> Formula:
-    if m == 1:
-        return TRUE
     k = k % m
     if k == 0:
         return _cong_zero(eta, t, m)
-    dense = conj([neg(discr_lift(eta, fresh)), _cong_zero(eta, t, m)])
-    disc = conj([discr_lift(eta, fresh), AuxAsymp(eta, canc_term(m, t)),
-                 CongDot(m, k, t)])
-    return disj([dense, disc])
+    return _by_discr(eta, fresh, _cong_zero(eta, t, m),
+                     conj([aux_asymp(eta, canc_term(m, t)),
+                           CongDot(m, k, t)]))
 
 
 def _congb_translate(eta, t, m, mp) -> Formula:
@@ -143,7 +149,7 @@ def _congb_translate(eta, t, m, mp) -> Formula:
             continue
         piece = disj([
             _cong_zero(eta, t, p ** r),
-            conj([AuxAsymp(eta, Sc(p, r, t)), DPred(p, r, s, t)]),
+            conj([aux_asymp(eta, Sc(p, r, t)), DPred(p, r, s, t)]),
         ])
         parts.append(piece)
     return conj(parts)
@@ -151,23 +157,17 @@ def _congb_translate(eta, t, m, mp) -> Formula:
 
 def _lt_translate(eta, lhs, rhs, k, fresh) -> Formula:
     t = lhs - rhs
-    base = conj([PlainRel("lt", lhs, rhs), neg(_eq_zero(eta, t, fresh))])
+    zero = _eq_zero(eta, t, fresh)
+    base = conj([PlainRel("lt", lhs, rhs), neg(zero)])
     if k == 0:
         return base
-
-    def eq_offset(i: int) -> Formula:
-        if i == 0:
-            return _eq_zero(eta, t, fresh)
-        return conj([AuxAsymp(eta, Se(2, t)), EqDot(i, t)])
-
     if k > 0:
-        recipe = disj([base] + [eq_offset(i) for i in range(k)])
+        recipe = disj([base, zero] + [_eq_step(eta, t, i)
+                                      for i in range(1, k)])
     else:
-        recipe = conj([base] + [neg(eq_offset(i)) for i in range(k, 0)])
-    return disj([
-        conj([neg(discr_lift(eta, fresh)), base]),
-        conj([discr_lift(eta, fresh), recipe]),
-    ])
+        recipe = conj([base] + [neg(_eq_step(eta, t, i))
+                                for i in range(k, 0)])
+    return _by_discr(eta, fresh, base, recipe)
 
 
 # ---------------------------------------------------------------------------
@@ -199,31 +199,19 @@ def _pin_formula(var: AuxVar, term: AuxTerm) -> Formula:
     """var equals the canonical-map image `term`, written with anchored
     relations at var only."""
 
-    z = LinTerm.zero()
+    t, z = term.arg, LinTerm.zero()
     if isinstance(term, Sc):
         m = term.p ** term.r
-        t = term.arg
-        hit = conj([
-            neg(MainRel("cong", t, z, 0, var, m=m)),
-            MainRel("congb", t, z, 0, var, m=m, mp=m),
-        ])
-        bottom = conj([
-            AuxLe(var, SortMin(sort_ac(term.p))),
-            MainRel("cong", t, z, 0, var, m=m),
-        ])
-        return disj([hit, bottom])
-    if isinstance(term, Se):
-        t = term.arg
-        hit = conj([
-            neg(MainRel("eq", t, z, 0, var)),
-            MainRel("eq", t, z, 0, SuccPlus(var)),
-        ])
-        bottom = conj([
-            AuxLe(var, SortMin(sort_ae(term.p))),
-            MainRel("eq", t, z, 0, var),
-        ])
-        return disj([hit, bottom])
-    raise TypeError("not a canonical-map image: %r" % (term,))
+        at_var = MainRel("cong", t, z, 0, var, m=m)
+        above = MainRel("congb", t, z, 0, var, m=m, mp=m)
+    elif isinstance(term, Se):
+        at_var = MainRel("eq", t, z, 0, var)
+        above = MainRel("eq", t, z, 0, SuccPlus(var))
+    else:
+        raise TypeError("not a canonical-map image: %r" % (term,))
+    hit = conj([neg(at_var), above])
+    bottom = conj([aux_le(var, SortMin(aux_term_sort(term))), at_var])
+    return disj([hit, bottom])
 
 
 def syn_qf_to_qe_fuf(f: Formula, cap: int = 4096) -> FamilyUnionForm:
@@ -298,9 +286,9 @@ def _dim_same_class(p, alpha, s_hi, s_lo, ell, fresh) -> Formula:
     name = fresh("b")
     v = AuxVar(name, sort_ac(p))
     with_point = Exists(name, sort_ac(p), conj([
-        AuxAsymp(v, alpha), _dim_levels(p, v, s_hi, s_lo, ell)]))
+        aux_asymp(v, alpha), _dim_levels(p, v, s_hi, s_lo, ell)]))
     no_point = conj([
-        Not(Exists(name, sort_ac(p), AuxAsymp(v, alpha))),
+        Not(Exists(name, sort_ac(p), aux_asymp(v, alpha))),
         TRUE if ell == 0 else FALSE,
     ])
     return disj([with_point, no_point])
@@ -330,14 +318,16 @@ def dim_chain_formula(p: int, lower, upper, ell: int,
     if not top:
         # same archimedean class needs level s1 at least level s2
         if s1 is None and s2 is None:
-            branches.append(conj([AuxAsymp(a1, a2),
+            branches.append(conj([aux_asymp(a1, a2),
                                   TRUE if ell == 0 else FALSE]))
         elif s2 is not None and (s1 is None or s1 >= s2):
             branches.append(conj([
-                AuxAsymp(a1, a2),
+                aux_asymp(a1, a2),
                 _dim_same_class(p, a1, s1, s2, ell, fresh),
             ]))
 
+    if not top and isinstance(aux_lt(a1, a2), Bottom):
+        return disj(branches)  # no chain runs from a1 up to a2
     # a1 strictly below a2 (or below the whole group)
     for k in range(ell + 2):
         names = [fresh("b") for _ in range(k)]
@@ -354,7 +344,7 @@ def dim_chain_formula(p: int, lower, upper, ell: int,
         between = conj([aux_lt(a1, gv)] +
                        ([aux_lt(gv, a2)] if not top else []))
         exact = Forall(gname, sort_ac(p), implies(
-            between, disj([AuxAsymp(gv, b) for b in betas])))
+            between, disj([aux_asymp(gv, b) for b in betas])))
 
         pieces = []  # dimension contributions along the chain
         pieces.append(lambda l, a1=a1, s1=s1: _dim_same_class(

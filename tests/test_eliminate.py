@@ -1,6 +1,8 @@
 """Main-variable elimination: scaling, order analysis, congruence systems,
 all through `eliminate_exists_main` and `qe_driver`."""
 
+import math
+
 import pytest
 
 from conftest import FIXTURE_MODELS, Z_MODEL, main_assignment, rand_term
@@ -81,20 +83,31 @@ def test_part1_differential(rng):
     # negated lt), with or without a congruence, over discrete quotients
     # and dense ones; bounds on one term leave a gap of a few steps.  Each
     # model meets each choice of strictness and of the upper term twice.
+    # From trial 64 on, the bounds sit on one term more than m0 + 1 steps
+    # apart (m0 the lcm of the moduli), where an offset branch and the wide
+    # branch both hold, and a second congruence may contradict the first.
     models = (Z_MODEL, ZZ, Q_MODEL, ZQ)
-    for trial in range(64):
+    for trial in range(128):
+        wide = trial >= 64
         lo = rand_term(rng, ["y"])
-        up = lo if trial & 16 else rand_term(rng, ["z"])
+        up = lo if trial & 16 or wide else rand_term(rng, ["z"])
+        congs = []
+        if wide or rng.random() < 0.7:
+            congs.append(rng.randint(2, 6 if wide else 12))
+        if wide and rng.random() < 0.5:
+            congs.append(rng.randint(2, 6))
+        m0 = math.lcm(1, *congs)
         k_lo, k_up = rng.randint(-2, 2), rng.randint(-2, 2)
+        if wide:
+            k_up = k_lo + m0 + rng.randint(2, 4)
         lits = [
             (MainRel("lt", lo, x, k_lo, BOT), True) if trial & 4
             else (MainRel("lt", x, lo, k_lo, BOT), False),
             (MainRel("lt", x, up, k_up, BOT), True) if trial & 8
             else (MainRel("lt", up, x, k_up, BOT), False),
         ]
-        if rng.random() < 0.7:
-            lits.append((MainRel("cong", x, y, rng.randint(-2, 2), BOT,
-                                 m=rng.randint(2, 12)), rng.random() < 0.8))
+        lits += [(MainRel("cong", x, y, rng.randint(-2, 2), BOT, m=m),
+                  rng.random() < 0.8) for m in congs]
         _check_elimination(rng, models[trial % 4], lits, 4)
 
 

@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 
 from helpers import has_main_quantifier
 from oagqe.syntax import (
-    And, AuxVar, CongDot, EqDot, Exists, FALSE, Forall, LinTerm, MainRel,
-    Not, Or, PlainRel, Sc, SortMin, SORT_G, TRUE, conj, disj, free_vars,
-    implies, neg, sort_ac, sort_ae, sort_aep, subformulas, substitute,
+    And, AuxAsymp, AuxLe, AuxVar, CongDot, EqDot, Exists, FALSE, Forall,
+    LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SORT_G, TRUE,
+    aux_asymp, aux_le, aux_lt, conj, disj, free_vars, implies, neg, sort_ac,
+    sort_ae, sort_aep, subformulas, substitute,
 )
 
 names = st.sampled_from(["x", "y", "z", "w"])
@@ -70,6 +71,16 @@ def test_smart_constructors_fold():
     assert neg(neg(a)) == a
     assert neg(TRUE) == FALSE
     assert implies(FALSE, a) == TRUE
+    # auxiliary comparisons: a sort minimum is the bottom class
+    c2, e2 = SortMin(sort_ac(2)), SortMin(sort_ae(2))
+    s, v = Se(2, LinTerm.var("x")), AuxVar("a", sort_ac(2))
+    assert aux_le(s, s) == aux_asymp(v, v) == TRUE
+    assert aux_le(c2, s) == aux_le(e2, v) == TRUE
+    assert aux_lt(s, c2) == aux_lt(v, e2) == FALSE
+    assert aux_asymp(c2, e2) == aux_asymp(e2, c2) == TRUE
+    assert aux_le(s, c2) == AuxLe(s, c2)
+    assert aux_lt(c2, s) == Not(AuxLe(s, c2))
+    assert aux_asymp(c2, s) == AuxAsymp(c2, s)
 
 
 def test_atom_validation():
@@ -167,6 +178,21 @@ def test_no_identity_keys_in_src():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "id"):
+                calls.append("%s:%d" % (name, node.lineno))
+    assert calls == []
+
+
+def test_aux_comparisons_are_built_folding():
+    # outside the parser, which keeps atoms as written, every auxiliary
+    # comparison goes through aux_le, aux_lt or aux_asymp, so no builder
+    # can skip their folds at the sort minima
+    calls = []
+    for name, tree in _src_trees().items():
+        if name in ("syntax", "sexpr"):
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("AuxLe", "AuxAsymp")):
                 calls.append("%s:%d" % (name, node.lineno))
     assert calls == []
 

@@ -5,10 +5,10 @@ from conftest import (
 )
 from oagqe.evaluate import evaluate
 from oagqe.syntax import (
-    AuxVar, Fresh, LinTerm, MainRel, Sc, Se, SortMin, SuccPlus,
-    free_names, sort_ac, sort_ae, sort_aep,
+    AuxVar, Fresh, LinTerm, MainRel, Sc, Se, SortMin, SuccPlus, atoms_of,
+    atom_aux_terms, aux_lt, free_names, sort_ac, sort_ae, sort_aep,
 )
-from oagqe.translate import aux_lt, canc_term, discr_lift, qe_atom_to_syn
+from oagqe.translate import canc_term, discr_lift, qe_atom_to_syn
 
 x, y, z = LinTerm.var("x"), LinTerm.var("y"), LinTerm.var("z")
 BOT = SortMin(sort_ac(2))
@@ -38,6 +38,17 @@ def test_aux_order_builders(rng):
         ca = resolve_aux(model, asg, a).cut
         cb = resolve_aux(model, asg, b).cut
         assert lt == (ca < cb)
+
+
+def test_minimum_anchored_atoms_translate_without_images():
+    # nothing lies below a sort minimum, so the comparison that tells
+    # whether t vanishes at the anchor folds away, and with it every
+    # canonical-map image
+    for a in (MainRel("eq", x, y, 0, BOT), MainRel("lt", x, y, 0, BOT),
+              MainRel("lt", x, y, 1, BOT), MainRel("cong", x, y, 0, BOT, m=6)):
+        f = qe_atom_to_syn(a, Fresh("q", {"x", "y"}))
+        terms = [t for b in atoms_of(f) for t in atom_aux_terms(b)]
+        assert not any(isinstance(t, (Sc, Se)) for t in terms), (a, f)
 
 
 def rand_anchored_atom(rng):

@@ -165,7 +165,7 @@ def cmd_check(args) -> int:
     if seed is None:
         seed = int(os.environ.get("OAGQE_SEED") or 0)
     rng = random.Random(seed)
-    fv = free_vars(f)
+    fv = free_vars(f, {})
     t0 = time.time()
     fuf = qe_driver(f, max_branches=args.max_branches)
     output_ev = family_evaluator(model, fuf)
@@ -201,7 +201,7 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     f = _load_formula(args.formula)
     model = _load_model(args.model)
-    fv = free_vars(f)
+    fv = free_vars(f, {})
     asg = {}
     for item in args.assign:
         if "=" not in item:
@@ -228,7 +228,7 @@ def cmd_eval(args) -> int:
 def cmd_piecewise(args) -> int:
     f = _load_formula(args.formula)
     model = _load_model(args.model)
-    fv = free_vars(f)
+    fv = free_vars(f, {})
     value = args.value
     if value not in fv:
         raise InputError("value variable %r not free in the formula" % value)
@@ -253,13 +253,20 @@ def cmd_piecewise(args) -> int:
     return EXIT_OK if report.ok else EXIT_INPUT
 
 
+def nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("%d is negative" % n)
+    return n
+
+
 # the options of the subcommands; each subcommand takes the ones it reads
 FLAGS = {
     "--formula": {"help": "s-expression or file path"},
     "--model": {"help": "model description file"},
-    "--box": {"type": int, "default": 8,
+    "--box": {"type": nonnegative, "default": 8,
               "help": "radius of the verification box"},
-    "--samples": {"type": int, "default": 100},
+    "--samples": {"type": nonnegative, "default": 100},
     "--seed": {"type": int, "default": None,
                "help": "rng seed (fallback: OAGQE_SEED)"},
     "--trace": {"action": "store_true"},

@@ -28,11 +28,11 @@ from itertools import combinations, product
 from typing import Optional
 
 from .models import TOPG, prime_power_parts
-from .normal import FamilyUnionForm, ResourceLimit, all_names
+from .normal import FamilyUnionForm, ResourceLimit
 from .syntax import (
     FALSE, TRUE, AuxTerm, Bottom, Exists, Formula, Fresh, LinTerm, MainRel,
-    Not, Se, SortMin, Top, aux_asymp, aux_le, aux_lt, conj, disj, main_vars,
-    neg, rebuild, sort_ac,
+    Not, Se, SortMin, Top, all_names, aux_asymp, aux_le, aux_lt, conj, disj,
+    main_vars, neg, rebuild, sort_ac,
 )
 from .translate import (
     dim_chain_formula, discr_lift, qe_atom_to_syn, syn_qf_to_qe_fuf,

@@ -132,9 +132,11 @@ def resolve_aux(model: LexModel, asg: Assignment, t: AuxTerm) -> SpinePoint:
     if isinstance(t, SortMin):
         return spine_min(model, t.sort)
     if isinstance(t, SpineRef):
-        if not t.class_id.startswith("g"):
-            raise ValueError("bad spine reference %r" % (t.class_id,))
-        return SpinePoint(t.sort, int(t.class_id[1:]))
+        for pt in spine(model, t.sort):
+            if pt.class_id == t.class_id:
+                return pt
+        raise ValueError("spine reference %s names no point of %r"
+                         % (t.class_id, t.sort))
     raise TypeError("not an auxiliary term: %r" % (t,))
 
 
@@ -763,7 +765,7 @@ def family_evaluator(model: LexModel, fuf):
     free: dict = {}
     varied = set()
     for m in matrices:
-        varied |= free_names(m, free)
+        varied.update(free_names(m, free))
     sweeps = []
     for cl in fuf.clauses:
         varied.update(name for name, _ in cl.theta)

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 from .syntax import (
     FALSE, TRUE, Atom, AuxTerm, AuxVar, Bottom, Exists, Forall, Formula,
-    Fresh, Not, And, Or, Sc, Se, Sort, SuccPlus, Top, atom_aux_terms,
-    atom_lin_terms, atoms_of, aux_term_sort, conj, disj, free_names,
-    free_vars, main_vars, neg, rebuild, replace_aux_terms, subformulas,
+    Fresh, Not, And, Or, Sc, Se, Sort, Top, atom_aux_terms, atoms_of,
+    aux_term_sort, conj, disj, free_names, free_occurrences, lin_terms,
+    neg, rebuild, replace_aux_terms,
 )
 
 
@@ -149,7 +149,7 @@ def atom_involves_main(a: Atom) -> bool:
     """Whether the atom mentions the main sort at all: a main-sort relation,
     or an auxiliary atom over a canonical-map image of a main term."""
 
-    return bool(atom_lin_terms(a))
+    return bool(lin_terms(a))
 
 
 def unit_involves_main(u: Formula, memo: dict) -> bool:
@@ -316,7 +316,9 @@ class FamilyUnionForm:
         subformulas shared between clauses are examined once."""
 
         problems = []
-        facts: dict = {}
+        quantified: dict = {}
+        involves: dict = {}
+        free: dict = {}
         for i, cl in enumerate(self.clauses):
             names = [n for n, _ in cl.theta]
             if len(set(names)) != len(names):
@@ -324,14 +326,13 @@ class FamilyUnionForm:
             for s in (s for _, s in cl.theta):
                 if not isinstance(s, Sort) or s.is_main:
                     problems.append("clause %d: non-aux parameter sort" % i)
-            main_q, touches, fv = _guard_facts(cl.xi, facts)
-            if main_q:
+            if _main_quantified(cl.xi, quantified):
                 problems.append("clause %d: main quantifier in guard" % i)
-            if touches:
+            if unit_involves_main(cl.xi, involves):
                 problems.append(
                     "clause %d: guard atom touches the main sort" % i)
-            for v, (s, in_main_term) in fv.items():
-                if in_main_term or (s is not None and s.is_main):
+            for v, (s, in_main) in free_occurrences(cl.xi, free).items():
+                if in_main or (s is not None and s.is_main):
                     problems.append(
                         "clause %d: main variable %s in guard" % (i, v))
             for a, pol in cl.psi:
@@ -340,60 +341,29 @@ class FamilyUnionForm:
         return problems
 
 
-def _guard_facts(g: Formula, cache: dict):
-    """(g has a main-sort quantifier, some atom of g touches the main sort,
-    free variables of g) for `FamilyUnionForm.well_formed`, memoized by value
-    in a cache that lives for one call.  The free variables map each name,
-    in order of first occurrence, to its sort in the first atom where it
-    occurs and whether it occurs in a main-sort term anywhere; `free_vars`
-    gives it the main sort in the second case and that sort otherwise."""
+def _main_quantified(g: Formula, cache: dict) -> bool:
+    """Whether g has a main-sort quantifier, memoized by value in a cache
+    that lives for one call."""
 
     hit = cache.get(g)
-    if hit is not None:
-        return hit
-    if isinstance(g, Atom):
-        lin = main_vars(g)
-        fv = {v: (s, v in lin) for v, s in free_vars(g).items()}
-        out = (False, atom_involves_main(g), fv)
-    elif isinstance(g, (Top, Bottom)):
-        out = (False, False, {})
-    elif isinstance(g, Not):
-        out = _guard_facts(g.arg, cache)
-    elif isinstance(g, (And, Or)):
-        parts = [_guard_facts(h, cache) for h in g.args]
-        fv = {}
-        for _, _, part in parts:
-            for v, (s, in_main) in part.items():
-                if v in fv:
-                    s0, in_main0 = fv[v]
-                    fv[v] = (s0, in_main0 or in_main)
-                else:
-                    fv[v] = (s, in_main)
-        out = (any(p[0] for p in parts), any(p[1] for p in parts), fv)
-    elif isinstance(g, (Exists, Forall)):
-        main_q, touches, body_fv = _guard_facts(g.body, cache)
-        fv = {v: x for v, x in body_fv.items() if v != g.var}
-        out = (main_q or g.sort.is_main, touches, fv)
-    else:
-        raise TypeError("not a formula: %r" % (g,))
-    cache[g] = out
-    return out
+    if hit is None:
+        if isinstance(g, Not):
+            hit = _main_quantified(g.arg, cache)
+        elif isinstance(g, (And, Or)):
+            hit = any(_main_quantified(h, cache) for h in g.args)
+        elif isinstance(g, (Exists, Forall)):
+            hit = g.sort.is_main or _main_quantified(g.body, cache)
+        else:
+            hit = False
+        cache[g] = hit
+    return hit
 
 
 def _can_subterms(t: AuxTerm, out: list):
-    if isinstance(t, (Sc, Se)):
-        if t not in out:
-            out.append(t)
-    elif isinstance(t, SuccPlus):
-        _can_subterms(t.arg, out)
-
-
-def all_names(f: Formula):
-    names = set(free_vars(f))
-    for g in subformulas(f):
-        if isinstance(g, (Exists, Forall)):
-            names.add(g.var)
-    return names
+    if isinstance(t, (Sc, Se)) and t not in out:
+        out.append(t)
+    for u in atom_aux_terms(t):
+        _can_subterms(u, out)
 
 
 def extract_can_terms(f: Formula, fresh: Fresh):

@@ -215,6 +215,8 @@ def decompose(model, formula: Formula, value_var: str, args,
     disjoint in order of discovery.
     """
 
+    if check_box < 0:
+        raise ValueError("negative box radius %d" % check_box)
     args = tuple(args)
     # the caller may have built the formula with raw connectives; the
     # splitter needs the smart constructors' form
@@ -305,6 +307,8 @@ def verify_decomposition(model, formula: Formula, ps: PieceSet,
     must be integral, and the graph formula must hold at it.  Violations are
     collected, not raised."""
 
+    if box < 0:
+        raise ValueError("negative box radius %d" % box)
     guards = [evaluator(model, p.guard) for p in ps.pieces]
     graph = evaluator(model, formula)
     element = _Elements(model)

@@ -9,6 +9,13 @@ connectives flattened.  print_formula emits a canonical form without
 declarations; parse_formula(print_formula(f)) is structurally f, for f
 built with the smart constructors, up to the sorts of free auxiliary
 variables.
+
+Every atom and every compound auxiliary term is written (HEAD ARG ...)
+and described once, in the table HEADS: its class, the fields the head
+fixes, and the fields it reads in order.  The parser reads a field as a
+main-sort term or an auxiliary term as syntax.TERM_FIELDS says, else as
+an integer, a sort or a spine point id gN; the printer writes it back the
+same way, so the two agree by construction.
 """
 
 from __future__ import annotations
@@ -17,11 +24,42 @@ import re
 from typing import Union
 
 from .syntax import (
-    AC, AE, AEP, And, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, CongDot,
-    Discr, DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula,
-    LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, Sort, SortMin, SpineRef,
-    SuccPlus, TRUE, Top, conj, disj, neg, sort_ac, sort_ae, SORT_G,
+    AC, AE, AEP, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom,
+    CongDot, Discr, DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall,
+    Formula, LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, Sort, SortMin,
+    SpineRef, SuccPlus, TERM_FIELDS, TRUE, Top, conj, disj, neg, SORT_G,
 )
+
+# Each surface head of an atom or an auxiliary term: (its class, the fields
+# that the head fixes, the fields it reads in surface order).  The parser
+# builds nodes from it and the printer prints from its inverse, keyed by
+# class and op.  The sugar gt geq leq neq, (cmin P), (emin P) and c2min,
+# the connectives, the quantifiers and decl are read by the parser itself.
+HEADS = {
+    "eq": (MainRel, {"op": "eq"}, "aux lhs rhs k"),
+    "lt": (MainRel, {"op": "lt"}, "aux lhs rhs k"),
+    "cong": (MainRel, {"op": "cong"}, "m aux lhs rhs k"),
+    "congb": (MainRel, {"op": "congb", "k": 0}, "m mp aux lhs rhs"),
+    "plainlt": (PlainRel, {"op": "lt"}, "lhs rhs"),
+    "plaincong": (PlainRel, {"op": "cong"}, "m lhs rhs"),
+    "le": (AuxLe, {}, "lhs rhs"),
+    "asymp": (AuxAsymp, {}, "lhs rhs"),
+    "discr": (Discr, {}, "aux"),
+    "dimsucc": (DimSucc, {}, "p s ell aux"),
+    "dimfloor": (DimFloor, {}, "p s ell aux"),
+    "eqdot": (EqDot, {}, "k t"),
+    "congdot": (CongDot, {}, "m k t"),
+    "dpred": (DPred, {}, "p r s t"),
+    "sc": (Sc, {}, "p r arg"),
+    "se": (Se, {}, "p arg"),
+    "plus": (SuccPlus, {}, "arg"),
+    "pt": (SpineRef, {}, "sort class_id"),
+}
+
+# head -> (base head, negated, sides swapped): gt is lt with its sides
+# swapped and its offset negated, leq the negation of gt
+_SUGAR = {"gt": ("lt", False, True), "geq": ("lt", True, False),
+          "leq": ("lt", True, True), "neq": ("eq", True, False)}
 
 
 class ParseError(ValueError):
@@ -93,6 +131,13 @@ def _is_tok(node: Node) -> bool:
 _INT = re.compile(r"-?\d+\Z")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.'-]*\Z")
 _MIN_SUGAR = re.compile(r"([ce])(\d+)min\Z")
+_SPINE_ID = re.compile(r"g\d+\Z")
+
+
+def _word(node: Node, pattern, what: str) -> str:
+    if not _is_tok(node) or not pattern.match(node.text):
+        _err(node, "expected %s" % what)
+    return node.text
 
 
 def _int(node: Node, what: str = "integer") -> int:
@@ -102,9 +147,7 @@ def _int(node: Node, what: str = "integer") -> int:
 
 
 def _name(node: Node) -> str:
-    if not _is_tok(node) or not _NAME.match(node.text):
-        _err(node, "expected identifier")
-    return node.text
+    return _word(node, _NAME, "identifier")
 
 
 def _parse_sort(node: Node) -> Sort:
@@ -151,48 +194,52 @@ def _parse_lin(node: Node, env: dict[str, Sort]) -> LinTerm:
     _err(node, "expected main-sort term, got %r" % head)
 
 
+def _build(node: list, entry, env: dict[str, Sort]):
+    """The atom or auxiliary term that node writes; entry, a _READ entry,
+    lists its fields in surface order."""
+
+    head = node[0].text
+    cls, fixed, fields = entry
+    if len(node) != len(fields) + 1:
+        if issubclass(cls, Atom):
+            _err(node, "%s takes %d arguments" % (head, len(fields)))
+        _err(node, "(%s %s)" % (head, " ".join(f[3] for f in fields)))
+    kw = dict(fixed)
+    for (name, read, _, _), arg in zip(fields, node[1:]):
+        kw[name] = read(arg, env)
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        _err(node, str(e))
+
+
 def _parse_aux(node: Node, env: dict[str, Sort]) -> AuxTerm:
     if _is_tok(node):
         m = _MIN_SUGAR.match(node.text)
-        if m:
-            mk = sort_ac if m.group(1) == "c" else sort_ae
-            return SortMin(mk(int(m.group(2))))
-        name = _name(node)
-        sort = env.get(name)
-        if sort is not None and sort.is_main:
-            _err(node, "main variable %r used in auxiliary position" % name)
-        return AuxVar(name, sort)
-    if not node or not _is_tok(node[0]):
-        _err(node, "expected auxiliary term")
-    head = node[0].text
+        if not m:
+            name = _name(node)
+            sort = env.get(name)
+            if sort is not None and sort.is_main:
+                _err(node, "main variable %r used in auxiliary position"
+                     % name)
+            return AuxVar(name, sort)
+        letter, n = m.group(1), int(m.group(2))
+    else:
+        if not node or not _is_tok(node[0]):
+            _err(node, "expected auxiliary term")
+        head = node[0].text
+        entry = _READ.get(head)
+        if entry is not None and issubclass(entry[0], AuxTerm):
+            return _build(node, entry, env)
+        if head not in ("cmin", "emin"):
+            _err(node, "expected auxiliary term, got %r" % head)
+        if len(node) != 2:
+            _err(node, "(%s P)" % head)
+        letter, n = head[0], _int(node[1])
     try:
-        if head == "sc":
-            if len(node) != 4:
-                _err(node, "(sc P R T)")
-            return Sc(_int(node[1]), _int(node[2]), _parse_lin(node[3], env))
-        if head == "se":
-            if len(node) != 3:
-                _err(node, "(se P T)")
-            return Se(_int(node[1]), _parse_lin(node[2], env))
-        if head == "plus":
-            if len(node) != 2:
-                _err(node, "(plus A)")
-            return SuccPlus(_parse_aux(node[1], env))
-        if head == "cmin":
-            if len(node) != 2:
-                _err(node, "(cmin P)")
-            return SortMin(sort_ac(_int(node[1])))
-        if head == "emin":
-            if len(node) != 2:
-                _err(node, "(emin P)")
-            return SortMin(sort_ae(_int(node[1])))
-        if head == "pt":
-            if len(node) != 3:
-                _err(node, "(pt SORT ID)")
-            return SpineRef(_parse_sort(node[1]), _name(node[2]))
+        return SortMin(Sort(AC if letter == "c" else AE, n))
     except ValueError as e:
         _err(node, str(e))
-    _err(node, "expected auxiliary term, got %r" % head)
 
 
 def _parse_formula(node: Node, env: dict[str, Sort]) -> Formula:
@@ -207,100 +254,36 @@ def _parse_formula(node: Node, env: dict[str, Sort]) -> Formula:
     head = node[0].text
     args = node[1:]
 
-    def lin(k):
-        return _parse_lin(args[k], env)
-
-    def aux(k):
-        return _parse_aux(args[k], env)
-
     def arity(n):
         if len(args) != n:
             _err(node, "%s takes %d arguments" % (head, n))
 
-    try:
-        if head in ("lt", "eq", "gt", "geq", "leq", "neq"):
-            arity(4)
-            a, t1, t2, k = aux(0), lin(1), lin(2), _int(args[3], "offset")
-            if head == "lt":
-                return MainRel("lt", t1, t2, k, a)
-            if head == "eq":
-                return MainRel("eq", t1, t2, k, a)
-            if head == "neq":
-                return neg(MainRel("eq", t1, t2, k, a))
-            if head == "gt":
-                return MainRel("lt", t2, t1, -k, a)
-            if head == "geq":
-                return neg(MainRel("lt", t1, t2, k, a))
-            # leq: not (t1 > t2 + k)
-            return neg(MainRel("lt", t2, t1, -k, a))
-        if head == "cong":
-            arity(5)
-            return MainRel("cong", lin(2), lin(3), _int(args[4], "offset"),
-                           aux(1), m=_int(args[0], "modulus"))
-        if head == "congb":
-            arity(5)
-            return MainRel("congb", lin(3), lin(4), 0, aux(2),
-                           m=_int(args[0], "modulus"),
-                           mp=_int(args[1], "modulus"))
-        if head == "plainlt":
-            arity(2)
-            return PlainRel("lt", lin(0), lin(1))
-        if head == "plaincong":
-            arity(3)
-            return PlainRel("cong", lin(1), lin(2), m=_int(args[0], "modulus"))
-        if head == "le":
-            arity(2)
-            return AuxLe(aux(0), aux(1))
-        if head == "asymp":
-            arity(2)
-            return AuxAsymp(aux(0), aux(1))
-        if head == "discr":
-            arity(1)
-            return Discr(aux(0))
-        if head == "dimsucc":
-            arity(4)
-            return DimSucc(_int(args[0]), _int(args[1]), _int(args[2]), aux(3))
-        if head == "dimfloor":
-            arity(4)
-            return DimFloor(_int(args[0]), _int(args[1]), _int(args[2]), aux(3))
-        if head == "eqdot":
-            arity(2)
-            return EqDot(_int(args[0], "offset"), lin(1))
-        if head == "congdot":
-            arity(3)
-            return CongDot(_int(args[0], "modulus"), _int(args[1], "offset"),
-                           lin(2))
-        if head == "dpred":
-            arity(4)
-            return DPred(_int(args[0]), _int(args[1]), _int(args[2]), lin(3))
-        if head == "not":
-            arity(1)
-            return neg(_parse_formula(args[0], env))
-        if head == "and":
-            return conj([_parse_formula(a, env) for a in args])
-        if head == "or":
-            return disj([_parse_formula(a, env) for a in args])
+    entry = _READ.get(head)
+    if entry is not None and issubclass(entry[0], Atom):
+        return _build(node, entry, env)
+    if head in _SUGAR:
+        base, negated, swapped = _SUGAR[head]
+        a = _build(node, _READ[base], env)
+        if swapped:
+            a = MainRel("lt", a.rhs, a.lhs, -a.k, a.aux)
+        return neg(a) if negated else a
+    if head == "not":
+        arity(1)
+        return neg(_parse_formula(args[0], env))
+    if head == "and":
+        return conj([_parse_formula(a, env) for a in args])
+    if head == "or":
+        return disj([_parse_formula(a, env) for a in args])
+    if head in ("decl", "E", "A"):
+        arity(3)
+        var = _name(args[0])
+        sort = _parse_sort(args[1])
+        if head == "decl" and sort.is_main:
+            _err(args[1], "decl declares auxiliary sorts only")
+        body = _parse_formula(args[2], {**env, var: sort})
         if head == "decl":
-            arity(3)
-            var = _name(args[0])
-            sort = _parse_sort(args[1])
-            if sort.is_main:
-                _err(args[1], "decl declares auxiliary sorts only")
-            inner = dict(env)
-            inner[var] = sort
-            return _parse_formula(args[2], inner)
-        if head in ("E", "A"):
-            arity(3)
-            var = _name(args[0])
-            sort = _parse_sort(args[1])
-            inner = dict(env)
-            inner[var] = sort
-            body = _parse_formula(args[2], inner)
-            return (Exists if head == "E" else Forall)(var, sort, body)
-    except ParseError:
-        raise
-    except ValueError as e:
-        _err(node, str(e))
+            return body
+        return (Exists if head == "E" else Forall)(var, sort, body)
     _err(node, "unknown formula head %r" % head)
 
 
@@ -319,36 +302,32 @@ def parse_formula(text: str) -> Formula:
 # Printing
 
 def print_sort(s: Sort) -> str:
-    if s.is_main:
-        return "G"
-    return "(%s %d)" % (s.kind, s.n)
+    return "G" if s.is_main else "(%s %d)" % (s.kind, s.n)
 
 
 def print_lin(t: LinTerm) -> str:
-    if t.is_zero():
-        return "0"
-    parts = []
-    for v, c in t.coeffs:
-        parts.append(v if c == 1 else "(* %d %s)" % (c, v))
+    parts = [v if c == 1 else "(* %d %s)" % (c, v) for v, c in t.coeffs]
     if len(parts) == 1:
         return parts[0]
-    return "(+ %s)" % " ".join(parts)
+    return "(+ %s)" % " ".join(parts) if parts else "0"
 
 
 def print_aux(t: AuxTerm) -> str:
     if isinstance(t, AuxVar):
         return t.name
-    if isinstance(t, Sc):
-        return "(sc %d %d %s)" % (t.p, t.r, print_lin(t.arg))
-    if isinstance(t, Se):
-        return "(se %d %s)" % (t.p, print_lin(t.arg))
-    if isinstance(t, SuccPlus):
-        return "(plus %s)" % print_aux(t.arg)
     if isinstance(t, SortMin):
         return "(%s %d)" % ("cmin" if t.sort.kind == AC else "emin", t.sort.n)
-    if isinstance(t, SpineRef):
-        return "(pt %s %s)" % (print_sort(t.sort), t.class_id)
-    raise TypeError("not an auxiliary term: %r" % (t,))
+    if not isinstance(t, AuxTerm):
+        raise TypeError("not an auxiliary term: %r" % (t,))
+    return _print_fields(t)
+
+
+def _print_fields(x) -> str:
+    """An atom or auxiliary term written with its head of HEADS."""
+
+    head, fields = _SHOW[type(x), getattr(x, "op", None)]
+    return "(%s %s)" % (head, " ".join([show(getattr(x, name))
+                                        for name, show in fields]))
 
 
 def print_formula(f: Formula) -> str:
@@ -368,52 +347,49 @@ def _print_node(f: Formula) -> str:
         return "true"
     if isinstance(f, Bottom):
         return "false"
-    if isinstance(f, MainRel):
-        if f.op in ("eq", "lt"):
-            return "(%s %s %s %s %d)" % (f.op, print_aux(f.aux),
-                                         print_lin(f.lhs), print_lin(f.rhs),
-                                         f.k)
-        if f.op == "cong":
-            return "(cong %d %s %s %s %d)" % (f.m, print_aux(f.aux),
-                                              print_lin(f.lhs),
-                                              print_lin(f.rhs), f.k)
-        return "(congb %d %d %s %s %s)" % (f.m, f.mp, print_aux(f.aux),
-                                           print_lin(f.lhs), print_lin(f.rhs))
-    if isinstance(f, PlainRel):
-        if f.op == "lt":
-            return "(plainlt %s %s)" % (print_lin(f.lhs), print_lin(f.rhs))
-        return "(plaincong %d %s %s)" % (f.m, print_lin(f.lhs),
-                                         print_lin(f.rhs))
-    if isinstance(f, AuxLe):
-        return "(le %s %s)" % (print_aux(f.lhs), print_aux(f.rhs))
-    if isinstance(f, AuxAsymp):
-        return "(asymp %s %s)" % (print_aux(f.lhs), print_aux(f.rhs))
-    if isinstance(f, Discr):
-        return "(discr %s)" % print_aux(f.aux)
-    if isinstance(f, DimSucc):
-        return "(dimsucc %d %d %d %s)" % (f.p, f.s, f.ell, print_aux(f.aux))
-    if isinstance(f, DimFloor):
-        return "(dimfloor %d %d %d %s)" % (f.p, f.s, f.ell, print_aux(f.aux))
-    if isinstance(f, EqDot):
-        return "(eqdot %d %s)" % (f.k, print_lin(f.t))
-    if isinstance(f, CongDot):
-        return "(congdot %d %d %s)" % (f.m, f.k, print_lin(f.t))
-    if isinstance(f, DPred):
-        return "(dpred %d %d %d %s)" % (f.p, f.r, f.s, print_lin(f.t))
+    if isinstance(f, Atom):
+        return _print_fields(f)
     if isinstance(f, Not):
         return "(not %s)" % print_formula(f.arg)
-    if isinstance(f, And):
-        if not f.args:
-            return "true"
-        return "(and %s)" % " ".join(print_formula(g) for g in f.args)
-    if isinstance(f, Or):
-        if not f.args:
-            return "false"
-        return "(or %s)" % " ".join(print_formula(g) for g in f.args)
-    if isinstance(f, Exists):
-        return "(E %s %s %s)" % (f.var, print_sort(f.sort),
-                                 print_formula(f.body))
-    if isinstance(f, Forall):
-        return "(A %s %s %s)" % (f.var, print_sort(f.sort),
-                                 print_formula(f.body))
+    if isinstance(f, (And, Or)):
+        if not f.args:   # only a raw And(()) or Or(()) has no arguments
+            return "true" if isinstance(f, And) else "false"
+        return "(%s %s)" % ("and" if isinstance(f, And) else "or",
+                            " ".join(print_formula(g) for g in f.args))
+    if isinstance(f, (Exists, Forall)):
+        return "(%s %s %s %s)" % ("E" if isinstance(f, Exists) else "A",
+                                  f.var, print_sort(f.sort),
+                                  print_formula(f.body))
     raise TypeError("not a formula: %r" % (f,))
+
+
+# ---------------------------------------------------------------------------
+# The head table, read both ways
+
+def _field(cls: type, name: str):
+    """(reader(node, env), printer, placeholder in a usage message) of one
+    field of cls."""
+
+    lins, auxs = TERM_FIELDS[cls]
+    if name in lins:
+        return _parse_lin, print_lin, "T"
+    if name in auxs:
+        return _parse_aux, print_aux, "A"
+    if name == "sort":
+        return lambda node, env: _parse_sort(node), print_sort, "SORT"
+    if name == "class_id":
+        return (lambda node, env: _word(node, _SPINE_ID, "spine point id gN"),
+                str, "ID")
+    label = ("offset" if name == "k" else "modulus" if name in ("m", "mp")
+             else "integer")
+    return lambda node, env: _int(node, label), str, name.upper()
+
+
+# head -> (class, fixed fields, ((field, reader, printer, placeholder), ...))
+_READ = {head: (cls, fixed, tuple((n,) + _field(cls, n)
+                                  for n in names.split()))
+         for head, (cls, fixed, names) in HEADS.items()}
+# (class, op) -> (head, ((field, printer), ...)); op is the one fixed field
+# that tells two heads of a class apart
+_SHOW = {(cls, fixed.get("op")): (head, tuple((f[0], f[2]) for f in fields))
+         for head, (cls, fixed, fields) in _READ.items()}

@@ -12,7 +12,7 @@ Everything here is an immutable tree; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Mapping, Optional, Union
 
 
@@ -197,7 +197,7 @@ class SpineRef(AuxTerm):
 
 
 def aux_term_sort(t: AuxTerm) -> Optional[Sort]:
-    if isinstance(t, AuxVar):
+    if isinstance(t, (AuxVar, SortMin, SpineRef)):
         return t.sort
     if isinstance(t, Sc):
         return sort_ac(t.p)
@@ -210,8 +210,6 @@ def aux_term_sort(t: AuxTerm) -> Optional[Sort]:
         if inner.kind != AE:
             raise ValueError("successor applies to Ae terms only")
         return sort_aep(inner.n)
-    if isinstance(t, (SortMin, SpineRef)):
-        return t.sort
     raise TypeError("not an auxiliary term: %r" % (t,))
 
 
@@ -473,112 +471,113 @@ def aux_asymp(a: AuxTerm, b: AuxTerm) -> Formula:
 # ---------------------------------------------------------------------------
 # Traversal helpers
 
-def atom_aux_terms(a: Atom) -> list[AuxTerm]:
-    if isinstance(a, MainRel):
-        return [a.aux]
-    if isinstance(a, (AuxLe, AuxAsymp)):
-        return [a.lhs, a.rhs]
-    if isinstance(a, Discr):
-        return [a.aux]
-    if isinstance(a, (DimSucc, DimFloor)):
-        return [a.aux]
-    return []
+# Every atom and auxiliary-term class: (its fields that hold main-sort
+# terms, its fields that hold auxiliary terms), read off the field
+# annotations.  The walkers below, and the parser and printer in sexpr,
+# read the term fields here; the other fields are parameters.
+TERM_FIELDS: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    cls: tuple(tuple(f.name for f in fields(cls) if f.type == kind)
+               for kind in ("LinTerm", "AuxTerm"))
+    for cls in AuxTerm.__subclasses__() + Atom.__subclasses__()}
 
 
-def atom_lin_terms(a: Atom) -> list[LinTerm]:
-    out = []
-    if isinstance(a, (MainRel, PlainRel)):
-        out += [a.lhs, a.rhs]
-    if isinstance(a, (EqDot, CongDot, DPred)):
-        out.append(a.t)
-    for t in atom_aux_terms(a):
-        out += aux_lin_args(t)
+def atom_aux_terms(x: Union[Atom, AuxTerm]) -> list[AuxTerm]:
+    """The auxiliary terms directly under an atom or an auxiliary term."""
+
+    return [getattr(x, n) for n in TERM_FIELDS[type(x)][1]]
+
+
+def lin_terms(x: Union[Atom, AuxTerm]) -> list[LinTerm]:
+    """The main-sort terms of an atom or an auxiliary term, including those
+    under a canonical map."""
+
+    lins, auxs = TERM_FIELDS[type(x)]
+    out = [getattr(x, n) for n in lins]
+    for n in auxs:
+        out += lin_terms(getattr(x, n))
     return out
-
-
-def aux_lin_args(t: AuxTerm) -> list[LinTerm]:
-    if isinstance(t, (Sc, Se)):
-        return [t.arg]
-    if isinstance(t, SuccPlus):
-        return aux_lin_args(t.arg)
-    return []
 
 
 def main_vars(x: Union[Atom, AuxTerm]) -> set[str]:
     """The main-sort variables of an atom or an auxiliary term, including
     those under a canonical map."""
 
-    terms = aux_lin_args(x) if isinstance(x, AuxTerm) else atom_lin_terms(x)
-    return {v for t in terms for v, _ in t.coeffs}
+    return {v for t in lin_terms(x) for v, _ in t.coeffs}
 
 
-def aux_free_vars(t: AuxTerm) -> dict[str, Optional[Sort]]:
-    out: dict[str, Optional[Sort]] = {}
-    if isinstance(t, AuxVar):
-        out[t.name] = t.sort
-    elif isinstance(t, SuccPlus):
-        out.update(aux_free_vars(t.arg))
-    for lt in aux_lin_args(t):
-        for v in lt.vars():
-            out[v] = SORT_G
+def occurrences(x: Union[Atom, AuxTerm]) -> dict:
+    """The variables of an atom or an auxiliary term, in order of first
+    occurrence, auxiliary terms first, each mapped to (its sort at its
+    first occurrence, whether it occurs in a main-sort term); a name in a
+    main-sort term is mapped to (G, True)."""
+
+    out = {x.name: (x.sort, False)} if isinstance(x, AuxVar) else {}
+    for t in atom_aux_terms(x):
+        for v, o in occurrences(t).items():
+            out.setdefault(v, o)
+    for t in lin_terms(x):
+        for v in t.vars():
+            out[v] = (SORT_G, True)
     return out
 
 
-def free_vars(f: Formula) -> dict[str, Optional[Sort]]:
-    """Free variables with their sorts (None when undeclared)."""
+def free_occurrences(f: Formula, cache: dict) -> dict:
+    """The free variables of f, in order of first occurrence, each mapped to
+    (its sort in the first atom where it occurs, whether it occurs in a
+    main-sort term anywhere in f).  cache memoizes the answer per
+    subformula, keyed by value, for as long as the caller keeps it; the
+    answers are shared, so callers do not change them."""
 
-    out: dict[str, Optional[Sort]] = {}
-    seen: set = set()
-
-    def walk(g: Formula, bound: frozenset[str]):
-        key = (g, bound)
-        if key in seen:
-            return
-        seen.add(key)
-        if isinstance(g, Atom):
-            for t in atom_aux_terms(g):
-                for v, s in aux_free_vars(t).items():
-                    if v not in bound:
-                        out.setdefault(v, s)
-            for lt in atom_lin_terms(g):
-                for v in lt.vars():
-                    if v not in bound:
-                        out[v] = SORT_G
-        elif isinstance(g, Not):
-            walk(g.arg, bound)
-        elif isinstance(g, (And, Or)):
-            for h in g.args:
-                walk(h, bound)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body, bound | {g.var})
-        elif isinstance(g, (Top, Bottom)):
-            pass
-        else:
-            raise TypeError("not a formula: %r" % (g,))
-
-    walk(f, frozenset())
-    return out
-
-
-def free_names(f: Formula, cache: dict) -> frozenset:
-    """Names of the free variables of f.  cache memoizes the answer per
-    subformula, keyed by value, for as long as the caller keeps it."""
-
-    names = cache.get(f)
-    if names is None:
+    out = cache.get(f)
+    if out is None:
         if isinstance(f, Atom):
-            names = frozenset(free_vars(f))
+            out = occurrences(f)
         elif isinstance(f, Not):
-            names = free_names(f.arg, cache)
+            out = free_occurrences(f.arg, cache)
         elif isinstance(f, (And, Or)):
-            names = frozenset().union(*(free_names(g, cache) for g in f.args))
+            out = {}
+            for g in f.args:
+                for v, x in free_occurrences(g, cache).items():
+                    y = out.get(v)
+                    if y is None or (x[1] and not y[1]):
+                        out[v] = x if y is None else (y[0], True)
         elif isinstance(f, (Exists, Forall)):
-            names = free_names(f.body, cache) - {f.var}
+            out = {v: x for v, x in free_occurrences(f.body, cache).items()
+                   if v != f.var}
         elif isinstance(f, (Top, Bottom)):
-            names = frozenset()
+            out = {}
         else:
             raise TypeError("not a formula: %r" % (f,))
-        cache[f] = names
+        cache[f] = out
+    return out
+
+
+def free_vars(f: Formula, cache: dict) -> dict[str, Optional[Sort]]:
+    """Free variables of f with their sorts (None when undeclared), in order
+    of first occurrence: G for a name used in a main-sort term anywhere in
+    f, else its sort at its first occurrence.  cache is a
+    `free_occurrences` cache."""
+
+    return {v: SORT_G if in_main else s
+            for v, (s, in_main) in free_occurrences(f, cache).items()}
+
+
+def free_names(f: Formula, cache: dict):
+    """The names of the free variables of f, as a set-like view; cache is a
+    `free_occurrences` cache."""
+
+    return free_occurrences(f, cache).keys()
+
+
+def all_names(f: Formula) -> set[str]:
+    """Every variable name in f, free or bound."""
+
+    names = set()
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            names.update(occurrences(g))
+        elif isinstance(g, (Exists, Forall)):
+            names.add(g.var)
     return names
 
 
@@ -651,21 +650,19 @@ def rebuild(f: Formula, on_atom, on_quant=None) -> Formula:
 Subst = Mapping[str, Union[LinTerm, AuxTerm]]
 
 
-def subst_aux_term(t: AuxTerm, sub: Subst) -> AuxTerm:
-    if isinstance(t, AuxVar):
-        repl = sub.get(t.name)
+def subst_term(x: Union[Atom, AuxTerm], sub: Subst):
+    """An atom or an auxiliary term with the substitution applied."""
+
+    if isinstance(x, AuxVar):
+        repl = sub.get(x.name)
         if repl is None:
-            return t
+            return x
         if isinstance(repl, LinTerm):
-            raise TypeError("main-sort term substituted for aux variable %s" % t.name)
+            raise TypeError("main-sort term substituted for aux variable %s"
+                            % x.name)
         return repl
-    if isinstance(t, Sc):
-        return Sc(t.p, t.r, subst_lin(t.arg, sub))
-    if isinstance(t, Se):
-        return Se(t.p, subst_lin(t.arg, sub))
-    if isinstance(t, SuccPlus):
-        return SuccPlus(subst_aux_term(t.arg, sub))
-    return t
+    return map_terms(x, lambda t: subst_lin(t, sub),
+                     lambda t: subst_term(t, sub))
 
 
 def subst_lin(t: LinTerm, sub: Subst) -> LinTerm:
@@ -680,33 +677,19 @@ def subst_lin(t: LinTerm, sub: Subst) -> LinTerm:
     return out
 
 
-def map_atom_terms(a: Atom, lin, aux) -> Atom:
-    """a rebuilt with each main-sort term t replaced by lin(t) and each
-    auxiliary term t by aux(t); the one per-type atom rebuild."""
+def map_terms(x, lin, aux):
+    """x, an atom or an auxiliary term, rebuilt with each main-sort term t
+    of its fields replaced by lin(t) and each auxiliary term t by aux(t);
+    x itself when every replacement is the term it replaces."""
 
-    if isinstance(a, MainRel):
-        return MainRel(a.op, lin(a.lhs), lin(a.rhs), a.k, aux(a.aux), a.m,
-                       a.mp)
-    if isinstance(a, PlainRel):
-        return PlainRel(a.op, lin(a.lhs), lin(a.rhs), a.m)
-    if isinstance(a, (AuxLe, AuxAsymp)):
-        return type(a)(aux(a.lhs), aux(a.rhs))
-    if isinstance(a, Discr):
-        return Discr(aux(a.aux))
-    if isinstance(a, (DimSucc, DimFloor)):
-        return type(a)(a.p, a.s, a.ell, aux(a.aux))
-    if isinstance(a, EqDot):
-        return EqDot(a.k, lin(a.t))
-    if isinstance(a, CongDot):
-        return CongDot(a.m, a.k, lin(a.t))
-    if isinstance(a, DPred):
-        return DPred(a.p, a.r, a.s, lin(a.t))
-    raise TypeError("not an atom: %r" % (a,))
-
-
-def subst_atom(a: Atom, sub: Subst) -> Atom:
-    return map_atom_terms(a, lambda t: subst_lin(t, sub),
-                          lambda t: subst_aux_term(t, sub))
+    new = {}
+    for names, image in zip(TERM_FIELDS[type(x)], (lin, aux)):
+        for n in names:
+            t = getattr(x, n)
+            u = image(t)
+            if u is not t:
+                new[n] = u
+    return replace(x, **new) if new else x
 
 
 def replace_aux_terms(a: Atom, mapping: Mapping[AuxTerm, AuxTerm]) -> Atom:
@@ -716,13 +699,9 @@ def replace_aux_terms(a: Atom, mapping: Mapping[AuxTerm, AuxTerm]) -> Atom:
     def rep(t: AuxTerm) -> AuxTerm:
         if t in mapping:
             return mapping[t]
-        if isinstance(t, SuccPlus):
-            return SuccPlus(rep(t.arg))
-        return t
+        return map_terms(t, lambda u: u, rep)
 
-    if not atom_aux_terms(a):
-        return a
-    return map_atom_terms(a, lambda t: t, rep)
+    return map_terms(a, lambda t: t, rep)
 
 
 class Fresh:
@@ -753,29 +732,27 @@ def substitute(f: Formula, sub: Subst, fresh: Optional[Fresh] = None) -> Formula
         return f
     if fresh is None:
         fresh = Fresh("r")
-        fresh.reserve(free_vars(f).keys())
+        fresh.reserve(all_names(f))
         for repl in sub.values():
             if isinstance(repl, LinTerm):
                 fresh.reserve(repl.vars())
             else:
-                fresh.reserve(aux_free_vars(repl).keys())
+                fresh.reserve(occurrences(repl))
 
     if isinstance(f, Atom):
-        return subst_atom(f, sub)
+        return subst_term(f, sub)
     if isinstance(f, (Top, Bottom)):
         return f
     if isinstance(f, Not):
         return Not(substitute(f.arg, sub, fresh))
-    if isinstance(f, And):
-        return And(tuple(substitute(g, sub, fresh) for g in f.args))
-    if isinstance(f, Or):
-        return Or(tuple(substitute(g, sub, fresh) for g in f.args))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(substitute(g, sub, fresh) for g in f.args))
     if isinstance(f, (Exists, Forall)):
         sub2 = {v: t for v, t in sub.items() if v != f.var}
         clash = False
         for repl in sub2.values():
             names = (repl.vars() if isinstance(repl, LinTerm)
-                     else aux_free_vars(repl).keys())
+                     else occurrences(repl))
             if f.var in names:
                 clash = True
         var, body = f.var, f.body
@@ -810,7 +787,5 @@ def _install_cached_hash(cls):
     cls.__hash__ = __hash__
 
 
-for _cls in (LinTerm, AuxVar, Sc, Se, SuccPlus, SortMin, SpineRef,
-             MainRel, PlainRel, AuxLe, AuxAsymp, Discr, DimSucc, DimFloor,
-             EqDot, CongDot, DPred, Not, And, Or, Exists, Forall):
+for _cls in (LinTerm, *TERM_FIELDS, Not, And, Or, Exists, Forall):
     _install_cached_hash(_cls)

@@ -22,13 +22,13 @@ import math
 
 from .models import TOPG, prime_power_parts
 from .normal import (
-    FamilyUnionForm, FUClause, ResourceLimit, all_names, dnf_disjoint_tree,
+    FamilyUnionForm, FUClause, ResourceLimit, dnf_disjoint_tree,
     extract_can_terms, hoist_main_units, unit_involves_main,
 )
 from .syntax import (
     AC, AEP, FALSE, TRUE, Atom, AuxTerm, AuxVar, Bottom, CongDot, DimFloor,
     DimSucc, Discr, DPred, EqDot, Exists, Forall, Formula, Fresh, LinTerm,
-    MainRel, Not, PlainRel, Sc, Se, SortMin, SuccPlus, aux_asymp,
+    MainRel, Not, PlainRel, Sc, Se, SortMin, SuccPlus, all_names, aux_asymp,
     aux_le, aux_lt, aux_term_sort, conj, disj, implies, neg, rebuild, sort_ac,
 )
 

@@ -214,6 +214,31 @@ def test_box_is_a_piecewise_option(capsys, z):
     assert "verified 13 points, 0 violations" in capsys.readouterr().out
 
 
+def test_reference_to_no_spine_point_is_an_input_error(capsys, zz):
+    for ref, msg in (("g9", "g9"), ("gq", "expected spine point id")):
+        rc = main(["eval", "--model", zz, "--formula",
+                   "(eq (pt (Ac 2) %s) x 0 0)" % ref, "x=5,7"])
+        assert rc == 1, ref
+        assert msg in capsys.readouterr().err
+    assert main(["eval", "--model", zz, "--formula",
+                 "(eq (pt (Ac 2) g1) x 0 0)", "x=5,7"]) == 0
+    assert capsys.readouterr().out == "false\n"
+
+
+def test_negative_counts_are_usage_errors(capsys, z):
+    graph = "(eq c2min y x 0)"
+    for argv in (["piecewise", "--formula", graph, "--value", "y",
+                  "--box", "-1"],
+                 ["check", "--formula", graph, "--samples", "-3"]):
+        assert main(argv + ["--model", z]) == 1, argv
+        err = capsys.readouterr().err
+        assert "is negative" in err and "verified" not in err
+    # zero is a count: an empty box, no samples
+    assert main(["check", "--formula", graph, "--samples", "0",
+                 "--model", z]) == 0
+    assert "samples 0" in capsys.readouterr().out
+
+
 def test_every_subcommand_option_is_read():
     ap = make_parser()
     subs = next(a for a in ap._actions

@@ -171,7 +171,7 @@ def test_qe_driver_drops_a_cancelled_variable():
     # x + y < x + z: the coefficients of x cancel, and so must x
     f = Exists("x", SORT_G, PlainRel("lt", x + y, x + z))
     fuf = qe_driver(f)
-    assert set(free_vars(fuf.to_formula())) <= set(free_vars(f))
+    assert set(free_vars(fuf.to_formula(), {})) <= set(free_vars(f, {}))
     fam = family_evaluator(Z_MODEL, fuf)
     for vy, vz in ((0, 1), (1, 0), (2, 2), (-3, 4)):
         vals = fam({"y": Z_MODEL.element([vy]), "z": Z_MODEL.element([vz])})

@@ -19,15 +19,15 @@ from oagqe.evaluate import (
     ground_for_var, k_all, k_any, k_not, resolve_aux,
 )
 from oagqe.models import (
-    IntComp, LexModel, RatComp, dim_query, h_cut, spine, spine_min,
+    IntComp, LexModel, LocComp, RatComp, dim_query, h_cut, spine, spine_min,
 )
-from oagqe.normal import ResourceLimit, all_names, extract_can_terms
+from oagqe.normal import ResourceLimit, extract_can_terms
 from oagqe.syntax import (
     And, Atom, AuxAsymp, AuxLe, AuxVar, Bottom, CongDot, DimFloor, DimSucc,
     Discr, DPred, EqDot, Exists, Forall, Fresh, LinTerm, MainRel, Not, Or,
-    PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, SuccPlus, Top, conj, disj,
-    aux_term_sort, free_vars, neg, rebuild, sort_ac, sort_ae, sort_aep,
-    substitute,
+    PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, SuccPlus, Top, all_names,
+    conj, disj, aux_term_sort, free_vars, neg, rebuild, sort_ac, sort_ae,
+    sort_aep, substitute,
 )
 from oagqe.translate import _pin_formula, _syn_atom_rewrite
 
@@ -58,6 +58,22 @@ def test_resolve_aux():
     assert resolve_aux(ZZ, {}, TOPCUT).cut == 1
     pt = spine(ZZ, sort_ae(2))[1]
     assert resolve_aux(ZZ, {"b": pt}, AuxVar("b", sort_ae(2))) == pt
+
+
+def test_spine_reference_must_name_a_point():
+    # Z x Z has the Ac(2) points g0 and g1 only; a reference to any other
+    # id is an error, not a cut beyond the spine
+    for cid in ("g9", "gq", "x1", "g"):
+        ref = SpineRef(sort_ac(2), cid)
+        with pytest.raises(ValueError, match=cid):
+            resolve_aux(ZZ, {}, ref)
+        with pytest.raises(ValueError, match=cid):
+            evaluate(ZZ, {"x": ZZ.element([5, 7])},
+                     MainRel("eq", x, zero, 0, ref))
+    # every point that ground_for_var refers to resolves to itself
+    for sort in (sort_ac(2), sort_ae(2), sort_aep(2)):
+        for pt in spine(ZZ, sort):
+            assert resolve_aux(ZZ, {}, SpineRef(sort, pt.class_id)) == pt
 
 
 def test_quotient_lt_with_offset():
@@ -99,7 +115,9 @@ def test_dotted_atoms():
 
 
 def test_discr_and_aux_order():
-    m = LexModel((IntComp(), RatComp(), IntComp()))
+    # Z[1/5] has two classes mod 2, so its cut is a point of Ac(2), and a
+    # dense one
+    m = LexModel((IntComp(), LocComp(5), IntComp()))
     assert eval_atom(m, {}, Discr(SortMin(sort_ac(2))))
     assert not eval_atom(m, {}, Discr(SpineRef(sort_ac(2), "g1")))
     pts = spine(m, sort_ac(2))
@@ -150,7 +168,7 @@ def _free_names(f, cache):
     if hit is not None:
         return hit[1]
     if isinstance(f, Atom):
-        names = frozenset(free_vars(f).keys())
+        names = frozenset(free_vars(f, {}))
     elif isinstance(f, (Top, Bottom)):
         names = frozenset()
     elif isinstance(f, Not):
@@ -606,12 +624,14 @@ def test_unassigned_variable_raises_when_it_cancels():
 
 def test_compiled_relations_match_reference(rng):
     # every main and plain relation, k in -2..2, constant anchors at every
-    # cut up to the rank and a variable anchor, on every model shape; the
-    # terms t - u and (x + u) - x, whose x cancels
+    # point of Ac(2), Ac(3) and Aep(2) (the rank included) and a variable
+    # anchor, on every model shape; the terms t - u and (x + u) - x, whose
+    # x cancels
     for model in TYPED_MODELS:
         anchors = ([SortMin(sort_ac(2)), SortMin(sort_ae(2)), B]
-                   + [SpineRef(sort_ac(2), "g%d" % c)
-                      for c in range(model.rank + 1)])
+                   + [SpineRef(pt.sort, pt.class_id)
+                      for s in (sort_ac(2), sort_ac(3), sort_aep(2))
+                      for pt in spine(model, s)])
         pts = spine(model, sort_ac(2)) + spine(model, sort_aep(2))
         same = main_assignment(model, rng, ["x"])["x"]
         asgs = [{v: model.zero() for v in "xyz"}, {v: same for v in "xyz"}]

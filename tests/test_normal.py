@@ -337,7 +337,7 @@ def _ref_well_formed(fuf):
                 problems.append(
                     "clause %d: guard atom touches the main sort" % i)
                 break
-        for v, s in free_vars(cl.xi).items():
+        for v, s in free_vars(cl.xi, {}).items():
             if s is not None and s.is_main:
                 problems.append(
                     "clause %d: main variable %s in guard" % (i, v))

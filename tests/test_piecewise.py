@@ -50,6 +50,16 @@ def test_identity_single_piece():
     assert verify_decomposition(Z_MODEL, graph_identity(), ps, 6).ok
 
 
+def test_negative_box_is_rejected():
+    with pytest.raises(ValueError, match="negative box"):
+        decompose(Z_MODEL, graph_identity(), "y", ["x"], check_box=-1)
+    ps = decompose(Z_MODEL, graph_identity(), "y", ["x"])
+    with pytest.raises(ValueError, match="negative box"):
+        verify_decomposition(Z_MODEL, graph_identity(), ps, -1)
+    # radius 0 is the one point at the origin
+    assert verify_decomposition(Z_MODEL, graph_identity(), ps, 0).points == 1
+
+
 def test_half_two_pieces():
     ps = decompose(Z_MODEL, graph_half(), "y", ["x"])
     assert len(ps.pieces) == 2

@@ -19,14 +19,13 @@ from conftest import AUX_FREE, rand_bool, rand_syn_atom, rand_term
 from oagqe.eliminate import eliminate_exists_main
 from oagqe.normal import (
     FamilyUnionForm, FUClause, ResourceLimit, _can_subterms, _hoist_block,
-    all_names, dnf_disjoint_tree, extract_can_terms, hoist_main_units,
-    unit_involves_main,
+    dnf_disjoint_tree, extract_can_terms, hoist_main_units, unit_involves_main,
 )
 from oagqe.syntax import (
     FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, Discr, Exists, Forall,
     Fresh, LinTerm, MainRel, Not, Or, PlainRel, SORT_G, Sc, Se, SortMin,
-    SuccPlus, Top, atom_aux_terms, atom_lin_terms, atoms_of, aux_term_sort,
-    conj, disj, free_names, free_vars, neg, rebuild, replace_aux_terms,
+    SuccPlus, Top, all_names, atom_aux_terms, atoms_of, aux_term_sort, conj,
+    disj, free_names, free_vars, lin_terms, neg, rebuild, replace_aux_terms,
     sort_ac, sort_aep, subformulas,
 )
 from oagqe.translate import (
@@ -373,9 +372,9 @@ def test_free_names_equals_free_vars():
         leaves = atoms + [_rand_pinned(rng), Exists("x", SORT_G, atoms[0]),
                           Forall("y", SORT_G, atoms[1])]
         f = rand_dag(rng, leaves, rng.randint(2, 8))
-        assert free_names(f, {}) == frozenset(free_vars(f)), f
+        assert free_names(f, {}) == frozenset(free_vars(f, {})), f
         # a cache kept across formulas gives the same answers
-        assert free_names(f, cache) == frozenset(free_vars(f)), f
+        assert free_names(f, cache) == frozenset(free_vars(f, {})), f
 
 
 def test_unit_involves_main_matches_atom_walk(monkeypatch):
@@ -391,10 +390,10 @@ def test_unit_involves_main_matches_atom_walk(monkeypatch):
         seen = []
         monkeypatch.setattr(normal, "atom_involves_main",
                             lambda a: seen.append(a) or bool(
-                                atom_lin_terms(a)))
+                                lin_terms(a)))
         memo = {}
         for g in subformulas(f):
-            want = any(bool(atom_lin_terms(a)) for a in atoms_of(g))
+            want = any(bool(lin_terms(a)) for a in atoms_of(g))
             assert unit_involves_main(g, memo) is want, g
         assert len(seen) == len(set(seen)), f
 

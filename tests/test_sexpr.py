@@ -1,18 +1,25 @@
 """Concrete syntax: parse/print round trips and error positions."""
 
+import pathlib
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import rand_bool, rand_mixed_atom
 from oagqe import sexpr
-from oagqe.sexpr import ParseError, parse_formula, print_formula, print_sort
-from oagqe.syntax import (
-    FALSE, TRUE, And, AuxVar, Discr, EqDot, Exists, Forall, LinTerm,
-    MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SORT_G, conj, disj, neg,
-    sort_ac, sort_ae, sort_aep, substitute,
+from oagqe.sexpr import (
+    HEADS, ParseError, parse_formula, print_aux, print_formula, print_sort,
 )
+from oagqe.syntax import (
+    FALSE, TRUE, And, Atom, AuxAsymp, AuxLe, AuxVar, CongDot, DimFloor,
+    DimSucc, Discr, DPred, EqDot, Exists, Forall, LinTerm, MainRel, Not, Or,
+    PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, SuccPlus, TERM_FIELDS, conj,
+    disj, neg, sort_ac, sort_ae, sort_aep, substitute,
+)
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_fixed_forms_parse():
@@ -199,3 +206,129 @@ def test_print_formula_prints_each_shared_node_once(monkeypatch):
         # the kept text changes neither equality, nor hash, nor repr
         assert f == g and hash(f) == h == hash(g) and repr(f) == r
         assert print_formula(f) == text == print_formula(g)
+
+
+# ---------------------------------------------------------------------------
+# The head table, both ways
+
+_LINS = st.builds(LinTerm.make, st.dictionaries(
+    st.sampled_from(["x", "y", "z"]), st.integers(-3, 3), max_size=3))
+_AUX_LEAVES = st.sampled_from([
+    AuxVar("a", None), SortMin(sort_ac(2)), SortMin(sort_ae(3)),
+    SpineRef(sort_ac(2), "g0"), SpineRef(sort_aep(3), "g12")])
+_AUXS = st.recursive(_AUX_LEAVES, lambda inner: st.one_of(
+    st.builds(Sc, st.integers(2, 5), st.integers(1, 3), _LINS),
+    st.builds(Se, st.integers(2, 5), _LINS),
+    st.builds(SuccPlus, inner)), max_leaves=3)
+_PARAMS = {"sort": st.sampled_from([sort_ac(2), sort_ae(3), sort_aep(5)]),
+           "class_id": st.integers(0, 20).map("g{}".format)}
+
+
+def _node_of(head, data):
+    """A node written with head: its fields drawn at random, the integers
+    among the values that the class accepts (offsets may be negative)."""
+
+    cls, fixed, names = HEADS[head]
+    lins, auxs = TERM_FIELDS[cls]
+    kw = dict(fixed)
+    for name in names.split():
+        ints = st.integers(-3 if name == "k" else 1, 6)
+        kind = (_LINS if name in lins else _AUXS if name in auxs
+                else _PARAMS.get(name, ints))
+        kw[name] = data.draw(kind, label=name)
+    try:
+        return cls(**kw)
+    except ValueError:
+        assume(False)
+
+
+def _written(node):
+    """The text of an atom or auxiliary term, and the parse of a text back
+    to the node it writes."""
+
+    if isinstance(node, Atom):
+        return print_formula(node), parse_formula
+    return print_aux(node), lambda text: parse_formula(
+        "(discr %s)" % text).aux
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+@given(data=st.data())
+def test_head_table_round_trip(head, data):
+    node = _node_of(head, data)
+    text, parse = _written(node)
+    assert text.startswith("(%s " % head)
+    assert parse(text) == node
+    assert _written(parse(text))[0] == text
+
+
+_A, _X, _Y = AuxVar("a", None), LinTerm.var("x"), LinTerm.var("y")
+
+
+@pytest.mark.parametrize("text,node", [
+    ("(eq a x y -1)", MainRel("eq", _X, _Y, -1, _A)),
+    ("(lt a x y 2)", MainRel("lt", _X, _Y, 2, _A)),
+    ("(cong 3 a x y -2)", MainRel("cong", _X, _Y, -2, _A, m=3)),
+    ("(congb 2 4 a x y)", MainRel("congb", _X, _Y, 0, _A, m=2, mp=4)),
+    ("(plainlt x y)", PlainRel("lt", _X, _Y)),
+    ("(plaincong 5 x y)", PlainRel("cong", _X, _Y, m=5)),
+    ("(le a (cmin 2))", AuxLe(_A, SortMin(sort_ac(2)))),
+    ("(asymp (cmin 2) a)", AuxAsymp(SortMin(sort_ac(2)), _A)),
+    ("(discr a)", Discr(_A)),
+    ("(dimsucc 2 3 1 a)", DimSucc(2, 3, 1, _A)),
+    ("(dimfloor 3 1 2 a)", DimFloor(3, 1, 2, _A)),
+    ("(eqdot -2 x)", EqDot(-2, _X)),
+    ("(congdot 5 3 x)", CongDot(5, 3, _X)),
+    ("(dpred 2 1 3 x)", DPred(2, 1, 3, _X)),
+    ("(discr (sc 3 2 x))", Discr(Sc(3, 2, _X))),
+    ("(discr (se 5 x))", Discr(Se(5, _X))),
+    ("(discr (plus a))", Discr(SuccPlus(_A))),
+    ("(discr (pt (Aep 2) g3))", Discr(SpineRef(sort_aep(2), "g3"))),
+])
+def test_each_head_reads_its_fields_in_order(text, node):
+    # the surface order of every head, pinned field by field
+    assert parse_formula(text) == node
+    assert print_formula(node) == text
+
+
+@pytest.mark.parametrize("text", [
+    "(lt (sc 3 2 (+ x (* -2 y))) x 0 -4)",
+    "(eq (emin 2) (* -1 x) y -1)",
+    "(cong 5 (pt (Ac 5) g3) x (+ y z) -2)",
+    "(congb 2 4 (plus (se 2 x)) x 0)",
+    "(plaincong 3 0 (* -3 z))",
+    "(dpred 3 1 4 (+ x y))",
+    "(dimsucc 2 1 0 (pt (Ae 2) g1))",
+    "(dimfloor 3 2 1 (plus (pt (Ae 3) g0)))",
+    "(le (pt (Aep 2) g2) (plus (se 2 y)))",
+    "(asymp (sc 2 1 x) (cmin 2))",
+])
+def test_printed_text_is_read_back_to_itself(text):
+    # negative offsets and coefficients, every anchor kind, the bracket
+    # and dimension predicates and grounded spine points
+    assert print_formula(parse_formula(text)) == text
+
+
+def test_spine_point_id_is_checked_where_it_is_written():
+    with pytest.raises(ParseError) as ei:
+        parse_formula("(le (pt (Ac 2) gq) a)")
+    assert (ei.value.line, ei.value.col) == (1, 16)
+    assert "spine point id" in str(ei.value)
+
+
+def test_error_inside_an_auxiliary_term_names_one_position():
+    for text, col in (("(le (sc x 1 y) a)", 9), ("(le (se 2) a)", 5),
+                      ("(le (plus (sc 2 q y)) a)", 17),
+                      ("(lt c1min x y 0)", 5)):
+        with pytest.raises(ParseError) as ei:
+            parse_formula(text)
+        assert (ei.value.line, ei.value.col) == (1, col), text
+        assert str(ei.value).count("line") == 1, text
+
+
+def test_every_head_is_documented():
+    section = README.read_text().split("## Formula syntax", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    words = set(re.findall(r"[a-z]+", " ".join(
+        re.findall(r"`([^`]*)`", section))))
+    assert set(HEADS) - words == set()

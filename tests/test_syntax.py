@@ -5,14 +5,15 @@ import pathlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import has_main_quantifier
 from oagqe.syntax import (
-    And, AuxAsymp, AuxLe, AuxVar, CongDot, EqDot, Exists, FALSE, Forall,
-    LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SORT_G, TRUE,
-    aux_asymp, aux_le, aux_lt, conj, disj, free_vars, implies, neg, sort_ac,
-    sort_ae, sort_aep, subformulas, substitute,
+    And, Atom, AuxAsymp, AuxLe, AuxVar, CongDot, Discr, EqDot, Exists,
+    FALSE, Forall, LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, SortMin,
+    SORT_G, SuccPlus, TERM_FIELDS, TRUE, atom_aux_terms, aux_asymp, aux_le,
+    aux_lt, conj, disj, free_names, free_vars, implies, lin_terms, neg,
+    sort_ac, sort_ae, sort_aep, subformulas, substitute,
 )
 
 names = st.sampled_from(["x", "y", "z", "w"])
@@ -105,15 +106,104 @@ def test_atom_validation():
 def test_free_vars_sorts_and_binding():
     x, y = LinTerm.var("x"), LinTerm.var("y")
     a = MainRel("lt", x, y, 0, AuxVar("a1", sort_ac(2)))
-    fv = free_vars(a)
+    fv = free_vars(a, {})
     assert fv == {"x": SORT_G, "y": SORT_G, "a1": sort_ac(2)}
     f = Exists("x", SORT_G, a)
-    assert set(free_vars(f)) == {"y", "a1"}
+    assert set(free_vars(f, {})) == {"y", "a1"}
     g = Forall("a1", sort_ac(2), f)
-    assert set(free_vars(g)) == {"y"}
+    assert set(free_vars(g, {})) == {"y"}
     # canonical-map arguments count as main-sort occurrences
     b = PlainRel("cong", Sc(2, 1, x).arg, y, m=2)
-    assert free_vars(b)["x"] == SORT_G
+    assert free_vars(b, {})["x"] == SORT_G
+
+
+def _ref_free_vars(f):
+    """free_vars as it was before it was memoized by value: one walk with
+    a set of (node, bound names) pairs already seen."""
+
+    out = {}
+    seen = set()
+
+    def aux_free_vars(t):
+        res = {}
+        if isinstance(t, AuxVar):
+            res[t.name] = t.sort
+        elif isinstance(t, SuccPlus):
+            res.update(aux_free_vars(t.arg))
+        for lt in lin_terms(t):
+            for v in lt.vars():
+                res[v] = SORT_G
+        return res
+
+    def walk(g, bound):
+        if (g, bound) in seen:
+            return
+        seen.add((g, bound))
+        if isinstance(g, Atom):
+            for t in atom_aux_terms(g):
+                for v, s in aux_free_vars(t).items():
+                    if v not in bound:
+                        out.setdefault(v, s)
+            for lt in lin_terms(g):
+                for v in lt.vars():
+                    if v not in bound:
+                        out[v] = SORT_G
+        elif isinstance(g, Not):
+            walk(g.arg, bound)
+        elif isinstance(g, (And, Or)):
+            for h in g.args:
+                walk(h, bound)
+        elif isinstance(g, (Exists, Forall)):
+            walk(g.body, bound | {g.var})
+
+    walk(f, frozenset())
+    return out
+
+
+# names that occur both as main variables and as auxiliary variables of
+# several sorts, unsorted ones included
+_VARS = ["x", "y", "a"]
+_LIN = st.builds(LinTerm.make, st.dictionaries(
+    st.sampled_from(_VARS), st.integers(-2, 2), max_size=2))
+_AUX = st.one_of(
+    st.builds(AuxVar, st.sampled_from(_VARS),
+              st.sampled_from([None, sort_ac(2), sort_ae(3), SORT_G])),
+    st.just(SortMin(sort_ac(2))), st.builds(Se, st.just(2), _LIN),
+    st.builds(lambda t: SuccPlus(Se(2, t)), _LIN))
+_ATOMS = st.one_of(
+    st.builds(lambda a, t, u: MainRel("lt", t, u, 0, a), _AUX, _LIN, _LIN),
+    st.builds(AuxLe, _AUX, _AUX), st.builds(Discr, _AUX),
+    st.builds(lambda t: EqDot(1, t), _LIN), st.just(TRUE))
+_FORMULAS = st.recursive(_ATOMS, lambda kids: st.one_of(
+    st.builds(Not, kids),
+    st.builds(lambda xs: And(tuple(xs)), st.lists(kids, max_size=3)),
+    st.builds(lambda xs: Or(tuple(xs)), st.lists(kids, max_size=3)),
+    st.builds(lambda v, s, b: (Exists if s.is_main else Forall)(v, s, b),
+              st.sampled_from(_VARS), st.sampled_from([SORT_G, sort_ac(2)]),
+              kids)), max_leaves=12)
+
+
+_AC2, _G = AuxVar("a", sort_ac(2)), AuxVar("a", SORT_G)
+
+
+# a name declared with two sorts keeps the first, unless it also occurs in
+# a main-sort term anywhere, when it has sort G; binders hide it
+@example([And((Discr(_AC2), Discr(_G)))])
+@example([And((Discr(AuxVar("a", None)), Or((Discr(_AC2), Discr(_G)))))])
+@example([And((Discr(_G), Discr(_AC2), EqDot(1, LinTerm.var("a"))))])
+@example([And((Exists("a", SORT_G, EqDot(1, LinTerm.var("a"))),
+               Discr(_AC2)))])
+@given(st.lists(_FORMULAS, min_size=1, max_size=3))
+def test_free_vars_matches_reference_walk(fs):
+    cache = {}
+    for f in fs:
+        # a formula whose parts recur, and a cache kept across formulas
+        g = Or((f, And((f, Not(f))), Exists("a", SORT_G, f)))
+        for h in (f, g):
+            want = _ref_free_vars(h)
+            assert list(free_vars(h, {}).items()) == list(want.items())
+            assert list(free_vars(h, cache).items()) == list(want.items())
+            assert list(free_names(h, cache)) == list(want)
 
 
 def test_subformulas_yields_shared_node_once():
@@ -137,7 +227,7 @@ def test_substitute_renames_capture():
     g = substitute(f, {"x": y})
     assert isinstance(g, Exists)
     assert g.var != "y"  # the binder moved out of the way
-    assert free_vars(g) == {"y": SORT_G}
+    assert free_vars(g, {}) == {"y": SORT_G}
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "oagqe"
@@ -288,3 +378,48 @@ def test_every_parameter_is_read():
             unread += ["%s.%s(%s)" % (name, node.name, p) for p in params
                        if p != "self" and p not in reads]
     assert unread == []
+
+
+def _table(tree, name):
+    """The dict literal assigned to name at the top of a module."""
+
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            assert isinstance(node.value, ast.Dict), name
+            return node.value
+    raise AssertionError("no table %s" % name)
+
+
+def test_each_node_kind_is_described_once():
+    # TERM_FIELDS reads the term fields of every atom and auxiliary-term
+    # class off its annotations, so every other field must be a parameter,
+    # not a term under another type; and every atom class has a surface
+    # head, one per op, in HEADS, where a head written twice in the dict
+    # literal would silently win
+    trees = _src_trees()
+    kinds = {}
+    for node in trees["syntax"].body:
+        bases = [b.id for b in node.bases if isinstance(b, ast.Name)] \
+            if isinstance(node, ast.ClassDef) else []
+        if "Atom" in bases or "AuxTerm" in bases:
+            kinds[node.name] = bases[0]
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign):
+                    assert ast.unparse(stmt.annotation) in (
+                        "LinTerm", "AuxTerm", "int", "str", "Sort",
+                        "Optional[Sort]"), (node.name, stmt.target.id)
+    assert len(kinds) == 16
+    assert sorted(cls.__name__ for cls in TERM_FIELDS) == sorted(kinds)
+    heads = Counter()
+    for value in _table(trees["sexpr"], "HEADS").values:
+        cls, fixed = value.elts[0].id, value.elts[1]
+        ops = [v.value for k, v in zip(fixed.keys, fixed.values)
+               if k.value == "op"]
+        heads[cls, tuple(ops)] += 1
+    assert set(heads.values()) == {1}
+    with_head = {cls for cls, _ in heads}
+    assert {k for k, base in kinds.items() if base == "Atom"} <= with_head
+    # a bare name is an auxiliary variable, and minima are sugar
+    assert {k for k, base in kinds.items() if base == "AuxTerm"} - with_head \
+        == {"AuxVar", "SortMin"}

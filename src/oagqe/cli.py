@@ -270,7 +270,7 @@ FLAGS = {
     "--seed": {"type": int, "default": None,
                "help": "rng seed (fallback: OAGQE_SEED)"},
     "--trace": {"action": "store_true"},
-    "--max-branches": {"type": int, "default": 200000},
+    "--max-branches": {"type": nonnegative, "default": 200000},
     "--json": {"action": "store_true"},
 }
 

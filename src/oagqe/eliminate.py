@@ -31,8 +31,8 @@ from .models import TOPG, prime_power_parts
 from .normal import FamilyUnionForm, ResourceLimit
 from .syntax import (
     FALSE, TRUE, AuxTerm, Bottom, Exists, Formula, Fresh, LinTerm, MainRel,
-    Not, Se, SortMin, Top, all_names, aux_asymp, aux_le, aux_lt, conj, disj,
-    main_vars, neg, rebuild, sort_ac,
+    Not, Se, SortMin, Top, all_names, aux_asymp, aux_le, aux_lt, can_image,
+    conj, disj, main_vars, neg, rebuild, sort_ac,
 )
 from .translate import (
     dim_chain_formula, discr_lift, qe_atom_to_syn, syn_qf_to_qe_fuf,
@@ -264,7 +264,7 @@ def _pair_branches(lo: _Bound, up: _Bound, congs, m0: int, ctx: _Ctx):
         return [(TRUE, _EqRep(lo.aux, lo.c, lo.k), tuple(congs))]
     t = up.c - lo.c
     M = m0 if m0 >= 2 else 2
-    e = Se(M, t)
+    e = can_image(Se(M, t))
     base = tuple(congs)
     branches = []
     gammas = [
@@ -682,7 +682,7 @@ def _push_out_main(f: Formula, fresh: Fresh, cap: int,
 
 def _main_exists(var: str, body: Formula, fresh: Fresh, cap: int,
                  max_branches: int) -> Formula:
-    fuf = syn_qf_to_qe_fuf(body, cap=cap)
+    fuf = syn_qf_to_qe_fuf(body, fresh, cap)
     parts = []
     for cl in fuf.clauses:
         chi = eliminate_exists_main(var, list(cl.psi), fresh,
@@ -709,9 +709,14 @@ def qe_driver(f: Formula, *, cap: int = 4096,
     result is re-expressed through the canonical maps, so the next step
     again sees only plain and dotted main content.  Raises ResourceLimit
     when a branching budget is exceeded; logically impossible inputs
-    simply come out as an empty or false union.
+    simply come out as an empty or false union; a negative cap or budget
+    raises ValueError.  One fresh-name source, which reserves every name
+    of f, serves every step.
     """
 
+    for name, value in (("cap", cap), ("max_branches", max_branches)):
+        if value < 0:
+            raise ValueError("negative %s %d" % (name, value))
     fresh = Fresh("b", all_names(f))
     g = _push_out_main(f, fresh, cap, max_branches)
-    return syn_qf_to_qe_fuf(g, cap=cap)
+    return syn_qf_to_qe_fuf(g, fresh, cap)

@@ -6,23 +6,26 @@ sorts, psi is a conjunction of literals over the main variables and theta,
 and any two instantiated clauses are mutually inconsistent.  The theta
 parameters stand for the canonical-map images of main-sort terms; equating
 them with those images inside every psi is what makes distinct instantiations
-clash.  This module holds the form (`FamilyUnionForm`) and the passes its
-one builder, `translate.syn_qf_to_qe_fuf`, runs.
+clash.  As in the paper, xi may quantify over the auxiliary sorts: only the
+main-sort part of a clause is split into literals.  This module holds the
+form (`FamilyUnionForm`) and the passes its one builder,
+`translate.syn_qf_to_qe_fuf`, runs.
 
 Every case split over the boolean skeleton goes through one Shannon
 splitter (`ShannonSplitter`), and one generator, `disjoint_clauses`, turns
 its decision tree into clauses for the disjoint normal form and the
 evaluator's existential decision.  Any decision tree over the units gives
 clauses that pairwise contradict each other, which is all a family union
-form needs.  `hoist_main_units` keeps its own walk over the splitter, since
-it builds a shared if-then-else.  The splitter caches, per conjunction and
-disjunction, the units it mentions and its cofactors, keyed by value (every
-node caches its hash), so a remainder reached along several branches is
-split once.  Its caches live for one call of the function that built it.
+form needs.  The splitter sees through an auxiliary quantifier that is not
+one of its units, so the main atoms under it are split where they sit
+(`hoist_main_units` lists them), and a branch may stop before every unit
+is decided.  The splitter caches, per connective, the units it mentions
+and its cofactors, keyed by value (every node caches its hash), so a
+remainder reached along several branches is split once.  Its caches live
+for one call of the function that built it.
 
-The other rewrites (canonical-map extraction and hoisting) are
-`syntax.rebuild` with a rule for atoms and one for quantifiers; no memo
-here is keyed by node identity.
+Canonical-map extraction is `syntax.rebuild` with a rule for atoms; no
+memo here is keyed by node identity.
 """
 
 from __future__ import annotations
@@ -69,34 +72,61 @@ def boolean_units(f: Formula) -> list[Formula]:
 class ShannonSplitter:
     """Cofactors of boolean skeletons over one ordered list of units.
 
-    Only the listed units are split on; any other unit is an opaque leaf.
-    For every conjunction and disjunction it meets, the splitter caches the
-    set of listed units the subformula mentions (a bit mask of their
-    indices), its cofactor for each (unit, polarity) pair and its split; a
-    leaf needs only a lookup of its index and a negation passes to its
-    argument, so neither is cached.  The caches are keyed by value, never
-    by identity, and live as long as the splitter, which its callers build
-    once per call.  A subtree that does not mention
-    the split unit is its own cofactor; the others are rebuilt with the
-    smart constructors, which fold the constants.  So a formula it splits
-    must itself be built with the smart constructors, as `parse_formula`
-    and `rebuild` build theirs: a raw constant such as Not(TRUE) in a
-    subtree without units would never fold.
+    Only the listed units are split on.  An auxiliary-sort quantifier that
+    is not listed is a connective for the listed units in which its
+    variable does not occur free: its cofactor is the same quantifier over
+    the cofactored body, and it folds to the body's constant when the body
+    folds, since an auxiliary sort is never empty.  A unit that mentions
+    the variable means something else under the quantifier, so the
+    quantifier hides it.  Any other unlisted unit, a main-sort quantifier
+    among them, is an opaque leaf.  For every conjunction, disjunction and
+    such quantifier it meets, the splitter caches the set of listed units
+    the subformula mentions (a bit mask of their indices), its cofactor for
+    each (unit, polarity) pair and its split; a leaf needs only a lookup of
+    its index and a negation passes to its argument, so neither is cached.
+    The caches are keyed by value, never by identity, and live as long as
+    the splitter, which its callers build once per call.  A subtree that
+    does not mention the split unit is its own cofactor; the others are
+    rebuilt with the smart constructors, which fold the constants.  So a
+    formula it splits must itself be built with the smart constructors, as
+    `parse_formula` and `rebuild` build theirs: a raw constant such as
+    Not(TRUE) in a subtree without units would never fold.
+
+    decide, a subset of the units (all of them when None), is what a branch
+    must settle: `split` finds nothing to split once none of it is live.
     """
 
-    def __init__(self, units):
+    def __init__(self, units, decide=None):
         self._index = {u: i for i, u in enumerate(units)}
-        # per conjunction or disjunction: [mask, split, {(i, pol): cofactor}]
+        # -1 has every bit set
+        self._decide = -1 if decide is None else sum(
+            1 << self._index[u] for u in set(decide))
+        # per connective: [mask, split, {(i, pol): cofactor}]
         self._node: dict = {}
+        # per variable: the mask of the units it occurs free in, built at
+        # the first quantifier
+        self._free = None
 
     def _record(self, g: Formula) -> list:
         rec = self._node.get(g)
         if rec is None:
             m = 0
-            for h in g.args:
-                m |= self.mask(h)
+            if isinstance(g, (And, Or)):
+                for h in g.args:
+                    m |= self.mask(h)
+            else:
+                m = self.mask(g.body) & ~self._mentioning(g.var)
             rec = self._node[g] = [m, None, {}]
         return rec
+
+    def _mentioning(self, var: str) -> int:
+        if self._free is None:
+            self._free = {}
+            cache: dict = {}
+            for u, i in self._index.items():
+                for v in free_names(u, cache):
+                    self._free[v] = self._free.get(v, 0) | 1 << i
+        return self._free.get(var, 0)
 
     def mask(self, g: Formula) -> int:
         """Bit i is set when the listed unit i occurs in g."""
@@ -106,24 +136,33 @@ class ShannonSplitter:
         if isinstance(g, (And, Or)):
             return self._record(g)[0]
         i = self._index.get(g)
-        return 0 if i is None else 1 << i
+        if i is not None:
+            return 1 << i
+        if isinstance(g, (Exists, Forall)) and not g.sort.is_main:
+            return self._record(g)[0]
+        return 0
 
     def split(self, g: Formula) -> tuple:
         """(i, g with unit i true, g with unit i false) for the live listed
-        unit i of g with the lowest index; () when none is live."""
+        unit i of g with the lowest index; () when no unit of decide is
+        live."""
 
         if isinstance(g, Not):
             node = self.split(g.arg)
             return (node[0], neg(node[1]), neg(node[2])) if node else ()
         if not isinstance(g, (And, Or)):
             i = self._index.get(g)
-            return () if i is None else (i, TRUE, FALSE)
+            if i is not None:
+                return (i, TRUE, FALSE) if self._decide >> i & 1 else ()
+            if not isinstance(g, (Exists, Forall)) or g.sort.is_main:
+                return ()
         rec = self._record(g)
         if rec[1] is None:
             m = rec[0]
             i = (m & -m).bit_length() - 1
             rec[1] = ((i, self.cofactor(g, i, True),
-                       self.cofactor(g, i, False)) if i >= 0 else ())
+                       self.cofactor(g, i, False))
+                      if m & self._decide else ())
         return rec[1]
 
     def cofactor(self, g: Formula, i: int, pol: bool) -> Formula:
@@ -133,14 +172,23 @@ class ShannonSplitter:
             h = self.cofactor(g.arg, i, pol)
             return g if h is g.arg else neg(h)
         if not isinstance(g, (And, Or)):
-            return (TRUE if pol else FALSE) if self._index.get(g) == i else g
+            j = self._index.get(g)
+            if (j is not None or not isinstance(g, (Exists, Forall))
+                    or g.sort.is_main):
+                return (TRUE if pol else FALSE) if j == i else g
         m, _, cof = self._record(g)
         if not m >> i & 1:
             return g
         out = cof.get((i, pol))
         if out is None:
-            parts = (self.cofactor(h, i, pol) for h in g.args)
-            out = conj(parts) if isinstance(g, And) else disj(parts)
+            if isinstance(g, And):
+                out = conj(self.cofactor(h, i, pol) for h in g.args)
+            elif isinstance(g, Or):
+                out = disj(self.cofactor(h, i, pol) for h in g.args)
+            else:
+                body = self.cofactor(g.body, i, pol)
+                out = (body if isinstance(body, (Top, Bottom))
+                       else type(g)(g.var, g.sort, body))
             cof[i, pol] = out
         return out
 
@@ -174,21 +222,22 @@ def unit_involves_main(u: Formula, memo: dict) -> bool:
     return hit
 
 
-def disjoint_clauses(f: Formula, units, cap: int):
+def disjoint_clauses(f: Formula, units, cap: int, decide=None):
     """The leaves (literals, remainder) of the decision tree of f over the
     listed units, lazily.
 
     Each remainder splits on its live listed unit of lowest index, and a
-    leaf is reached once none is live: its literals are the units on its
-    branch and its remainder is what the unlisted units leave (`TRUE` when
-    every unit is listed).  Two leaves disagree on the unit where their
-    branches split.  The walk is depth first, true branch first; false
-    leaves are dropped, and `ResourceLimit` is raised once more than cap
-    leaves have been emitted.  f must be built with the smart constructors
-    (see `ShannonSplitter`).
+    leaf is reached once no unit of decide (every listed unit when None) is
+    live: its literals are the units on its branch and its remainder is
+    what the other units leave (`TRUE` when every unit is listed and
+    decided).  Two leaves disagree on the unit where their branches split.
+    The walk is depth first, true branch first; false leaves are dropped,
+    and `ResourceLimit` is raised once more than cap leaves have been
+    emitted.  f must be built with the smart constructors (see
+    `ShannonSplitter`).
     """
 
-    sp = ShannonSplitter(units)
+    sp = ShannonSplitter(units, decide)
     emitted = 0
     # explicit stack: the unit list can be long and recursion depth tracks it
     stack = [(f, [])]
@@ -209,80 +258,65 @@ def disjoint_clauses(f: Formula, units, cap: int):
             yield lits, g
 
 
-def dnf_disjoint_tree(f: Formula, cap: int = 4096):
+def dnf_disjoint_tree(f: Formula, cap: int = 4096, units=None,
+                      decide=None):
     """Pairwise-disjoint disjunctive normal form: the literal lists of the
-    leaves of `disjoint_clauses` over every boolean unit of f, in order."""
+    leaves of `disjoint_clauses` over units (every boolean unit of f by
+    default), in order.  A leaf whose remainder is not `TRUE`, which only
+    units or a decide set narrower than the default leave, ends with the
+    literal (remainder, True)."""
 
-    clauses = []
-    for lits, rest in disjoint_clauses(f, boolean_units(f), cap):
-        if not isinstance(rest, Top):
-            raise AssertionError("skeleton did not fully evaluate")
-        clauses.append(lits)
-    return clauses
-
-
-# main-sort atoms under one auxiliary block before hoisting gives up
-MAIN_UNIT_CAP = 10
+    if units is None:
+        units = boolean_units(f)
+    return [lits if isinstance(rest, Top) else lits + [(rest, True)]
+            for lits, rest in disjoint_clauses(f, units, cap, decide)]
 
 
-def hoist_main_units(f: Formula) -> Formula:
-    """Shannon-expand main-sort atoms out of auxiliary quantifier blocks.
+def hoist_main_units(f: Formula) -> list[Formula]:
+    """The units of the final case split of f, in first-occurrence order:
+    every unit that mentions the main sort wherever it sits, lifted out of
+    the auxiliary quantifier blocks that hold one, and every other maximal
+    unit outside such blocks.
 
-    After canonical-map extraction, a main-sort atom sitting under an
-    auxiliary quantifier cannot mention the bound variable, so the block
-    equals a case split over the truth values of those atoms, each case
-    keeping a purely auxiliary block.  Auxiliary sorts are never empty, so
-    a block whose body collapses to a constant is that constant.
-
-    The case split is a shared if-then-else over the live main atoms,
-    (u and H(body|u)) or (not u and H(body|not u)), memoized on the
-    remainder, so the quantifier is put back once per distinct leaf rather
-    than once per row of a truth table.  The memos are keyed by value and
-    live for this call.
+    The splitter sees through those blocks (see `ShannonSplitter`), except
+    for a unit that mentions the block's variable, which it cannot lift
+    out: so a main-sort unit that mentions a variable of a block around
+    it raises ValueError.  Blocks that hold no main-sort unit stay units
+    themselves.  A subformula is walked once per set of enclosing block
+    variables, and the memos are keyed by value and live for this call.
     """
 
+    out: dict = {}
     involves: dict = {}
     free: dict = {}
-    return rebuild(f, lambda a: a,
-                   lambda q, body: _hoist_block(q, body, involves, free))
-
-
-def _hoist_block(q: Formula, body: Formula, involves: dict,
-                 free: dict) -> Formula:
-    if q.sort.is_main:
-        return type(q)(q.var, q.sort, body)
-    units = [u for u in boolean_units(body)
-             if unit_involves_main(u, involves)]
-    if not units:
-        return type(q)(q.var, q.sort, body)
-    for u in units:
-        if q.var in free_names(u, free):
-            raise ValueError(
-                "main-sort atom depends on an auxiliary bound variable; "
-                "outside the supported fragment")
-    if len(units) > MAIN_UNIT_CAP:
-        raise ResourceLimit("%d main-sort atoms under one auxiliary "
-                            "quantifier" % len(units))
-    sp = ShannonSplitter(units)
-    memo: dict = {}
-
-    def expand(g: Formula) -> Formula:
-        hit = memo.get(g)
-        if hit is not None:
-            return hit
-        node = sp.split(g)
-        if node:
-            i, hi, lo = node
-            u = units[i]
-            out = disj([conj([u, expand(hi)]), conj([neg(u), expand(lo)])])
+    visited: set = set()
+    # depth first, children pushed in reverse so that they pop in order;
+    # bound holds the variables of the enclosing blocks
+    stack = [(f, frozenset())]
+    while stack:
+        item = stack.pop()
+        if item in visited:
+            continue
+        visited.add(item)
+        g, bound = item
+        if isinstance(g, Not):
+            stack.append((g.arg, bound))
+        elif isinstance(g, (And, Or)):
+            stack.extend((h, bound) for h in reversed(g.args))
         elif isinstance(g, (Top, Bottom)):
-            out = g
+            continue
+        elif not unit_involves_main(g, involves):
+            if not bound:
+                out[g] = None
+        elif isinstance(g, (Exists, Forall)) and not g.sort.is_main:
+            stack.append((g.body, bound | {g.var}))
         else:
-            out = type(q)(q.var, q.sort, g)
-        memo[g] = out
-        return out
-
-    return expand(body)
+            if not bound.isdisjoint(free_names(g, free)):
+                raise ValueError(
+                    "main-sort atom depends on an auxiliary bound variable; "
+                    "outside the supported fragment")
+            out[g] = None
+    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +413,7 @@ def extract_can_terms(f: Formula, fresh: Fresh):
     mapping = {}
     extracted = []
     for t in can_terms:
-        name = fresh()
+        name = fresh("th")
         sort = aux_term_sort(t)
         mapping[t] = AuxVar(name, sort)
         extracted.append((name, sort, t))

@@ -13,7 +13,7 @@ Everything here is an immutable tree; all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +450,16 @@ def implies(a: Formula, b: Formula) -> Formula:
 
 # Comparisons of auxiliary points.  A sort minimum is the bottom class:
 # nothing lies strictly below it and all minima lie in one class, so these
-# comparisons, and those between equal terms, are decided on the spot.
+# comparisons, and those between equal terms, are decided on the spot.  The
+# zero term lies in every convex subgroup and every coset group, so its
+# canonical-map images are the minima.
+
+def can_image(t: AuxTerm) -> AuxTerm:
+    """A canonical-map image `Sc` or `Se`, or its sort's minimum when it is
+    the image of the zero term."""
+
+    return SortMin(aux_term_sort(t)) if t.arg.is_zero() else t
+
 
 def aux_le(a: AuxTerm, b: AuxTerm) -> Formula:
     if a == b or isinstance(a, SortMin):
@@ -726,45 +735,57 @@ class Fresh:
 
 
 def substitute(f: Formula, sub: Subst, fresh: Optional[Fresh] = None) -> Formula:
-    """Capture-avoiding substitution of variables by terms."""
+    """Capture-avoiding substitution of variables by terms.
+
+    A subformula in which nothing changes is returned as it is.  A bound
+    variable that a substituted term mentions is renamed; the new names
+    come from fresh, by default a source built at the first such clash
+    that avoids every name of f and of the substituted terms."""
 
     if not sub:
         return f
-    if fresh is None:
-        fresh = Fresh("r")
-        fresh.reserve(all_names(f))
-        for repl in sub.values():
-            if isinstance(repl, LinTerm):
-                fresh.reserve(repl.vars())
-            else:
-                fresh.reserve(occurrences(repl))
 
-    if isinstance(f, Atom):
-        return subst_term(f, sub)
-    if isinstance(f, (Top, Bottom)):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.arg, sub, fresh))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(substitute(g, sub, fresh) for g in f.args))
-    if isinstance(f, (Exists, Forall)):
-        sub2 = {v: t for v, t in sub.items() if v != f.var}
-        clash = False
-        for repl in sub2.values():
-            names = (repl.vars() if isinstance(repl, LinTerm)
-                     else occurrences(repl))
-            if f.var in names:
-                clash = True
-        var, body = f.var, f.body
-        if clash:
-            var = fresh(f.var)
-            if f.sort.is_main:
-                body = substitute(body, {f.var: LinTerm.var(var)}, fresh)
-            else:
-                body = substitute(body, {f.var: AuxVar(var, f.sort)}, fresh)
-        body = substitute(body, sub2, fresh)
-        return type(f)(var, f.sort, body)
-    raise TypeError("not a formula: %r" % (f,))
+    def names(t) -> Iterable[str]:
+        return t.vars() if isinstance(t, LinTerm) else occurrences(t)
+
+    def rename(var: str) -> str:
+        nonlocal fresh
+        if fresh is None:
+            fresh = Fresh("r", all_names(f))
+            for t in sub.values():
+                fresh.reserve(names(t))
+        return fresh(var)
+
+    def walk(g: Formula, part: Subst) -> Formula:
+        if isinstance(g, Atom):
+            return subst_term(g, part)
+        if isinstance(g, (Top, Bottom)):
+            return g
+        if isinstance(g, Not):
+            arg = walk(g.arg, part)
+            return g if arg is g.arg else Not(arg)
+        if isinstance(g, (And, Or)):
+            args = tuple(walk(h, part) for h in g.args)
+            if all(a is h for a, h in zip(args, g.args)):
+                return g
+            return type(g)(args)
+        if isinstance(g, (Exists, Forall)):
+            rest = {v: t for v, t in part.items() if v != g.var}
+            if not rest:
+                return g
+            var, body = g.var, g.body
+            if any(var in names(t) for t in rest.values()):
+                var = rename(g.var)
+                new = (LinTerm.var(var) if g.sort.is_main
+                       else AuxVar(var, g.sort))
+                body = walk(body, {g.var: new})
+            body = walk(body, rest)
+            if var == g.var and body is g.body:
+                return g
+            return type(g)(var, g.sort, body)
+        raise TypeError("not a formula: %r" % (g,))
+
+    return walk(f, sub)
 
 
 # ---------------------------------------------------------------------------

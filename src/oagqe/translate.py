@@ -10,10 +10,14 @@ into prime powers on its own records.  Every rewrite here is a pointwise
 equivalence, checked by sampling in the test suite.
 
 Auxiliary comparisons come from `syntax.aux_le`, `aux_lt` and `aux_asymp`,
-which fold at the sort minima.  So a relation anchored at a minimum, as is
-every plain relation in `syn_qf_to_qe_fuf`, translates to plain relations
-with no canonical-map image: no theta parameter to extract, and no pin of
-three units for the final case split to branch on.
+which fold at the sort minima, and canonical-map images from
+`syntax.can_image`, which folds the image of the zero term to its sort's
+minimum.  So a relation anchored at a minimum, as is every plain relation
+in `syn_qf_to_qe_fuf`, or one between equal sides, translates with no
+canonical-map image: no theta parameter to extract, and no pin of three
+units for the final case split to branch on.  That split decides only the
+main-sort atoms, through the auxiliary blocks that hold them; what a
+branch leaves once none is live is auxiliary and joins the clause's guard.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from .normal import (
 from .syntax import (
     AC, AEP, FALSE, TRUE, Atom, AuxTerm, AuxVar, Bottom, CongDot, DimFloor,
     DimSucc, Discr, DPred, EqDot, Exists, Forall, Formula, Fresh, LinTerm,
-    MainRel, Not, PlainRel, Sc, Se, SortMin, SuccPlus, all_names, aux_asymp,
-    aux_le, aux_lt, aux_term_sort, conj, disj, implies, neg, rebuild, sort_ac,
+    MainRel, Not, PlainRel, Sc, Se, SortMin, SuccPlus, aux_asymp, aux_le,
+    aux_lt, aux_term_sort, can_image, conj, disj, implies, neg, rebuild,
+    sort_ac,
 )
 
 DIM_ELL_CAP = 8
@@ -38,14 +43,14 @@ DIM_ELL_CAP = 8
 # ---------------------------------------------------------------------------
 # Small builders
 
-def canc_term(m: int, t: LinTerm) -> Sc:
+def canc_term(m: int, t: LinTerm) -> AuxTerm:
     """The canonical map of exponent m, as a prime power when possible."""
 
     parts = prime_power_parts(m)
     if len(parts) == 1:
         p, r = parts[0]
-        return Sc(p, r, t)
-    return Sc(m, 1, t)
+        return can_image(Sc(p, r, t))
+    return can_image(Sc(m, 1, t))
 
 
 def plain_eq0(t: LinTerm) -> Formula:
@@ -98,9 +103,9 @@ def _eq_zero(eta: AuxTerm, t: LinTerm, fresh: Fresh) -> Formula:
         name = fresh("q")
         v = AuxVar(name, sort_ac(n))
         below = Forall(name, sort_ac(n),
-                       implies(aux_le(eta, v), aux_lt(Se(n, t), v)))
+                       implies(aux_le(eta, v), aux_lt(can_image(Se(n, t)), v)))
         return disj([plain_eq0(t), below])
-    return disj([aux_lt(Se(sort.n, t), eta), plain_eq0(t)])
+    return disj([aux_lt(can_image(Se(sort.n, t)), eta), plain_eq0(t)])
 
 
 def _by_discr(eta: AuxTerm, fresh: Fresh, dense: Formula,
@@ -115,7 +120,7 @@ def _by_discr(eta: AuxTerm, fresh: Fresh, dense: Formula,
 def _eq_step(eta: AuxTerm, t: LinTerm, k: int) -> Formula:
     """t is k least positive steps at eta, a discrete quotient."""
 
-    return conj([aux_asymp(eta, Se(2, t)), EqDot(k, t)])
+    return conj([aux_asymp(eta, can_image(Se(2, t))), EqDot(k, t)])
 
 
 def _eq_translate(eta, t, k, fresh) -> Formula:
@@ -127,7 +132,8 @@ def _eq_translate(eta, t, k, fresh) -> Formula:
 def _cong_zero(eta: AuxTerm, t: LinTerm, m: int) -> Formula:
     if m == 1:
         return TRUE
-    below = conj([aux_lt(Sc(p, r, t), eta) for p, r in prime_power_parts(m)])
+    below = conj([aux_lt(can_image(Sc(p, r, t)), eta)
+                  for p, r in prime_power_parts(m)])
     return disj([below, PlainRel("cong", t, LinTerm.zero(), m=m)])
 
 
@@ -149,7 +155,7 @@ def _congb_translate(eta, t, m, mp) -> Formula:
             continue
         piece = disj([
             _cong_zero(eta, t, p ** r),
-            conj([aux_asymp(eta, Sc(p, r, t)), DPred(p, r, s, t)]),
+            conj([aux_asymp(eta, can_image(Sc(p, r, t))), DPred(p, r, s, t)]),
         ])
         parts.append(piece)
     return conj(parts)
@@ -174,12 +180,19 @@ def _lt_translate(eta, lhs, rhs, k, fresh) -> Formula:
 # The reverse direction: plain and dotted atoms into anchored family form
 
 def _syn_atom_rewrite(a: Atom) -> Formula:
-    z = LinTerm.zero()
+    """An atom of the restricted language as anchored relations, or the
+    constant it decides: a relation between equal sides at offset 0, or a
+    dotted predicate of the zero term, which lies in every group."""
+
     if isinstance(a, PlainRel):
-        anchor = SortMin(sort_ac(2))
-        if a.op == "lt":
-            return MainRel("lt", a.lhs, a.rhs, 0, anchor)
-        return MainRel("cong", a.lhs, a.rhs, 0, anchor, m=a.m)
+        a = MainRel(a.op, a.lhs, a.rhs, 0, SortMin(sort_ac(2)), m=a.m)
+    if isinstance(a, MainRel):
+        if a.lhs == a.rhs and a.k == 0:
+            return FALSE if a.op == "lt" else TRUE
+        return a
+    z = LinTerm.zero()
+    if isinstance(a, (EqDot, DPred)) and a.t == z:
+        return FALSE
     if isinstance(a, EqDot):
         e = Se(2, a.t)
         return conj([Discr(e), MainRel("eq", a.t, z, a.k, e)])
@@ -214,32 +227,38 @@ def _pin_formula(var: AuxVar, term: AuxTerm) -> Formula:
     return disj([hit, bottom])
 
 
-def syn_qf_to_qe_fuf(f: Formula, cap: int = 4096) -> FamilyUnionForm:
-    """A quantifier-free formula over plain and dotted atoms, brought into
-    family union form over anchored relations.
+def syn_qf_to_qe_fuf(f: Formula, fresh: Fresh,
+                     cap: int = 4096) -> FamilyUnionForm:
+    """A formula over plain and dotted atoms without main-sort quantifiers,
+    brought into family union form over anchored relations.
 
     Plain relations are anchored at the bottom coordinate class, dotted
     predicates are unfolded through their canonical-map image, the images
     are pulled out into parameters pinned by anchored relations, and the
-    matrix is case-split into pairwise-disjoint clauses.
+    matrix is case-split into pairwise-disjoint clauses over every unit in
+    order of first occurrence, through the auxiliary blocks that hold
+    main-sort atoms.  A branch ends once no main-sort unit is live; its
+    auxiliary literals and what is left of the matrix there form the
+    guard.  The parameter names come from fresh, which must reserve every
+    name of f.
     """
 
     g = rebuild(f, _syn_atom_rewrite)
-    fresh = Fresh("th", all_names(g))
     g, extracted = extract_can_terms(g, fresh)
-    g = hoist_main_units(g)
     theta = tuple((name, sort) for name, sort, _ in extracted)
     pins = [_pin_formula(AuxVar(name, sort), term)
             for name, sort, term in extracted]
     matrix = conj(pins + [g])
+    units = hoist_main_units(matrix)
+    involves: dict = {}
+    main = {u for u in units if unit_involves_main(u, involves)}
 
     clauses = []
-    involves: dict = {}
-    for row in dnf_disjoint_tree(matrix, cap=cap):
+    for row in dnf_disjoint_tree(matrix, cap, units, main):
         xi_parts = []
         psi = []
         for u, pol in row:
-            if unit_involves_main(u, involves):
+            if u in main:
                 psi.append((u, pol))
             else:
                 xi_parts.append(u if pol else neg(u))

@@ -237,6 +237,11 @@ def test_negative_counts_are_usage_errors(capsys, z):
     assert main(["check", "--formula", graph, "--samples", "0",
                  "--model", z]) == 0
     assert "samples 0" in capsys.readouterr().out
+    # a negative branch budget is a usage error, not a resource limit
+    assert main(["eliminate", "--formula", "(E x G (eq c2min (* 2 x) y 0))",
+                 "--max-branches", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert "is negative" in err and "resource limit" not in err
 
 
 def test_every_subcommand_option_is_read():

@@ -7,12 +7,14 @@ import pytest
 
 from conftest import FIXTURE_MODELS, Z_MODEL, main_assignment, rand_term
 from helpers import has_main_quantifier
+from test_tracing import _api, _tracing
 from oagqe.eliminate import eliminate_exists_main, power_sum_bound, qe_driver
 from oagqe.evaluate import evaluate, family_evaluator
 from oagqe.models import IntComp, LexModel, RatComp
+from oagqe.normal import ResourceLimit
 from oagqe.syntax import (
-    And, Exists, LinTerm, MainRel, Not, Or, PlainRel, SORT_G, SortMin, conj,
-    free_vars, sort_ac, subformulas,
+    And, AuxVar, Discr, EqDot, Exists, LinTerm, MainRel, Not, Or, PlainRel,
+    SORT_G, SortMin, conj, free_vars, sort_ac, subformulas,
 )
 
 x = LinTerm.var("x")
@@ -189,3 +191,52 @@ def test_qe_driver_presburger_smoke(rng):
     for v in (-4, -3, 0, 3, 6):
         asg = {"y": Z_MODEL.element([v])}
         assert evaluate(Z_MODEL, asg, g) is (v % 2 == 0)
+
+
+def test_qe_driver_rejects_negative_budgets():
+    f = Exists("x", SORT_G, PlainRel("lt", LinTerm.var("y"), LinTerm.var("x")))
+    for kwargs in ({"cap": -1}, {"max_branches": -5}):
+        with pytest.raises(ValueError, match="negative"):
+            qe_driver(f, **kwargs)
+    # zero is a budget, which this input exceeds
+    with pytest.raises(ResourceLimit, match="branch budget"):
+        qe_driver(f, max_branches=0)
+
+
+# x above y by one step of a discrete quotient, under an auxiliary block
+A = AuxVar("a", sort_ac(2))
+STEP_IN_BLOCK = Exists("x", SORT_G, conj([
+    PlainRel("lt", y, x),
+    Exists("a", sort_ac(2), conj([Discr(A), EqDot(1, x - y)]))]))
+
+
+def test_gap_image_of_zero_extracts_no_parameter(rng):
+    # both bounds of x sit on y, so the canonical image of their gap is the
+    # image of zero: the sort's minimum, with no theta parameter to pin
+    fuf = qe_driver(STEP_IN_BLOCK)
+    assert fuf.well_formed() == [] and len(fuf.clauses) == 1
+    assert fuf.clauses[0].theta == () and fuf.clauses[0].psi == ()
+    for model in FIXTURE_MODELS:
+        fam = family_evaluator(model, fuf)
+        for _ in range(3):
+            asg = main_assignment(model, rng, ["y"])
+            assert fam(asg) == [evaluate(model, asg, STEP_IN_BLOCK)], model
+
+
+def test_traced_qe_path_counts_every_layer():
+    # perfbench/tracing.py installed as test_tracing installs it, over one
+    # elimination whose body holds a main atom under an auxiliary block:
+    # each layer of the final case split counts a call, so its traced
+    # numbers cannot silently read 0
+    tracing, api = _tracing(), _api()
+    tracer = tracing.Tracer()
+    f = STEP_IN_BLOCK
+    try:
+        tracing.install(tracer, api)
+        fuf = api.qe_driver(f)
+    finally:
+        tracer.unpatch()
+    assert fuf.well_formed() == []
+    for name in ("normal.hoist_main_units", "normal.dnf_disjoint_tree",
+                 "normal.extract_can_terms", "translate.syn_qf_to_qe_fuf"):
+        assert tracer.counts[name + ".calls"] >= 1, name

@@ -14,12 +14,12 @@ from oagqe.models import IntComp, LexModel
 from oagqe.normal import (
     FamilyUnionForm, FUClause, ResourceLimit, ShannonSplitter,
     atom_involves_main, boolean_units, disjoint_clauses, dnf_disjoint_tree,
-    hoist_main_units,
+    hoist_main_units, unit_involves_main,
 )
 from oagqe.syntax import (
     FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, Discr, Exists, Forall,
     LinTerm, MainRel, Not, Or, PlainRel, SORT_G, Sc, Sort, SortMin, Top,
-    atoms_of, conj, disj, free_vars, neg, rebuild, sort_ac, subformulas,
+    atoms_of, conj, disj, free_vars, neg, rebuild, sort_ac,
 )
 
 ZZ = LexModel((IntComp(), IntComp()))
@@ -221,15 +221,45 @@ def test_dnf_tree_matches_reference():
     assert max(sizes) >= 8 and 0 in sizes
 
 
+def split_rows(f, cap=4096):
+    """The rows of the final case split of f: the literal lists of the
+    leaves over hoist_main_units' units that decide the main-sort ones, a
+    remainder last; and the main-sort units."""
+
+    units = hoist_main_units(f)
+    involves = {}
+    main = {u for u in units if unit_involves_main(u, involves)}
+    return dnf_disjoint_tree(f, cap, units, main), main
+
+
+def rows_formula(rows):
+    return disj(conj([u if pol else neg(u) for u, pol in row])
+                for row in rows)
+
+
+def _check_rows(rows, main):
+    """Main-sort literals are units; every other literal is auxiliary,
+    quantified or not."""
+
+    involves = {}
+    for row in rows:
+        for u, pol in row:
+            if u in main:
+                assert not isinstance(u, (Exists, Forall)) or u.sort.is_main
+            else:
+                assert not unit_involves_main(u, involves), u
+
+
 def test_hoist_main_units_equivalence(rng):
     a = AuxVar("a", sort_ac(2))
     plain = PlainRel("lt", zero, LinTerm.var("y"))
     f = Exists("a", sort_ac(2), conj([Discr(a), plain]))
-    g = hoist_main_units(f)
-    # no main atom is left under the auxiliary quantifier
-    for u in boolean_units(g):
-        if isinstance(u, Exists):
-            assert not any(atom_involves_main(p) for p in atoms_of(u.body))
+    assert hoist_main_units(f) == [plain]
+    rows, main = split_rows(f)
+    # the block keeps its auxiliary rest, and its false branch is dropped
+    assert rows == [[(plain, True), (Exists("a", sort_ac(2), Discr(a)), True)]]
+    _check_rows(rows, main)
+    g = rows_formula(rows)
     for v in (-2, 0, 3):
         asg = {"y": ZZ.element([v, 0])}
         assert evaluate(ZZ, asg, f) == evaluate(ZZ, asg, g)
@@ -241,12 +271,12 @@ def test_hoist_is_linear_when_first_atom_decides():
     body = disj([conj([ms[0], Discr(a)]),
                  conj([neg(ms[0]), disj(ms[1:] + [neg(Discr(a))])])])
     f = Exists("a", sort_ac(2), body)
-    g = hoist_main_units(f)
-    # a chain of if-then-else nodes, one per atom, not a 2^10-row table
-    assert len(list(subformulas(g))) <= 6 * len(ms)
-    for u in boolean_units(g):
-        if isinstance(u, Exists):
-            assert not any(atom_involves_main(p) for p in atoms_of(u.body))
+    assert hoist_main_units(f) == ms
+    rows, main = split_rows(f)
+    # one leaf per atom and one more, not a 2^10-row table
+    assert len(rows) == len(ms) + 1
+    _check_rows(rows, main)
+    g = rows_formula(rows)
     rng = random.Random(3)
     for model in FIXTURE_MODELS[:3]:
         for _ in range(3):
@@ -270,36 +300,126 @@ def test_hoist_random_blocks_agree_with_evaluate():
     decided = 0
     for trial in range(40):
         f = rand_bool(rng, rng.randint(0, 1), _rand_block)
-        g = hoist_main_units(f)
-        for u in boolean_units(g):
-            if not isinstance(u, Atom):
-                assert not any(atom_involves_main(p) for p in atoms_of(u))
+        rows, main = split_rows(f)
+        _check_rows(rows, main)
         model = FIXTURE_MODELS[trial % len(FIXTURE_MODELS)]
         for _ in range(3):
             asg = main_assignment(model, rng, ["x", "y", "z"])
             asg.update(aux_assignment(model, rng) or {})
-            want, got = evaluate(model, asg, f), evaluate(model, asg, g)
-            if want is not None and got is not None:
+            want = evaluate(model, asg, f)
+            got = [evaluate(model, asg, conj([u if pol else neg(u)
+                                              for u, pol in row]))
+                   for row in rows]
+            assert got.count(True) <= 1, (f, model, asg)
+            if want is not None and None not in got:
                 decided += 1
-                assert want == got, (f, model, asg)
+                assert want == (True in got), (f, model, asg)
     assert decided >= 100
 
 
 def test_hoist_rejects_bound_dependence():
-    a = AuxVar("a", sort_ac(2))
-    f = Exists("a", sort_ac(2),
-               MainRel("lt", zero, LinTerm.var("y"), 0, a))
-    with pytest.raises(ValueError):
-        hoist_main_units(f)
+    a, b = AuxVar("a", sort_ac(2)), AuxVar("b", sort_ac(3))
+    at_a = MainRel("lt", zero, LinTerm.var("y"), 0, a)
+    at_b = MainRel("lt", zero, LinTerm.var("y"), 0, b)
+    inner = Forall("b", sort_ac(3), conj([Discr(b), at_a]))
+    for f in (Exists("a", sort_ac(2), at_a),
+              # through a nested block, whichever block binds the variable
+              Exists("a", sort_ac(2), inner),
+              Exists("a", sort_ac(2), Exists("b", sort_ac(3),
+                                             disj([Discr(a), at_b]))),
+              # also when the atom occurs free first
+              conj([at_a, Exists("a", sort_ac(2), conj([Discr(a), at_a]))])):
+        with pytest.raises(ValueError, match="bound variable"):
+            hoist_main_units(f)
+    # an atom over a variable that no enclosing block binds is lifted
+    free_a = Exists("c", sort_ac(2), inner)
+    assert hoist_main_units(free_a) == [at_a]
 
 
-def test_hoist_cap():
+def test_hoist_lifts_many_main_atoms_from_one_block():
+    # one block, twelve main atoms: no limit on their number, one leaf
     plains = [PlainRel("lt", zero, LinTerm.var("y%d" % i))
               for i in range(12)]
     a = AuxVar("a", sort_ac(2))
     f = Exists("a", sort_ac(2), conj([Discr(a)] + plains))
+    assert hoist_main_units(f) == plains
+    rows, _ = split_rows(f)
+    assert rows == [[(p, True) for p in plains]
+                    + [(Exists("a", sort_ac(2), Discr(a)), True)]]
+
+
+def test_hoist_main_units_orders_units_by_first_occurrence():
+    a, a1 = AuxVar("a", sort_ac(2)), AUX_FREE[0]
+    aux_block = Exists("a", sort_ac(2), AuxLe(a, a1))
+    mixed = Forall("a", sort_ac(2), disj([Discr(a), atom(2), Discr(a1)]))
+    mq = Exists("x", SORT_G, MainRel("lt", zero, LinTerm.var("x"), 0, BOT))
+    f = conj([Discr(a1), disj([mixed, atom(1)]), aux_block, mq, atom(2)])
+    # a block without main-sort atoms and a main quantifier are units; the
+    # auxiliary atoms of a block that holds a main atom stay inside it
+    assert hoist_main_units(f) == [Discr(a1), atom(2), atom(1), aux_block, mq]
+
+
+def test_splitter_sees_through_auxiliary_blocks():
+    a = AuxVar("a", sort_ac(2))
+    da = Discr(a)
+
+    def blk(body, q=Exists):
+        return q("a", sort_ac(2), body)
+
+    b = blk(conj([da, disj([atom(1), atom(2)])]))
+    f = conj([b, atom(3)])
+    sp = ShannonSplitter([atom(1), atom(2), atom(3)])
+    assert sp.mask(f) == 0b111
+    # the cofactor is the same quantifier over the cofactored body
+    assert sp.cofactor(f, 0, True) == conj([blk(da), atom(3)])
+    assert sp.cofactor(b, 0, False) == blk(conj([da, atom(2)]))
+    assert sp.split(b) == (0, blk(da), blk(conj([da, atom(2)])))
+    assert sp.cofactor(b, 2, True) is b
+    # a constant body folds: an auxiliary sort is never empty
+    assert sp.cofactor(blk(disj([atom(1), da])), 0, True) is TRUE
+    assert sp.cofactor(blk(atom(1), Forall), 0, False) is FALSE
+    assert sp.cofactor(blk(conj([atom(1), da]), Forall), 0, False) is FALSE
+    # nested blocks
+    nested = blk(blk(conj([da, atom(1)]), Forall))
+    assert sp.cofactor(nested, 0, False) is FALSE
+    assert sp.cofactor(nested, 0, True) == blk(blk(da, Forall))
+    # a unit that mentions the block's variable means another point inside
+    # it, so the block hides that unit
+    f = conj([da, blk(conj([da, atom(1)]))])
+    sp = ShannonSplitter([da, atom(1)])
+    assert sp.mask(f) == 0b11 and sp.mask(f.args[1]) == 0b10
+    assert sp.cofactor(f, 0, True) == f.args[1]
+    assert sp.cofactor(f.args[1], 0, False) is f.args[1]
+    assert sp.cofactor(f, 1, True) == conj([da, blk(da)])
+    # a main-sort quantifier stays opaque
+    mq = Exists("x", SORT_G, conj([atom(1), PlainRel(
+        "lt", zero, LinTerm.var("x"))]))
+    assert sp.mask(mq) == 0 and sp.split(mq) == ()
+    assert sp.cofactor(mq, 0, True) is mq
+    # so does a listed block: it is a unit
+    listed = ShannonSplitter([b, atom(1)])
+    assert listed.mask(b) == 0b01
+    assert listed.cofactor(b, 1, True) is b
+    assert listed.cofactor(b, 0, True) is TRUE
+
+
+def test_disjoint_clauses_decide_only_what_they_must():
+    a1 = AUX_FREE[0]
+    d, e = Discr(a1), AuxLe(BOT, a1)
+    f = disj([conj([atom(1), d]), conj([neg(atom(1)), atom(2), e])])
+    units = boolean_units(f)
+    assert units == [atom(1), d, atom(2), e]
+    leaves = list(disjoint_clauses(f, units, 2, {atom(1), atom(2)}))
+    # a branch ends once no unit to decide is live, with its remainder
+    assert leaves == [([(atom(1), True)], d),
+                      ([(atom(1), False), (atom(2), True)], e)]
+    # an undecided unit of lower index is still split while one is live
+    g = conj([d, disj([atom(1), e])])
+    rows = dnf_disjoint_tree(g, 4, boolean_units(g), {atom(1)})
+    assert rows == [[(d, True), (atom(1), True)],
+                    [(d, True), (atom(1), False), (e, True)]]
     with pytest.raises(ResourceLimit):
-        hoist_main_units(f)
+        dnf_disjoint_tree(g, 1, boolean_units(g), {atom(1)})
 
 
 def test_well_formed_flags_problems():

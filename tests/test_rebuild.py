@@ -1,12 +1,15 @@
-"""The value-keyed rewriter `rebuild` and `free_names` against the walkers
-they replaced.
+"""The value-keyed rewriter `rebuild`, `free_names` and the final case
+split against the walkers they replaced.
 
 Each reference below is the identity-keyed walk that a pass used before it
 went through `rebuild`; the atom-level rules (`qe_atom_to_syn`,
-`_syn_atom_rewrite`, `replace_aux_terms`, `_hoist_block`) are the
-program's own.  The random formulas draw their nodes from a growing pool,
-so subformulas recur both by identity (a pooled node reused) and by value
-only (a deep copy), and some connectives are built raw.
+`_syn_atom_rewrite`, `replace_aux_terms`) are the program's own.  The
+exception is the family union builder as it was before its case split went
+through the auxiliary blocks: `_ref_syn_qf_to_qe_fuf` keeps it whole, with
+its atom rule and its hoisting, as the reference for `syn_qf_to_qe_fuf`.
+The random formulas draw their nodes from a growing pool, so subformulas
+recur both by identity (a pooled node reused) and by value only (a deep
+copy), and some connectives are built raw.
 """
 
 import copy
@@ -15,22 +18,26 @@ import random
 
 import pytest
 
-from conftest import AUX_FREE, rand_bool, rand_syn_atom, rand_term
+from conftest import (
+    AUX_FREE, FIXTURE_MODELS, aux_assignment, main_assignment, rand_bool,
+    rand_syn_atom, rand_term,
+)
 from oagqe.eliminate import eliminate_exists_main
+from oagqe.evaluate import evaluator, family_evaluator
+from oagqe.models import prime_power_parts
 from oagqe.normal import (
-    FamilyUnionForm, FUClause, ResourceLimit, _can_subterms, _hoist_block,
-    dnf_disjoint_tree, extract_can_terms, hoist_main_units, unit_involves_main,
+    FamilyUnionForm, FUClause, ResourceLimit, ShannonSplitter, _can_subterms,
+    boolean_units, dnf_disjoint_tree, extract_can_terms, hoist_main_units,
+    unit_involves_main,
 )
 from oagqe.syntax import (
-    FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, Discr, Exists, Forall,
-    Fresh, LinTerm, MainRel, Not, Or, PlainRel, SORT_G, Sc, Se, SortMin,
-    SuccPlus, Top, all_names, atom_aux_terms, atoms_of, aux_term_sort, conj,
-    disj, free_names, free_vars, lin_terms, neg, rebuild, replace_aux_terms,
-    sort_ac, sort_aep, subformulas,
+    FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, CongDot, Discr, DPred,
+    EqDot, Exists, Forall, Fresh, LinTerm, MainRel, Not, Or, PlainRel,
+    SORT_G, Sc, Se, SortMin, SuccPlus, Top, all_names, atom_aux_terms,
+    atoms_of, aux_term_sort, conj, disj, free_names, free_vars, lin_terms,
+    neg, rebuild, replace_aux_terms, sort_ac, sort_aep, subformulas,
 )
-from oagqe.translate import (
-    _pin_formula, _syn_atom_rewrite, qe_atom_to_syn, syn_qf_to_qe_fuf,
-)
+from oagqe.translate import _pin_formula, qe_atom_to_syn, syn_qf_to_qe_fuf
 
 BOT = SortMin(sort_ac(2))
 A = AuxVar("a", sort_ac(2))
@@ -71,7 +78,7 @@ def _ref_rewrite_syn_atoms(f, memo=None):
     if hit is not None:
         return hit[1]
     if isinstance(f, Atom):
-        out = _syn_atom_rewrite(f)
+        out = _ref_syn_atom_rewrite(f)
     elif isinstance(f, Not):
         out = neg(_ref_rewrite_syn_atoms(f.arg, memo))
     elif isinstance(f, (Exists, Forall)):
@@ -134,11 +141,83 @@ def _ref_extract_can_terms(f, fresh):
             _can_subterms(t, can_terms)
     mapping, extracted = {}, []
     for t in can_terms:
-        name, sort = fresh(), aux_term_sort(t)
+        name, sort = fresh("th"), aux_term_sort(t)
         mapping[t] = AuxVar(name, sort)
         extracted.append((name, sort, t))
     g = _ref_rewrite_aux_terms(f, mapping) if mapping else f
     return g, extracted
+
+
+# The family union builder before its case split went through the
+# auxiliary blocks: the atom rule without the folds, and the hoisting that
+# Shannon-expanded the main atoms out of every block into an if-then-else,
+# at most ten per block, before every unit was split.
+
+def _ref_canc_term(m, t):
+    parts = prime_power_parts(m)
+    if len(parts) == 1:
+        p, r = parts[0]
+        return Sc(p, r, t)
+    return Sc(m, 1, t)
+
+
+def _ref_syn_atom_rewrite(a):
+    z = LinTerm.zero()
+    if isinstance(a, PlainRel):
+        anchor = SortMin(sort_ac(2))
+        if a.op == "lt":
+            return MainRel("lt", a.lhs, a.rhs, 0, anchor)
+        return MainRel("cong", a.lhs, a.rhs, 0, anchor, m=a.m)
+    if isinstance(a, EqDot):
+        e = Se(2, a.t)
+        return conj([Discr(e), MainRel("eq", a.t, z, a.k, e)])
+    if isinstance(a, CongDot):
+        c = _ref_canc_term(a.m, a.t)
+        return conj([Discr(c), MainRel("cong", a.t, z, a.k, c, m=a.m)])
+    if isinstance(a, DPred):
+        c = Sc(a.p, a.r, a.t)
+        return conj([
+            MainRel("congb", a.t, z, 0, c, m=a.p ** a.r, mp=a.p ** a.s),
+            neg(MainRel("cong", a.t, z, 0, c, m=a.p ** a.r)),
+        ])
+    return a
+
+
+def _ref_hoist_block(q, body, involves, free):
+    if q.sort.is_main:
+        return type(q)(q.var, q.sort, body)
+    units = [u for u in boolean_units(body)
+             if unit_involves_main(u, involves)]
+    if not units:
+        return type(q)(q.var, q.sort, body)
+    for u in units:
+        if q.var in free_names(u, free):
+            raise ValueError(
+                "main-sort atom depends on an auxiliary bound variable; "
+                "outside the supported fragment")
+    if len(units) > 10:
+        raise ResourceLimit("%d main-sort atoms under one auxiliary "
+                            "quantifier" % len(units))
+    sp = ShannonSplitter(units)
+    memo = {}
+
+    def expand(g):
+        hit = memo.get(g)
+        if hit is not None:
+            return hit
+        node = sp.split(g)
+        if node:
+            i, hi, lo = node
+            u = units[i]
+            out = disj([conj([u, expand(hi)]), conj([neg(u), expand(lo)])])
+        elif isinstance(g, (Top, Bottom)):
+            out = g
+        else:
+            out = type(q)(q.var, q.sort, g)
+        memo[g] = out
+        return out
+
+    return expand(body)
 
 
 def _ref_hoist_main_units(f):
@@ -157,7 +236,7 @@ def _ref_hoist_main_units(f):
         elif isinstance(g, Or):
             out = disj(walk(h) for h in g.args)
         else:
-            out = _hoist_block(g, walk(g.body), involves, free)
+            out = _ref_hoist_block(g, walk(g.body), involves, free)
         memo[g] = out
         return out
 
@@ -180,6 +259,41 @@ def _ref_syn_qf_to_qe_fuf(f, cap=4096):
                     if unit_involves_main(u, involves))
         clauses.append(FUClause(theta, conj(xi), psi))
     return FamilyUnionForm(tuple(clauses))
+
+
+def _ref_hoist_units(f):
+    """The units of the final case split, by a recursive walk of every
+    path: main-sort units wherever they sit, through the auxiliary blocks
+    that hold one, and other maximal units outside such blocks."""
+
+    out = []
+
+    def involves(g):
+        return any(lin_terms(a) for a in atoms_of(g))
+
+    def walk(g, bound):
+        if isinstance(g, Not):
+            walk(g.arg, bound)
+        elif isinstance(g, (And, Or)):
+            for h in g.args:
+                walk(h, bound)
+        elif isinstance(g, (Top, Bottom)):
+            return
+        elif not involves(g):
+            if not bound and g not in out:
+                out.append(g)
+        elif isinstance(g, (Exists, Forall)) and not g.sort.is_main:
+            walk(g.body, bound | {g.var})
+        else:
+            if bound & set(free_vars(g, {})):
+                raise ValueError(
+                    "main-sort atom depends on an auxiliary bound variable; "
+                    "outside the supported fragment")
+            if g not in out:
+                out.append(g)
+
+    walk(f, frozenset())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +444,42 @@ def test_extract_can_terms_matches_reference():
 
 
 def test_syn_qf_to_qe_fuf_matches_reference():
+    # against the builder that hoisted the main atoms out of the blocks:
+    # the same truth values on the fixture models, and no sample that
+    # satisfies two clauses; nested blocks, and a name that is free in one
+    # place and bound by a block in another
     rng = random.Random(24)
-    done = 0
-    for _ in range(60):
-        leaves = [rand_syn_atom(rng) for _ in range(4)]
-        f = rand_dag(rng, leaves, rng.randint(2, 8), quantify=False)
+    done = samples = fewer = 0
+    for trial in range(60):
+        leaves = ([_rand_block(rng) for _ in range(2)]
+                  + [rand_syn_atom(rng) for _ in range(2)]
+                  + [rng.choice([Discr(A), AuxLe(A, AUX_FREE[0])])])
+        f = rand_dag(rng, leaves, rng.randint(2, 8))
         try:
             want = _ref_syn_qf_to_qe_fuf(f, cap=256)
         except ResourceLimit:
-            with pytest.raises(ResourceLimit):
-                syn_qf_to_qe_fuf(f, cap=256)
             continue
-        assert syn_qf_to_qe_fuf(f, cap=256) == want, f
+        got = syn_qf_to_qe_fuf(f, Fresh("th", all_names(f)), cap=256)
+        assert got.well_formed() == [], f
+        fewer += len(got.clauses) < len(want.clauses)
         done += 1
-    assert done >= 30
+        model = FIXTURE_MODELS[trial % len(FIXTURE_MODELS)]
+        fam_got, fam_want = family_evaluator(model, got), \
+            family_evaluator(model, want)
+        run = evaluator(model, f)
+        for _ in range(4):
+            asg = main_assignment(model, rng, ["x", "y", "z"])
+            asg.update(aux_assignment(model, rng, AUX_FREE + [A]))
+            g, w, e = fam_got(asg), fam_want(asg), run(asg)
+            assert g.count(True) <= 1, (f, model, asg)
+            if None in g:
+                continue
+            samples += 1
+            if None not in w:
+                assert (True in g) == (True in w), (f, model, asg)
+            if e is not None:
+                assert (True in g) == e, (f, model, asg)
+    assert done >= 30 and samples >= 100 and fewer >= 10
 
 
 def _outcome(fn, *args):
@@ -355,12 +491,18 @@ def _outcome(fn, *args):
 
 def test_hoist_main_units_matches_reference():
     rng = random.Random(25)
-    for _ in range(80):
+    raised = 0
+    for _ in range(120):
+        at_a = MainRel("lt", rand_term(rng, ["x"]), rand_term(rng, ["y"]), 0,
+                       A)
         leaves = ([_rand_block(rng) for _ in range(3)]
-                  + [rand_syn_atom(rng) for _ in range(2)])
+                  + [rand_syn_atom(rng) for _ in range(2)]
+                  + [rng.choice([Discr(A), at_a])])
         f = rand_dag(rng, leaves, rng.randint(2, 8))
-        assert _outcome(hoist_main_units, f) == \
-            _outcome(_ref_hoist_main_units, f), f
+        got = _outcome(hoist_main_units, f)
+        assert got == _outcome(_ref_hoist_units, f), f
+        raised += isinstance(got, tuple)
+    assert 5 <= raised <= 100
 
 
 def test_free_names_equals_free_vars():
@@ -415,14 +557,15 @@ def test_rebuild_visits_every_atom_once():
 
 
 def test_hoist_expands_blocks_after_a_false_sibling():
-    # every block is hoisted, also after a sibling that folds to false, so
-    # a block over the cap raises whatever the order of the arguments
+    # the units of every block are lifted, also after a sibling that folds
+    # to false, so a bound dependence raises whatever the order of the
+    # arguments
     u = PlainRel("lt", LinTerm.var("y"), LinTerm.zero())
     dead = Exists("a", sort_ac(2), And((u, Not(u))))
-    assert hoist_main_units(dead) is FALSE
-    wide = Exists("a", sort_ac(2), conj(
-        [Discr(A)] + [PlainRel("lt", LinTerm.var("y%d" % i), LinTerm.zero())
-                      for i in range(12)]))
-    for f in (And((dead, wide)), And((wide, dead))):
-        with pytest.raises(ResourceLimit):
+    assert hoist_main_units(dead) == [u]
+    assert syn_qf_to_qe_fuf(dead, Fresh("th")).clauses == ()
+    bound = Exists("a", sort_ac(2), conj(
+        [Discr(A), MainRel("lt", LinTerm.var("y"), LinTerm.zero(), 0, A)]))
+    for f in (And((dead, bound)), And((bound, dead))):
+        with pytest.raises(ValueError):
             hoist_main_units(f)

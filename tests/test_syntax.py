@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import has_main_quantifier
+from oagqe import syntax
 from oagqe.syntax import (
-    And, Atom, AuxAsymp, AuxLe, AuxVar, CongDot, Discr, EqDot, Exists,
-    FALSE, Forall, LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, SortMin,
-    SORT_G, SuccPlus, TERM_FIELDS, TRUE, atom_aux_terms, aux_asymp, aux_le,
-    aux_lt, conj, disj, free_names, free_vars, implies, lin_terms, neg,
-    sort_ac, sort_ae, sort_aep, subformulas, substitute,
+    And, Atom, AuxAsymp, AuxLe, AuxVar, Bottom, CongDot, Discr, EqDot,
+    Exists, FALSE, Forall, Fresh, LinTerm, MainRel, Not, Or, PlainRel, Sc,
+    Se, SortMin, SORT_G, SuccPlus, TERM_FIELDS, TRUE, Top, all_names,
+    atom_aux_terms, aux_asymp, aux_le, aux_lt, conj, disj, free_names,
+    free_vars, implies, lin_terms, neg, occurrences, sort_ac, sort_ae,
+    sort_aep, subformulas, subst_term, substitute,
 )
 
 names = st.sampled_from(["x", "y", "z", "w"])
@@ -228,6 +230,84 @@ def test_substitute_renames_capture():
     assert isinstance(g, Exists)
     assert g.var != "y"  # the binder moved out of the way
     assert free_vars(g, {}) == {"y": SORT_G}
+
+
+def _ref_substitute(f, sub, fresh=None):
+    """substitute as it was before it returned unchanged parts: every node
+    rebuilt, and the names of the whole formula reserved up front."""
+
+    if not sub:
+        return f
+    if fresh is None:
+        fresh = Fresh("r")
+        fresh.reserve(all_names(f))
+        for repl in sub.values():
+            fresh.reserve(repl.vars() if isinstance(repl, LinTerm)
+                          else occurrences(repl))
+    if isinstance(f, Atom):
+        return subst_term(f, sub)
+    if isinstance(f, (Top, Bottom)):
+        return f
+    if isinstance(f, Not):
+        return Not(_ref_substitute(f.arg, sub, fresh))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_ref_substitute(g, sub, fresh) for g in f.args))
+    sub2 = {v: t for v, t in sub.items() if v != f.var}
+    clash = any(f.var in (r.vars() if isinstance(r, LinTerm)
+                          else occurrences(r)) for r in sub2.values())
+    var, body = f.var, f.body
+    if clash:
+        var = fresh(f.var)
+        new = LinTerm.var(var) if f.sort.is_main else AuxVar(var, f.sort)
+        body = _ref_substitute(body, {f.var: new}, fresh)
+    return type(f)(var, f.sort, _ref_substitute(body, sub2, fresh))
+
+
+def _substituted(fn, f, sub):
+    try:
+        return fn(f, sub)
+    except TypeError as e:
+        return str(e)
+
+
+_SUBS = st.one_of(
+    st.fixed_dictionaries({"x": _LIN}),
+    st.fixed_dictionaries({"a": st.sampled_from(
+        [AuxVar("y", sort_ac(2)), AuxVar("x", sort_ac(2)),
+         SortMin(sort_ac(2))])}),
+    st.fixed_dictionaries({"y": _LIN, "x": _LIN}))
+
+
+@example(Exists("y", SORT_G, PlainRel("lt", LinTerm.var("x"),
+                                     LinTerm.var("y"))),
+         {"x": LinTerm.var("y")})
+@example(Forall("x", sort_ac(2), Discr(AuxVar("a", sort_ac(2)))),
+         {"a": AuxVar("x", sort_ac(2))})
+@given(_FORMULAS, _SUBS)
+def test_substitute_matches_reference(f, sub):
+    assert _substituted(substitute, f, sub) == \
+        _substituted(_ref_substitute, f, sub)
+
+
+def test_substitute_changes_only_what_it_must(monkeypatch):
+    x, y = LinTerm.var("x"), LinTerm.var("y")
+    a = AuxVar("a", sort_ac(2))
+    block = Exists("a", sort_ac(2), Discr(a))
+    f = And((block, Not(PlainRel("lt", x, y))))
+    # nothing free is substituted: the formula itself comes back
+    assert substitute(f, {"z": x}) is f
+    assert substitute(f, {"a": SortMin(sort_ac(2))}) is f
+    g = substitute(f, {"x": y})
+    assert g.args[0] is block and g.args[1] == Not(PlainRel("lt", y, y))
+    # the names of the formula are read at the first binder clash only
+    seen = []
+    monkeypatch.setattr(syntax, "all_names",
+                        lambda h: seen.append(h) or all_names(h))
+    substitute(f, {"x": y})
+    assert seen == []
+    clash = Exists("y", SORT_G, And((f, PlainRel("lt", x, y))))
+    h = substitute(clash, {"x": y})
+    assert seen == [clash] and h.var != "y"
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "oagqe"

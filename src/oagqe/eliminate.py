@@ -9,7 +9,8 @@ branch per candidate witness, each with at most one equality; the guards of
 these branches may overlap, and the final family union form is disjoint
 again.  Everything a step cannot decide outright is pushed into guard
 formulas over the auxiliary sorts, so the output is quantifier-free in the
-main sort and exactly equivalent.
+main sort and exactly equivalent.  Guards, main relations and quantifiers
+are built with the folding builders of syntax.py, so a dead guard is FALSE.
 
 `eliminate_exists_main` is the one entry to the step: the Part 1
 (inequality) and Part 2 (congruence) analyses below are private and reached
@@ -31,8 +32,8 @@ from .models import TOPG, prime_power_parts
 from .normal import FamilyUnionForm, ResourceLimit
 from .syntax import (
     FALSE, TRUE, AuxTerm, Bottom, Exists, Formula, Fresh, LinTerm, MainRel,
-    Not, Se, SortMin, Top, all_names, aux_asymp, aux_le, aux_lt, can_image,
-    conj, disj, main_vars, neg, rebuild, sort_ac,
+    Se, SortMin, all_names, aux_asymp, aux_le, aux_lt, can_image, conj,
+    disj, main_rel, main_vars, neg, quant, rebuild, sort_ac,
 )
 from .translate import (
     dim_chain_formula, discr_lift, qe_atom_to_syn, syn_qf_to_qe_fuf,
@@ -112,50 +113,6 @@ class _Ctx:
         return self.discr_cache[term]
 
 
-# ---------------------------------------------------------------------------
-# Folding constructors for main relations; the auxiliary comparisons fold
-# in syntax.py (`aux_le`, `aux_lt`, `aux_asymp`).
-
-def _mk_cong(diff: LinTerm, k: int, aux: AuxTerm, m: int) -> Formula:
-    k %= m
-    if not diff.vars() and diff == LinTerm.zero() and k == 0:
-        return TRUE
-    return MainRel("cong", diff, LinTerm.zero(), k, aux, m=m)
-
-
-def _mk_congb(diff: LinTerm, aux: AuxTerm, m: int, mp: int) -> Formula:
-    if diff == LinTerm.zero():
-        return TRUE
-    return MainRel("congb", diff, LinTerm.zero(), 0, aux, m=m, mp=mp)
-
-
-def _mk_lt0(t: LinTerm, k: int, aux: AuxTerm) -> Formula:
-    """0 < t + k minimal positive steps at aux."""
-
-    if t == LinTerm.zero() and k <= 0:
-        return FALSE
-    return MainRel("lt", LinTerm.zero(), t, k, aux)
-
-
-def _mk_eq(lhs: LinTerm, rhs: LinTerm, k: int, aux: AuxTerm) -> Formula:
-    if lhs == rhs and k == 0:
-        return TRUE
-    return MainRel("eq", lhs, rhs, k, aux)
-
-
-def _grow(guard, *extra):
-    """Guard list extended by atoms, folding constants; None when dead."""
-
-    out = list(guard)
-    for g in extra:
-        if isinstance(g, Bottom):
-            return None
-        if isinstance(g, Top):
-            continue
-        out.append(g)
-    return out
-
-
 def power_sum_bound(n: int, nu: int) -> int:
     """Smallest N such that nu negative powers of n can only reach total 1
     if the powers below n**N alone already reach 1."""
@@ -190,9 +147,9 @@ def _gather(var: str, lits):
         r = d.coeff(var)
         if r == 0:
             # var cancels: restate the literal without it
-            xfree.append((MainRel(a.op, a.lhs.without(var),
-                                  a.rhs.without(var), a.k, a.aux,
-                                  m=a.m, mp=a.mp), pol))
+            xfree.append((main_rel(a.op, a.lhs.without(var),
+                                   a.rhs.without(var), a.k, a.aux, a.m,
+                                   a.mp), pol))
             continue
         raws.append((a.op, pol, r, d.without(var), a.k, a.m, a.mp, a.aux))
     return xfree, raws
@@ -262,7 +219,7 @@ def _pair_branches(lo: _Bound, up: _Bound, congs, m0: int, ctx: _Ctx):
             and lo.c == up.c and lo.k == up.k):
         # degenerate interval: the witness is pinned to the bound
         return [(TRUE, _EqRep(lo.aux, lo.c, lo.k), tuple(congs))]
-    t = up.c - lo.c
+    t, zero = up.c - lo.c, LinTerm.zero()
     M = m0 if m0 >= 2 else 2
     e = can_image(Se(M, t))
     base = tuple(congs)
@@ -282,32 +239,33 @@ def _pair_branches(lo: _Bound, up: _Bound, congs, m0: int, ctx: _Ctx):
     ]
 
     def emit(guard, eq, cs):
-        if guard is not None:
+        if not isinstance(guard, Bottom):
             ctx.tick()
-            branches.append((conj(guard), eq, cs))
+            branches.append((guard, eq, cs))
 
     for raw_pre, gamma, (klo, slo), (kup, sup) in gammas:
-        pre = _grow([], *raw_pre)
-        if pre is None:
+        pre = conj(raw_pre)
+        if isinstance(pre, Bottom):
             continue
-        big = _mk_lt0(t, kup - klo - (m0 + 1), gamma)
+        # the gap is more than m0 + 1 minimal positive steps at gamma
+        big = main_rel("lt", zero, t, kup - klo - (m0 + 1), gamma)
         dg = ctx.discr(gamma)
         # a gap wider than the congruence period: the bounds only pin the
         # residue of x against the limit group at gamma
         wide = base
         if m0 > 1:
             wide = base + (_CongRec(True, gamma, m0, m0, lo.c, 0),)
-        emit(_grow(pre, big), None, wide)
+        emit(conj([pre, big]), None, wide)
         if not slo and not sup:
-            emit(_grow(pre, neg(big), neg(dg),
-                       _mk_eq(up.c, lo.c, klo - kup, gamma)),
+            emit(conj([pre, neg(big), neg(dg),
+                       main_rel("eq", up.c, lo.c, klo - kup, gamma)]),
                  _EqRep(gamma, lo.c, klo), base)
         # a gap of at least i + s steps (s = 1 against a strict upper bound)
         # in a discrete quotient admits the witness i steps above lo
         s = 1 if sup else 0
         for i in range(1 if slo else 0, m0 + 2 - s):
-            emit(_grow(pre, dg,
-                       _mk_lt0(t, kup - klo - i - s + 1, gamma)),
+            emit(conj([pre, dg,
+                       main_rel("lt", zero, t, kup - klo - i - s + 1, gamma)]),
                  _EqRep(gamma, lo.c, klo + i), base)
     return branches
 
@@ -349,12 +307,12 @@ def _coset_member(small: Coset, big: Coset, p: int, r: int,
     Assumes (by guard context) that the small group is contained in the
     big one, so every offset class sits at or below the big anchor."""
 
-    diff = small.c - big.c
+    diff, zero = small.c - big.c, LinTerm.zero()
     m = p ** r
     if big.s is not None:
         # the limit group absorbs minimal positive elements of its class
         # and of every class below
-        return _mk_congb(diff, big.aux, m, p ** big.s)
+        return main_rel("congb", diff, zero, 0, big.aux, m, p ** big.s)
     # small.c + small.k * 1 lies in big.c + big.k * 1 + group, i.e. the
     # difference is congruent to (big.k - small.k) minimal positive steps
     base = 0
@@ -367,7 +325,7 @@ def _coset_member(small: Coset, big: Coset, p: int, r: int,
         else:
             others.append((kk, al))
     if not others:
-        return _mk_cong(diff, base, big.aux, m)
+        return main_rel("cong", diff, zero, base, big.aux, m)
     out = []
     for picks in product((False, True), repeat=len(others)):
         ctx.tick()
@@ -378,9 +336,8 @@ def _coset_member(small: Coset, big: Coset, p: int, r: int,
                           else aux_lt(al, big.aux))
             if taken:
                 k += kk
-        guards = _grow([], *guards, _mk_cong(diff, k, big.aux, m))
-        if guards is not None:
-            out.append(conj(guards))
+        guards.append(main_rel("cong", diff, zero, k, big.aux, m))
+        out.append(conj(guards))
     return disj(out)
 
 
@@ -390,7 +347,7 @@ def _compare(a: Coset, b: Coset, guard, p: int, r: int, ctx: _Ctx):
 
     Yields (True if a's group is the smaller one, guard extended by the
     order atoms and the membership, guard extended by the order atoms and
-    its negation); a dead guard is None."""
+    its negation); a dead guard is FALSE."""
 
     if a.aux == b.aux:
         options = [(TRUE, _group_le_static(a, b))]
@@ -405,19 +362,20 @@ def _compare(a: Coset, b: Coset, guard, p: int, r: int, ctx: _Ctx):
             continue
         small, big = (a, b) if a_smaller else (b, a)
         tst = _coset_member(small, big, p, r, ctx)
-        yield a_smaller, _grow(guard, g, tst), _grow(guard, g, neg(tst))
+        yield (a_smaller, conj([guard, g, tst]),
+               conj([guard, g, neg(tst)]))
 
 
 def _coset_branches(p: int, r: int, level, ctx: _Ctx):
     """Normalize the top-level literals of one prime step.
 
-    Yields (guard atoms, positive coset or None, disjoint negatives all
+    Yields (guard, positive coset or None, disjoint negatives all
     contained in the positive).  Guard regions of distinct outputs are
     disjoint; regions covered by none admit no witness."""
 
     positives = [cs for pol, cs in level if pol]
     negatives = [cs for pol, cs in level if not pol]
-    states = [([], None, negatives)]
+    states = [(TRUE, None, negatives)]
     for cs in positives:
         nxt = []
         for guard, pos, negs in states:
@@ -425,7 +383,7 @@ def _coset_branches(p: int, r: int, level, ctx: _Ctx):
                 nxt.append((guard, cs, negs))
                 continue
             for cs_smaller, hit, _ in _compare(cs, pos, guard, p, r, ctx):
-                if hit is not None:
+                if not isinstance(hit, Bottom):
                     nxt.append((hit, cs if cs_smaller else pos, negs))
                 # disjoint positives leave nothing: no branch emitted
         states = nxt
@@ -448,9 +406,9 @@ def _coset_branches(p: int, r: int, level, ctx: _Ctx):
             for cs_smaller, hit, miss in _compare(cs, pos, g, p, r, ctx):
                 # when the positive fits inside the negative, a hit empties
                 # the state; a miss always makes the negative irrelevant
-                if cs_smaller and hit is not None:
+                if cs_smaller and not isinstance(hit, Bottom):
                     stack.append((hit, kept + [cs], pending))
-                if miss is not None:
+                if not isinstance(miss, Bottom):
                     stack.append((miss, kept, pending))
 
     # subsumption between negatives: keep a pairwise-disjoint set
@@ -473,14 +431,14 @@ def _coset_branches(p: int, r: int, level, ctx: _Ctx):
                 continue
             other = kept[idx]
             for cs_smaller, hit, miss in _compare(cs, other, g, p, r, ctx):
-                if hit is not None:
+                if not isinstance(hit, Bottom):
                     if cs_smaller:
                         # a hit folds the candidate into the kept one
                         stack.append((hit, kept, None, 0, pending))
                     else:
                         rest = kept[:idx] + kept[idx + 1:]
                         stack.append((hit, rest, cs, idx, pending))
-                if miss is not None:
+                if not isinstance(miss, Bottom):
                     stack.append((miss, kept, cs, idx + 1, pending))
     return out
 
@@ -574,7 +532,7 @@ def _exists_prime(p: int, lits, ctx: _Ctx) -> Formula:
     rest = [(pol, cs) for pol, cs in live if cs.r < r]
     out = []
     for guard, pos, negs in _coset_branches(p, r, level, ctx):
-        out.append(conj(guard + [_level_step(p, r, pos, negs, rest, ctx)]))
+        out.append(conj([guard, _level_step(p, r, pos, negs, rest, ctx)]))
     res = disj(out)
     ctx.prime_cache[key] = res
     return res
@@ -646,7 +604,7 @@ def eliminate_exists_main(var: str, lits, fresh: Fresh = None, *,
 
     lits = list(lits)
     if fresh is None:
-        fresh = Fresh("b", all_names(conj([a if pol else Not(a)
+        fresh = Fresh("b", all_names(conj([a if pol else neg(a)
                                            for a, pol in lits])) | {var})
     ctx = _Ctx(fresh, max_branches)
     xfree, raws = _gather(var, lits)
@@ -663,7 +621,7 @@ def eliminate_exists_main(var: str, lits, fresh: Fresh = None, *,
         ups = uppers + [_Bound(n.aux, n.c, n.k, True)
                         for n, side in zip(nes, sides) if side == 1]
         clause_fs.append(_clause_formula(los, ups, congs, m0, ctx))
-    return conj([a if pol else Not(a) for a, pol in xfree] +
+    return conj([a if pol else neg(a) for a, pol in xfree] +
                 [disj(clause_fs)])
 
 
@@ -671,7 +629,7 @@ def _push_out_main(f: Formula, fresh: Fresh, cap: int,
                    max_branches: int) -> Formula:
     def on_quant(q, body):
         if not q.sort.is_main:
-            return type(q)(q.var, q.sort, body)
+            return quant(type(q), q.var, q.sort, body)
         if isinstance(q, Exists):
             return _main_exists(q.var, body, fresh, cap, max_branches)
         return neg(_main_exists(q.var, neg(body), fresh, cap,
@@ -695,7 +653,7 @@ def _main_exists(var: str, body: Formula, fresh: Fresh, cap: int,
         chi = rebuild(chi, lambda a: qe_atom_to_syn(a, fresh))
         inner = conj([cl.xi, chi])
         for name, sort in reversed(cl.theta):
-            inner = Exists(name, sort, inner)
+            inner = quant(Exists, name, sort, inner)
         parts.append(inner)
     return disj(parts)
 

@@ -46,8 +46,8 @@ from .syntax import (
     AE, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, CongDot, Discr,
     DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula,
     LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SpineRef, SuccPlus,
-    Top, TRUE, atom_aux_terms, conj, disj, free_names, main_vars, neg,
-    replace_aux_terms, sort_ac, sort_ae, substitute,
+    Top, TRUE, atom_aux_terms, conj, disj, free_names, main_rel, main_vars,
+    neg, replace_aux_terms, sort_ac, sort_ae, substitute,
 )
 
 Value = Union[Element, SpinePoint]
@@ -326,10 +326,6 @@ def _ref(pt: SpinePoint) -> SpineRef:
     return SpineRef(pt.sort, pt.class_id)
 
 
-def _zero() -> LinTerm:
-    return LinTerm.zero()
-
-
 def _classify(model: LexModel, term: AuxTerm):
     """Finite case split 'term = point' for an auxiliary term whose argument
     contains the distinguished variable; yields (point, [condition atoms]).
@@ -346,9 +342,9 @@ def _classify(model: LexModel, term: AuxTerm):
     else:
         raise Uncompilable("cannot case-split %r" % (term,))
 
-    def inside(c: int) -> MainRel:
-        return MainRel(op, term.arg, _zero(), 0,
-                       _ref(SpinePoint(sort_ac(term.p), c)), m=m)
+    def inside(c: int) -> Formula:
+        return main_rel(op, term.arg, LinTerm.zero(), 0,
+                        _ref(SpinePoint(sort_ac(term.p), c)), m)
 
     cuts = _ac_cuts(model, term.p)
     for idx, c in enumerate(cuts):
@@ -356,7 +352,7 @@ def _classify(model: LexModel, term: AuxTerm):
         if idx + 1 < len(cuts):
             conds.append(inside(cuts[idx + 1]))
         if c > 0:
-            conds.append(Not(inside(c)))
+            conds.append(neg(inside(c)))
         yield SpinePoint(sort, c), conds
 
 
@@ -395,17 +391,17 @@ def ground_for_var(model: LexModel, asg: Assignment, var: str,
             return ground_for_var(model, asg, var, disj(cases))
     if isinstance(f, (EqDot, CongDot)):
         op, m = ("cong", f.m) if isinstance(f, CongDot) else ("eq", 0)
-        cases = [MainRel(op, f.t, _zero(), f.k,
-                         _ref(SpinePoint(sort_ac(2), c)), m=m)
+        cases = [main_rel(op, f.t, LinTerm.zero(), f.k,
+                          _ref(SpinePoint(sort_ac(2), c)), m)
                  for c in _discrete_cuts(model)]
         return ground_for_var(model, asg, var, disj(cases))
     if isinstance(f, DPred):
-        n, ns = f.p ** f.r, f.p ** f.s
+        n, ns, z = f.p ** f.r, f.p ** f.s, LinTerm.zero()
         cases = []
         for pt, conds in _classify(model, Sc(f.p, f.r, f.t)):
             cases.append(conj(list(conds) + [
-                MainRel("congb", f.t, _zero(), 0, _ref(pt), m=n, mp=ns),
-                Not(MainRel("cong", f.t, _zero(), 0, _ref(pt), m=n)),
+                main_rel("congb", f.t, z, 0, _ref(pt), n, ns),
+                neg(main_rel("cong", f.t, z, 0, _ref(pt), n)),
             ]))
         return ground_for_var(model, asg, var, disj(cases))
     # MainRel / PlainRel with grounded anchor: keep for compilation

@@ -36,7 +36,7 @@ from .syntax import (
     FALSE, TRUE, Atom, AuxTerm, AuxVar, Bottom, Exists, Forall, Formula,
     Fresh, Not, And, Or, Sc, Se, Sort, Top, atom_aux_terms, atoms_of,
     aux_term_sort, conj, disj, free_names, free_occurrences, lin_terms,
-    neg, rebuild, replace_aux_terms,
+    neg, quant, rebuild, replace_aux_terms,
 )
 
 
@@ -75,8 +75,8 @@ class ShannonSplitter:
     Only the listed units are split on.  An auxiliary-sort quantifier that
     is not listed is a connective for the listed units in which its
     variable does not occur free: its cofactor is the same quantifier over
-    the cofactored body, and it folds to the body's constant when the body
-    folds, since an auxiliary sort is never empty.  A unit that mentions
+    the cofactored body, which `syntax.quant` folds to the body's constant
+    when the body folds, since no sort is empty.  A unit that mentions
     the variable means something else under the quantifier, so the
     quantifier hides it.  Any other unlisted unit, a main-sort quantifier
     among them, is an opaque leaf.  For every conjunction, disjunction and
@@ -186,9 +186,8 @@ class ShannonSplitter:
             elif isinstance(g, Or):
                 out = disj(self.cofactor(h, i, pol) for h in g.args)
             else:
-                body = self.cofactor(g.body, i, pol)
-                out = (body if isinstance(body, (Top, Bottom))
-                       else type(g)(g.var, g.sort, body))
+                out = quant(type(g), g.var, g.sort,
+                            self.cofactor(g.body, i, pol))
             cof[i, pol] = out
         return out
 
@@ -334,7 +333,7 @@ class FUClause:
     def to_formula(self) -> Formula:
         out = self.matrix()
         for name, sort in reversed(self.theta):
-            out = Exists(name, sort, out)
+            out = quant(Exists, name, sort, out)
         return out
 
 

@@ -35,7 +35,8 @@ from .normal import dnf_disjoint_tree
 from .eliminate import _cong_m0, _gather, _scale_records
 from .sexpr import parse_formula, print_formula
 from .syntax import (
-    Atom, Bottom, Formula, LinTerm, MainRel, Not, conj, disj, neg, rebuild,
+    FALSE, TRUE, Atom, Bottom, Formula, LinTerm, MainRel, conj, disj,
+    main_rel, neg, rebuild,
 )
 
 
@@ -94,58 +95,40 @@ class PieceSet:
         return PieceSet(tuple(data["args"]), data["value"], pieces)
 
 
-def _fold_lit(a: Atom, pol: bool):
-    """Decide a literal whose two sides differ by a constant offset only,
-    reading the anchor as a discrete quotient with minimal positive one.
-    Returns True, False, or None when the literal stays symbolic."""
+def _fold_lit(a: Formula) -> Formula:
+    """a read over the integers (discrete quotients, minimal positive one):
+    where `main_rel` leaves equal sides, lt holds and eq and cong fail."""
 
-    if not isinstance(a, MainRel):
-        return None
-    if not (a.lhs - a.rhs).is_zero():
-        return None
-    if a.op == "lt":
-        val = a.k >= 1
-    elif a.op == "eq":
-        val = a.k == 0
-    elif a.op == "cong":
-        val = a.k % a.m == 0
-    else:
-        val = True
-    return val if pol else not val
+    if isinstance(a, MainRel) and a.lhs == a.rhs:
+        return TRUE if a.op == "lt" else FALSE
+    return a
 
 
-def _subst_records(records, t_c: LinTerm, d_c: int):
+def _subst_records(records, t_c: LinTerm, d_c: int) -> list:
     """Guard literals obtained by substituting the candidate value
-    t_c + d_c for the scaled variable in every record.  Returns a list of
-    formulas, or None when some literal folds to false."""
+    t_c + d_c for the scaled variable in every record, folded over the
+    integers."""
 
     out = []
     for kind, rec in records:
-        if kind == "lo":
-            if rec.strict:
-                a, pol = MainRel("lt", rec.c, t_c, d_c - rec.k, rec.aux), True
+        if kind in ("lo", "up"):
+            # lo < value for a strict lower bound and not value < lo for a
+            # weak one; an upper bound the same with the sides swapped
+            if (kind == "lo") == rec.strict:
+                a = main_rel("lt", rec.c, t_c, d_c - rec.k, rec.aux)
             else:
-                a, pol = MainRel("lt", t_c, rec.c, rec.k - d_c, rec.aux), False
-        elif kind == "up":
-            if rec.strict:
-                a, pol = MainRel("lt", t_c, rec.c, rec.k - d_c, rec.aux), True
-            else:
-                a, pol = MainRel("lt", rec.c, t_c, d_c - rec.k, rec.aux), False
-        elif kind == "eq":
-            a, pol = MainRel("eq", t_c, rec.c, rec.k - d_c, rec.aux), True
-        elif kind == "ne":
-            a, pol = MainRel("eq", t_c, rec.c, rec.k - d_c, rec.aux), False
+                a = main_rel("lt", t_c, rec.c, rec.k - d_c, rec.aux)
+            pol = rec.strict
+        elif kind in ("eq", "ne"):
+            a = main_rel("eq", t_c, rec.c, rec.k - d_c, rec.aux)
+            pol = kind == "eq"
         else:
             # Over the integers the class groups are trivial, so a bracket
             # congruence is a plain one at the stored gcd modulus.
-            a = MainRel("cong", t_c, rec.c, (rec.k - d_c) % rec.m, rec.aux,
-                        m=rec.m)
+            a = main_rel("cong", t_c, rec.c, rec.k - d_c, rec.aux, rec.m)
             pol = rec.pol
-        dec = _fold_lit(a, pol)
-        if dec is False:
-            return None
-        if dec is None:
-            out.append(a if pol else Not(a))
+        a = _fold_lit(a)
+        out.append(a if pol else neg(a))
     return out
 
 
@@ -163,7 +146,7 @@ def _normalize_value(coeffs, denom: int, offset: int):
 
 def _clause_candidates(var: str, lits, args):
     """(value, guard) pairs for one clause: value = (coeffs, denom, offset),
-    guard a list of formulas over the arguments."""
+    guard a formula over the arguments, never false."""
 
     xfree, raws = _gather(var, lits)
     if not raws:
@@ -183,18 +166,18 @@ def _clause_candidates(var: str, lits, args):
         for b in uppers:
             for d in range(1 if b.strict else 0, dmax + 1):
                 cands.append((b.c, b.k - d))
-    free = [a if pol else Not(a) for a, pol in xfree]
+    free = [a if pol else neg(a) for a, pol in xfree]
     out = []
     for t_c, d_c in cands:
         extra = t_c.vars() - set(args)
         if extra:
             raise ValueError("value depends on non-argument variables: %s"
                              % ", ".join(sorted(extra)))
-        guard = _subst_records(records, t_c, d_c)
-        if guard is None:
+        guard = conj(free + _subst_records(records, t_c, d_c))
+        if isinstance(guard, Bottom):
             continue
         coeffs = tuple(t_c.coeff(x) for x in args)
-        out.append((_normalize_value(coeffs, R, d_c), free + guard))
+        out.append((_normalize_value(coeffs, R, d_c), guard))
     return out
 
 
@@ -229,8 +212,7 @@ def decompose(model, formula: Formula, value_var: str, args,
                                  % (u,))
     merged = {}
     for cl in clauses:
-        for value, guard in _clause_candidates(value_var, cl, args):
-            g = conj(guard)
+        for value, g in _clause_candidates(value_var, cl, args):
             if g not in merged.setdefault(value, []):
                 merged[value].append(g)
     if not merged:

@@ -4,11 +4,11 @@ The surface grammar (atoms in prefix form, quantifiers (E v SORT F) and
 (A v SORT F)) is deliberately small and unambiguous.  (decl v SORT F)
 gives the free auxiliary variable v its sort inside F and is not itself a
 node.  Connectives are built with the smart constructors neg, conj and
-disj, so a parsed formula has its constants folded and its nested
-connectives flattened.  print_formula emits a canonical form without
-declarations; parse_formula(print_formula(f)) is structurally f, for f
-built with the smart constructors, up to the sorts of free auxiliary
-variables.
+disj and quantifiers with quant, so a parsed formula has its constants
+folded and its nested connectives flattened; atoms are kept as written.
+print_formula emits a canonical form without declarations;
+parse_formula(print_formula(f)) is structurally f, for f built with the
+smart constructors, up to the sorts of free auxiliary variables.
 
 Every atom and every compound auxiliary term is written (HEAD ARG ...)
 and described once, in the table HEADS: its class, the fields the head
@@ -27,7 +27,8 @@ from .syntax import (
     AC, AE, AEP, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom,
     CongDot, Discr, DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall,
     Formula, LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, Sort, SortMin,
-    SpineRef, SuccPlus, TERM_FIELDS, TRUE, Top, conj, disj, neg, SORT_G,
+    SpineRef, SuccPlus, TERM_FIELDS, TRUE, Top, conj, disj, neg, quant,
+    SORT_G,
 )
 
 # Each surface head of an atom or an auxiliary term: (its class, the fields
@@ -283,7 +284,7 @@ def _parse_formula(node: Node, env: dict[str, Sort]) -> Formula:
         body = _parse_formula(args[2], {**env, var: sort})
         if head == "decl":
             return body
-        return (Exists if head == "E" else Forall)(var, sort, body)
+        return quant(Exists if head == "E" else Forall, var, sort, body)
     _err(node, "unknown formula head %r" % head)
 
 

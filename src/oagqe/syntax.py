@@ -141,6 +141,14 @@ class AuxTerm:
     __slots__ = ()
 
 
+def _modulus_check(x):
+    """The modulus p of a canonical map or a dimension atom is at least 2,
+    as the modulus of an auxiliary sort is."""
+
+    if x.p < 2:
+        raise ValueError("modulus must be >= 2")
+
+
 @dataclass(frozen=True)
 class AuxVar(AuxTerm):
     name: str
@@ -157,6 +165,7 @@ class Sc(AuxTerm):
     arg: LinTerm
 
     def __post_init__(self):
+        _modulus_check(self)
         if self.r < 1:
             raise ValueError("exponent must be >= 1")
 
@@ -168,6 +177,8 @@ class Se(AuxTerm):
 
     p: int
     arg: LinTerm
+
+    __post_init__ = _modulus_check
 
 
 @dataclass(frozen=True)
@@ -299,6 +310,8 @@ class DimSucc(Atom):
     ell: int
     aux: AuxTerm
 
+    __post_init__ = _modulus_check
+
 
 @dataclass(frozen=True)
 class DimFloor(Atom):
@@ -308,6 +321,8 @@ class DimFloor(Atom):
     s: int
     ell: int
     aux: AuxTerm
+
+    __post_init__ = _modulus_check
 
 
 @dataclass(frozen=True)
@@ -348,6 +363,7 @@ class DPred(Atom):
     t: LinTerm
 
     def __post_init__(self):
+        _modulus_check(self)
         if self.s < self.r or self.r < 1:
             raise ValueError("need s >= r >= 1")
 
@@ -448,11 +464,39 @@ def implies(a: Formula, b: Formula) -> Formula:
     return disj([neg(a), b])
 
 
+def quant(kind, var: str, sort: Sort, body: Formula) -> Formula:
+    """The quantifier kind (Exists or Forall) of var over body, or body
+    itself when it is a constant: no sort is empty."""
+
+    if isinstance(body, (Top, Bottom)):
+        return body
+    return kind(var, sort, body)
+
+
+def main_rel(op: str, lhs: LinTerm, rhs: LinTerm, k: int, aux: AuxTerm,
+             m: int = 0, mp: int = 0) -> Formula:
+    """The relation lhs <>_aux rhs + k (see MainRel), with a congruence's
+    offset reduced mod m, or the constant it is in every model: between
+    equal sides, lt at k <= 0 is false and eq, cong and congb at offset 0
+    are true.  Between equal sides at any other offset, whether the
+    relation holds depends on whether the quotient at aux is discrete, so
+    it stays."""
+
+    if op == "cong":
+        k %= m
+    if lhs == rhs and (k <= 0 if op == "lt" else k == 0):
+        return FALSE if op == "lt" else TRUE
+    return MainRel(op, lhs, rhs, k, aux, m, mp)
+
+
 # Comparisons of auxiliary points.  A sort minimum is the bottom class:
 # nothing lies strictly below it and all minima lie in one class, so these
 # comparisons, and those between equal terms, are decided on the spot.  The
 # zero term lies in every convex subgroup and every coset group, so its
-# canonical-map images are the minima.
+# canonical-map images are the minima.  Outside this module and the parser
+# (which keeps atoms as written) only these, `main_rel` and `quant` build
+# their nodes, as a test enforces, so with the connectives above they alone
+# decide whether a newly built formula is a constant.
 
 def can_image(t: AuxTerm) -> AuxTerm:
     """A canonical-map image `Sc` or `Se`, or its sort's minimum when it is
@@ -622,7 +666,7 @@ def rebuild(f: Formula, on_atom, on_quant=None) -> Formula:
     Connectives are put back with the smart constructors, after all their
     arguments are rebuilt, so on_atom sees every atom of f whatever the
     folding.  A quantifier q over the rebuilt body b becomes on_quant(q, b),
-    or q with body b when on_quant is None.  One memo, keyed by value,
+    or q over b by `quant` when on_quant is None.  One memo, keyed by value,
     lives for the call: each distinct subformula is rebuilt once, so equal
     atoms get one replacement even when on_atom draws fresh names."""
 
@@ -641,8 +685,8 @@ def rebuild(f: Formula, on_atom, on_quant=None) -> Formula:
                 out = disj([walk(h) for h in g.args])
             elif isinstance(g, (Exists, Forall)):
                 body = walk(g.body)
-                out = (type(g)(g.var, g.sort, body) if on_quant is None
-                       else on_quant(g, body))
+                out = (quant(type(g), g.var, g.sort, body)
+                       if on_quant is None else on_quant(g, body))
             elif isinstance(g, (Top, Bottom)):
                 out = g
             else:

@@ -9,11 +9,14 @@ auxiliary formulas.  The eliminator scales coefficients and splits moduli
 into prime powers on its own records.  Every rewrite here is a pointwise
 equivalence, checked by sampling in the test suite.
 
-Auxiliary comparisons come from `syntax.aux_le`, `aux_lt` and `aux_asymp`,
-which fold at the sort minima, and canonical-map images from
-`syntax.can_image`, which folds the image of the zero term to its sort's
-minimum.  So a relation anchored at a minimum, as is every plain relation
-in `syn_qf_to_qe_fuf`, or one between equal sides, translates with no
+Every formula here is built with the folding builders of syntax.py:
+auxiliary comparisons with `aux_le`, `aux_lt` and `aux_asymp`, which fold
+at the sort minima, canonical-map images with `can_image`, which folds the
+image of the zero term to its sort's minimum, main relations with
+`main_rel`, which folds a relation between equal sides that decides
+itself, and quantifiers with `quant`, which drops one over a constant.  So
+a relation anchored at a minimum, as is every plain relation in
+`syn_qf_to_qe_fuf`, or one between equal sides, translates with no
 canonical-map image: no theta parameter to extract, and no pin of three
 units for the final case split to branch on.  That split decides only the
 main-sort atoms, through the auxiliary blocks that hold them; what a
@@ -32,9 +35,9 @@ from .normal import (
 from .syntax import (
     AC, AEP, FALSE, TRUE, Atom, AuxTerm, AuxVar, Bottom, CongDot, DimFloor,
     DimSucc, Discr, DPred, EqDot, Exists, Forall, Formula, Fresh, LinTerm,
-    MainRel, Not, PlainRel, Sc, Se, SortMin, SuccPlus, aux_asymp, aux_le,
-    aux_lt, aux_term_sort, can_image, conj, disj, implies, neg, rebuild,
-    sort_ac,
+    MainRel, PlainRel, Sc, Se, SortMin, SuccPlus, aux_asymp, aux_le, aux_lt,
+    aux_term_sort, can_image, conj, disj, implies, main_rel, neg, quant,
+    rebuild, sort_ac,
 )
 
 DIM_ELL_CAP = 8
@@ -70,7 +73,8 @@ def discr_lift(term: AuxTerm, fresh: Fresh) -> Formula:
         return Discr(term)
     name = fresh("d")
     v = AuxVar(name, sort_ac(2))
-    return Exists(name, sort_ac(2), conj([aux_asymp(v, term), Discr(v)]))
+    return quant(Exists, name, sort_ac(2),
+                 conj([aux_asymp(v, term), Discr(v)]))
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +106,8 @@ def _eq_zero(eta: AuxTerm, t: LinTerm, fresh: Fresh) -> Formula:
         n = sort.n
         name = fresh("q")
         v = AuxVar(name, sort_ac(n))
-        below = Forall(name, sort_ac(n),
-                       implies(aux_le(eta, v), aux_lt(can_image(Se(n, t)), v)))
+        below = quant(Forall, name, sort_ac(n),
+                      implies(aux_le(eta, v), aux_lt(can_image(Se(n, t)), v)))
         return disj([plain_eq0(t), below])
     return disj([aux_lt(can_image(Se(sort.n, t)), eta), plain_eq0(t)])
 
@@ -130,8 +134,6 @@ def _eq_translate(eta, t, k, fresh) -> Formula:
 
 
 def _cong_zero(eta: AuxTerm, t: LinTerm, m: int) -> Formula:
-    if m == 1:
-        return TRUE
     below = conj([aux_lt(can_image(Sc(p, r, t)), eta)
                   for p, r in prime_power_parts(m)])
     return disj([below, PlainRel("cong", t, LinTerm.zero(), m=m)])
@@ -180,30 +182,28 @@ def _lt_translate(eta, lhs, rhs, k, fresh) -> Formula:
 # The reverse direction: plain and dotted atoms into anchored family form
 
 def _syn_atom_rewrite(a: Atom) -> Formula:
-    """An atom of the restricted language as anchored relations, or the
-    constant it decides: a relation between equal sides at offset 0, or a
-    dotted predicate of the zero term, which lies in every group."""
+    """An atom of the restricted language as anchored relations, built with
+    `main_rel`, so a relation that decides itself is its constant; and
+    `EqDot` of the zero term, which lies in every group, is false."""
 
     if isinstance(a, PlainRel):
-        a = MainRel(a.op, a.lhs, a.rhs, 0, SortMin(sort_ac(2)), m=a.m)
+        return main_rel(a.op, a.lhs, a.rhs, 0, SortMin(sort_ac(2)), a.m)
     if isinstance(a, MainRel):
-        if a.lhs == a.rhs and a.k == 0:
-            return FALSE if a.op == "lt" else TRUE
-        return a
+        return main_rel(a.op, a.lhs, a.rhs, a.k, a.aux, a.m, a.mp)
     z = LinTerm.zero()
-    if isinstance(a, (EqDot, DPred)) and a.t == z:
-        return FALSE
     if isinstance(a, EqDot):
+        if a.t == z:
+            return FALSE
         e = Se(2, a.t)
-        return conj([Discr(e), MainRel("eq", a.t, z, a.k, e)])
+        return conj([Discr(e), main_rel("eq", a.t, z, a.k, e)])
     if isinstance(a, CongDot):
         c = canc_term(a.m, a.t)
-        return conj([Discr(c), MainRel("cong", a.t, z, a.k, c, m=a.m)])
+        return conj([Discr(c), main_rel("cong", a.t, z, a.k, c, a.m)])
     if isinstance(a, DPred):
         c = Sc(a.p, a.r, a.t)
         return conj([
-            MainRel("congb", a.t, z, 0, c, m=a.p ** a.r, mp=a.p ** a.s),
-            neg(MainRel("cong", a.t, z, 0, c, m=a.p ** a.r)),
+            main_rel("congb", a.t, z, 0, c, a.p ** a.r, a.p ** a.s),
+            neg(main_rel("cong", a.t, z, 0, c, a.p ** a.r)),
         ])
     return a
 
@@ -215,11 +215,11 @@ def _pin_formula(var: AuxVar, term: AuxTerm) -> Formula:
     t, z = term.arg, LinTerm.zero()
     if isinstance(term, Sc):
         m = term.p ** term.r
-        at_var = MainRel("cong", t, z, 0, var, m=m)
-        above = MainRel("congb", t, z, 0, var, m=m, mp=m)
+        at_var = main_rel("cong", t, z, 0, var, m)
+        above = main_rel("congb", t, z, 0, var, m, m)
     elif isinstance(term, Se):
-        at_var = MainRel("eq", t, z, 0, var)
-        above = MainRel("eq", t, z, 0, SuccPlus(var))
+        at_var = main_rel("eq", t, z, 0, var)
+        above = main_rel("eq", t, z, 0, SuccPlus(var))
     else:
         raise TypeError("not a canonical-map image: %r" % (term,))
     hit = conj([neg(at_var), above])
@@ -304,10 +304,10 @@ def _dim_same_class(p, alpha, s_hi, s_lo, ell, fresh) -> Formula:
 
     name = fresh("b")
     v = AuxVar(name, sort_ac(p))
-    with_point = Exists(name, sort_ac(p), conj([
+    with_point = quant(Exists, name, sort_ac(p), conj([
         aux_asymp(v, alpha), _dim_levels(p, v, s_hi, s_lo, ell)]))
     no_point = conj([
-        Not(Exists(name, sort_ac(p), aux_asymp(v, alpha))),
+        neg(quant(Exists, name, sort_ac(p), aux_asymp(v, alpha))),
         TRUE if ell == 0 else FALSE,
     ])
     return disj([with_point, no_point])
@@ -362,7 +362,7 @@ def dim_chain_formula(p: int, lower, upper, ell: int,
         gv = AuxVar(gname, sort_ac(p))
         between = conj([aux_lt(a1, gv)] +
                        ([aux_lt(gv, a2)] if not top else []))
-        exact = Forall(gname, sort_ac(p), implies(
+        exact = quant(Forall, gname, sort_ac(p), implies(
             between, disj([aux_asymp(gv, b) for b in betas])))
 
         pieces = []  # dimension contributions along the chain
@@ -382,6 +382,6 @@ def dim_chain_formula(p: int, lower, upper, ell: int,
         ])
         core = conj(order + [exact, dim_split])
         for n in reversed(names):
-            core = Exists(n, sort_ac(p), core)
+            core = quant(Exists, n, sort_ac(p), core)
         branches.append(core)
     return disj(branches)

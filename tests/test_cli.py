@@ -48,6 +48,26 @@ def test_eliminate_declared_aux_anchor(capsys):
         assert json.loads(capsys.readouterr().out)["clauses"]
 
 
+def test_eliminate_prints_no_family_over_a_constant(capsys):
+    # the theta and user quantifiers around a guard that folds to a
+    # constant fold with it
+    for text, out in (
+            ("(E x G (and (eqdot 1 (- x y)) (plainlt y x) (plainlt x y)))",
+             "false"),
+            ("(A a (Ac 2) (E x G (lt a x y 0)))", "clause 0: true")):
+        assert main(["eliminate", "--formula", text]) == 0
+        assert capsys.readouterr().out == out + "\n", text
+
+
+def test_modulus_below_two_is_an_input_error(capsys):
+    for text in ("(E x G (le (sc 1 1 x) a1))", "(le (se 1 x) a1)",
+                 "(E x G (dimsucc 1 1 0 (sc 2 1 x)))",
+                 "(dimfloor 1 1 0 a1)", "(E x G (dpred 1 1 1 x))"):
+        assert main(["eliminate", "--formula", text]) == 1, text
+        err = capsys.readouterr().err
+        assert "modulus must be >= 2 (line 1, column" in err, err
+
+
 def test_eliminate_resource_limit(capsys):
     rc = main(["eliminate", "--max-branches", "1",
                "--formula",

@@ -26,8 +26,8 @@ from oagqe.syntax import (
     And, Atom, AuxAsymp, AuxLe, AuxVar, Bottom, CongDot, DimFloor, DimSucc,
     Discr, DPred, EqDot, Exists, Forall, Fresh, LinTerm, MainRel, Not, Or,
     PlainRel, Sc, Se, SortMin, SORT_G, SpineRef, SuccPlus, Top, all_names,
-    conj, disj, aux_term_sort, free_vars, neg, rebuild, sort_ac, sort_ae,
-    sort_aep, substitute,
+    TRUE, FALSE, conj, disj, aux_term_sort, free_vars, main_rel, neg,
+    rebuild, sort_ac, sort_ae, sort_aep, substitute,
 )
 from oagqe.translate import _pin_formula, _syn_atom_rewrite
 
@@ -102,6 +102,43 @@ def test_offset_vanishes_in_dense_quotient():
     # k would require a minimal positive step, but the quotient is dense
     assert not eval_atom(m, asg, MainRel("lt", x, y, 3, SortMin(sort_ac(2))))
     assert eval_atom(m, asg, MainRel("eq", x, y, 3, SortMin(sort_ac(2))))
+
+
+def test_main_rel_folds_what_every_model_decides():
+    # each fold of main_rel is the value of the raw relation in every
+    # model, at every anchor
+    rng = random.Random(23)
+    t = LinTerm.make({"x": 2, "y": -1})
+    folds = [(("lt", t, t, 0), False), (("lt", t, t, -3), False),
+             (("eq", t, t, 0), True), (("cong", t, t, 0, 3), True),
+             (("cong", t, t, 6, 3), True), (("congb", t, t, 0, 2, 4), True)]
+    for (op, lhs, rhs, k, *mods), value in folds:
+        for anchor in AUX_FREE + [BOT, Sc(2, 1, y), Se(3, x)]:
+            assert main_rel(op, lhs, rhs, k, anchor, *mods) == \
+                (TRUE if value else FALSE)
+            raw = MainRel(op, lhs, rhs, k, anchor, *mods)
+            for model in TYPED_MODELS:
+                asg = {**main_assignment(model, rng, ["x", "y"]),
+                       **aux_assignment(model, rng)}
+                assert evaluate(model, asg, raw) is value, (raw, model)
+    # a congruence keeps its offset mod m, and other sides do not fold
+    assert main_rel("cong", t, x, 7, BOT, 3) == \
+        MainRel("cong", t, x, 1, BOT, m=3)
+    assert main_rel("lt", x, y, 0, BOT) == MainRel("lt", x, y, 0, BOT)
+
+
+def test_main_rel_keeps_what_the_quotient_decides():
+    # between equal sides, lt at k >= 1, eq at k != 0 and cong at k not
+    # 0 mod m tell a discrete quotient from a dense one, so they stay
+    q, z = LexModel((RatComp(),)), Z_MODEL
+    for op, k, mods, on_z in (("lt", 1, (), True), ("lt", 4, (), True),
+                              ("eq", 1, (), False), ("eq", -2, (), False),
+                              ("cong", 1, (2,), False),
+                              ("cong", 4, (3,), False)):
+        a = main_rel(op, x, x, k, BOT, *mods)
+        assert isinstance(a, MainRel), a
+        assert evaluate(z, {"x": z.element([5])}, a) is on_z
+        assert evaluate(q, {"x": q.element([5])}, a) is not on_z
 
 
 def test_dotted_atoms():

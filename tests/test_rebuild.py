@@ -35,7 +35,7 @@ from oagqe.syntax import (
     EqDot, Exists, Forall, Fresh, LinTerm, MainRel, Not, Or, PlainRel,
     SORT_G, Sc, Se, SortMin, SuccPlus, Top, all_names, atom_aux_terms,
     atoms_of, aux_term_sort, conj, disj, free_names, free_vars, lin_terms,
-    neg, rebuild, replace_aux_terms, sort_ac, sort_aep, subformulas,
+    neg, quant, rebuild, replace_aux_terms, sort_ac, sort_aep, subformulas,
 )
 from oagqe.translate import _pin_formula, qe_atom_to_syn, syn_qf_to_qe_fuf
 
@@ -61,7 +61,8 @@ def _ref_formula_to_syn(f, fresh, memo=None):
     elif isinstance(f, Not):
         out = neg(_ref_formula_to_syn(f.arg, fresh, memo))
     elif isinstance(f, (Exists, Forall)):
-        out = type(f)(f.var, f.sort, _ref_formula_to_syn(f.body, fresh, memo))
+        out = quant(type(f), f.var, f.sort,
+                    _ref_formula_to_syn(f.body, fresh, memo))
     elif isinstance(f, (And, Or)):
         parts = [_ref_formula_to_syn(g, fresh, memo) for g in f.args]
         out = conj(parts) if isinstance(f, And) else disj(parts)
@@ -82,7 +83,8 @@ def _ref_rewrite_syn_atoms(f, memo=None):
     elif isinstance(f, Not):
         out = neg(_ref_rewrite_syn_atoms(f.arg, memo))
     elif isinstance(f, (Exists, Forall)):
-        out = type(f)(f.var, f.sort, _ref_rewrite_syn_atoms(f.body, memo))
+        out = quant(type(f), f.var, f.sort,
+                    _ref_rewrite_syn_atoms(f.body, memo))
     elif isinstance(f, (And, Or)):
         parts = [_ref_rewrite_syn_atoms(g, memo) for g in f.args]
         out = conj(parts) if isinstance(f, And) else disj(parts)

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from conftest import rand_bool, rand_mixed_atom
 from oagqe import sexpr
@@ -66,6 +66,12 @@ def test_sort_printing():
     ("(cong 2 (cmin 2) x y)", 1, 1),
     ("(decl a1 G (plainlt x y))", 1, 10),
     ("(decl a1 (Ac 2))", 1, 1),
+    # a canonical-map or dimension modulus below 2, at the node itself
+    ("(le (sc 1 1 x) a)", 1, 5),
+    ("(discr (plus (se 1 x)))", 1, 14),
+    ("(dpred 1 1 1 x)", 1, 1),
+    ("(and (dimsucc 0 1 0 a))", 1, 6),
+    ("(dimfloor -2 1 0 a)", 1, 1),
 ])
 def test_parse_errors_carry_position(text, line, col):
     with pytest.raises(ParseError) as ei:
@@ -151,6 +157,10 @@ def test_connectives_parse_to_smart_constructor_values():
         "(or false (and true %s))" % tb: b,
         "(or %s true)" % ta: TRUE,
         "(E x G (and (not false) %s))" % ta: Exists("x", SORT_G, a),
+        # a quantifier over a constant: no sort is empty
+        "(E a (Ac 2) true)": TRUE,
+        "(A a (Ae 3) (and true false))": FALSE,
+        "(E x G (A a (Ac 2) (not false)))": TRUE,
     }
     for text, want in cases.items():
         assert parse_formula(text) == want, text
@@ -224,22 +234,36 @@ _PARAMS = {"sort": st.sampled_from([sort_ac(2), sort_ae(3), sort_aep(5)]),
            "class_id": st.integers(0, 20).map("g{}".format)}
 
 
+def _ints(cls, name, kw):
+    """The integers, from 1 to 6 and offsets from -3, that field name of
+    cls accepts, given the fields drawn before it."""
+
+    if name == "k":
+        if cls is CongDot:
+            return st.integers(1, kw["m"] - 1)
+        if cls is EqDot:
+            return st.integers(-3, -1) | st.integers(1, 6)
+        return st.integers(-3, 6)
+    if name == "p" or (cls, name) == (CongDot, "m"):
+        return st.integers(2, 6)
+    if (cls, name) == (DPred, "s"):
+        return st.integers(kw["r"], 6)
+    return st.integers(1, 6)
+
+
 def _node_of(head, data):
-    """A node written with head: its fields drawn at random, the integers
-    among the values that the class accepts (offsets may be negative)."""
+    """A node written with head: its fields drawn at random, each integer
+    among the values that the class accepts."""
 
     cls, fixed, names = HEADS[head]
     lins, auxs = TERM_FIELDS[cls]
     kw = dict(fixed)
     for name in names.split():
-        ints = st.integers(-3 if name == "k" else 1, 6)
         kind = (_LINS if name in lins else _AUXS if name in auxs
-                else _PARAMS.get(name, ints))
+                else _PARAMS[name] if name in _PARAMS
+                else _ints(cls, name, kw))
         kw[name] = data.draw(kind, label=name)
-    try:
-        return cls(**kw)
-    except ValueError:
-        assume(False)
+    return cls(**kw)
 
 
 def _written(node):

@@ -10,11 +10,12 @@ from hypothesis import example, given, strategies as st
 from helpers import has_main_quantifier
 from oagqe import syntax
 from oagqe.syntax import (
-    And, Atom, AuxAsymp, AuxLe, AuxVar, Bottom, CongDot, Discr, EqDot,
-    Exists, FALSE, Forall, Fresh, LinTerm, MainRel, Not, Or, PlainRel, Sc,
-    Se, SortMin, SORT_G, SuccPlus, TERM_FIELDS, TRUE, Top, all_names,
+    And, Atom, AuxAsymp, AuxLe, AuxVar, Bottom, CongDot, DimFloor, DimSucc,
+    Discr, DPred, EqDot, Exists, FALSE, Forall, Fresh, LinTerm, MainRel,
+    Not, Or, PlainRel, Sc, Se, SortMin, SORT_G, SuccPlus, TERM_FIELDS, TRUE,
+    Top, all_names,
     atom_aux_terms, aux_asymp, aux_le, aux_lt, conj, disj, free_names,
-    free_vars, implies, lin_terms, neg, occurrences, sort_ac, sort_ae,
+    free_vars, implies, lin_terms, neg, occurrences, quant, sort_ac, sort_ae,
     sort_aep, subformulas, subst_term, substitute,
 )
 
@@ -84,6 +85,11 @@ def test_smart_constructors_fold():
     assert aux_le(s, c2) == AuxLe(s, c2)
     assert aux_lt(c2, s) == Not(AuxLe(s, c2))
     assert aux_asymp(c2, s) == AuxAsymp(c2, s)
+    # a quantifier over a constant is that constant: no sort is empty
+    for kind in (Exists, Forall):
+        assert quant(kind, "a", sort_ac(2), TRUE) == TRUE
+        assert quant(kind, "a", sort_ac(2), FALSE) == FALSE
+        assert quant(kind, "x", SORT_G, a) == kind("x", SORT_G, a)
 
 
 def test_atom_validation():
@@ -103,6 +109,15 @@ def test_atom_validation():
         Sc(2, 0, x)
     with pytest.raises(ValueError):
         SortMin(sort_aep(2))
+    # a canonical-map or dimension modulus is at least 2, as a sort's is
+    for make in (lambda p: Sc(p, 1, x), lambda p: Se(p, x),
+                 lambda p: DPred(p, 1, 1, x),
+                 lambda p: DimSucc(p, 1, 1, bot),
+                 lambda p: DimFloor(p, 1, 1, bot)):
+        make(2)
+        for p in (1, 0, -2):
+            with pytest.raises(ValueError, match="modulus must be >= 2"):
+                make(p)
 
 
 def test_free_vars_sorts_and_binding():
@@ -354,15 +369,17 @@ def test_no_identity_keys_in_src():
 
 def test_aux_comparisons_are_built_folding():
     # outside the parser, which keeps atoms as written, every auxiliary
-    # comparison goes through aux_le, aux_lt or aux_asymp, so no builder
-    # can skip their folds at the sort minima
+    # comparison goes through aux_le, aux_lt or aux_asymp, every main
+    # relation through main_rel and every quantifier through quant, so no
+    # builder can skip their folds
     calls = []
     for name, tree in _src_trees().items():
         if name in ("syntax", "sexpr"):
             continue
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in ("AuxLe", "AuxAsymp")):
+                    and node.func.id in ("AuxLe", "AuxAsymp", "MainRel",
+                                         "Exists", "Forall")):
                 calls.append("%s:%d" % (name, node.lineno))
     assert calls == []
 

@@ -66,8 +66,11 @@ def _load_formula(spec: str):
         raise InputError("--formula is required for this subcommand")
     text = spec
     if not spec.lstrip().startswith("(") and os.path.exists(spec):
-        with open(spec) as fh:
-            text = fh.read()
+        try:
+            with open(spec) as fh:
+                text = fh.read()
+        except OSError as e:
+            raise InputError("cannot read formula file: %s" % e)
     return parse_formula(text)
 
 

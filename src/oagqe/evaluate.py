@@ -41,7 +41,7 @@ from .models import (
     h_cut, spine, spine_min,
 )
 from .models import _ac_cuts  # realized cut sets, shared with spine()
-from .normal import ResourceLimit, boolean_units, disjoint_clauses
+from .normal import ResourceLimit, disjoint_clauses
 from .syntax import (
     AE, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, CongDot, Discr,
     DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula,
@@ -420,7 +420,7 @@ def dnf_clauses(f: Formula):
     name because perfbench/tracing.py patches it, which `--trace 1` and
     `--determinism` runs depend on."""
 
-    return disjoint_clauses(f, boolean_units(f), LEAF_CAP)
+    return disjoint_clauses(f, None, LEAF_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +618,9 @@ def _compile(model: LexModel, varied, roots, free: dict,
     walk (see `evaluator` and `_decide`).  The body of a main-sort
     quantifier is compiled when the bounded fallback first needs it; the
     complete search grounds the body itself.  The memos live as long as the
-    returned closures, and no closure refers back to the table of compiled
-    nodes, so that dropping the closures frees the memos at once."""
+    returned closures: no closure refers back to the table of compiled
+    nodes and `comp` is deleted on return, so dropping the closures frees
+    the memos at once."""
 
     runs: dict = {}
 
@@ -653,9 +654,10 @@ def _compile(model: LexModel, varied, roots, free: dict,
         runs[g] = run
         return run
 
-    out = [comp(g, memo_roots) for g in roots]
-    runs.clear()
-    return out
+    try:
+        return [comp(g, memo_roots) for g in roots]
+    finally:
+        del comp
 
 
 def _decide(model: LexModel, varied, g: Formula):

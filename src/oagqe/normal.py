@@ -19,10 +19,12 @@ clauses that pairwise contradict each other, which is all a family union
 form needs.  The splitter sees through an auxiliary quantifier that is not
 one of its units, so the main atoms under it are split where they sit
 (`hoist_main_units` lists them), and a branch may stop before every unit
-is decided.  The splitter caches, per connective, the units it mentions
-and its cofactors, keyed by value (every node caches its hash), so a
-remainder reached along several branches is split once.  Its caches live
-for one call of the function that built it.
+is decided.  The splitter works on a table of integer nodes that
+`disjoint_clauses` builds for one call: a formula's node is found by value
+and a connective is interned by its children's ids, so a remainder reached
+along several branches is one node, split once.  The table folds what the
+smart constructors of syntax.py fold, and formulas are built again only
+for the remainders that the leaves emit.
 
 Canonical-map extraction is `syntax.rebuild` with a rule for atoms; no
 memo here is keyed by node identity.
@@ -47,148 +49,190 @@ class ResourceLimit(Exception):
 # ---------------------------------------------------------------------------
 # Boolean skeleton
 
-def boolean_units(f: Formula) -> list[Formula]:
-    """Maximal non-boolean subformulas (atoms and quantified blocks), in
-    first-occurrence order."""
-
-    out: list[Formula] = []
-    visited: set = set()
-    # depth first, children pushed in reverse so that they pop in order
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in visited:
-            continue
-        visited.add(g)
-        if isinstance(g, Not):
-            stack.append(g.arg)
-        elif isinstance(g, (And, Or)):
-            stack.extend(reversed(g.args))
-        elif not isinstance(g, (Top, Bottom)):
-            out.append(g)
-    return out
-
-
 class ShannonSplitter:
-    """Cofactors of boolean skeletons over one ordered list of units.
+    """A table of integer nodes for the boolean skeleton of f over one
+    ordered list of units, with its cofactors and splits.
 
-    Only the listed units are split on.  An auxiliary-sort quantifier that
+    Node 0 is TRUE and node 1 is FALSE.  A node records its kind (None for
+    a unit, else the class of its connective), its children's ids (and a
+    quantifier's variable and sort) and the mask of the listed units it
+    mentions.  A formula's node is found by value and a connective is
+    interned by its children's ids, so equal subformulas share one node,
+    one split and one cofactor per (unit, polarity).  The table lives for
+    one call of the function that builds it.  Cofactors fold on ids what
+    `conj`, `disj`, `neg` and `quant` fold, and `formula` builds a node's
+    formula with them only when asked; so f must be built with the smart
+    constructors, as `parse_formula` and `rebuild` build theirs: a raw
+    constant such as Not(TRUE) in a subtree without units never folds.
+
+    Only the listed units are split on; with units None every unit of f is
+    listed, in first-occurrence order.  An auxiliary-sort quantifier that
     is not listed is a connective for the listed units in which its
     variable does not occur free: its cofactor is the same quantifier over
-    the cofactored body, which `syntax.quant` folds to the body's constant
-    when the body folds, since no sort is empty.  A unit that mentions
-    the variable means something else under the quantifier, so the
-    quantifier hides it.  Any other unlisted unit, a main-sort quantifier
-    among them, is an opaque leaf.  For every conjunction, disjunction and
-    such quantifier it meets, the splitter caches the set of listed units
-    the subformula mentions (a bit mask of their indices), its cofactor for
-    each (unit, polarity) pair and its split; a leaf needs only a lookup of
-    its index and a negation passes to its argument, so neither is cached.
-    The caches are keyed by value, never by identity, and live as long as
-    the splitter, which its callers build once per call.  A subtree that
-    does not mention the split unit is its own cofactor; the others are
-    rebuilt with the smart constructors, which fold the constants.  So a
-    formula it splits must itself be built with the smart constructors, as
-    `parse_formula` and `rebuild` build theirs: a raw constant such as
-    Not(TRUE) in a subtree without units would never fold.
+    the cofactored body, and one equal to a listed unit is that unit.  A
+    unit that mentions the variable means something else under the
+    quantifier, so the quantifier hides it.  Any other unlisted unit, a
+    main-sort quantifier among them, is an opaque leaf.
 
     decide, a subset of the units (all of them when None), is what a branch
     must settle: `split` finds nothing to split once none of it is live.
     """
 
-    def __init__(self, units, decide=None):
-        self._index = {u: i for i, u in enumerate(units)}
+    def __init__(self, f: Formula, units=None, decide=None):
+        self.units = [] if units is None else units
+        self._kind: list = [Top, Bottom]
+        self._args: list = [(), ()]
+        self._mask = [0, 0]
+        self._form: list = [TRUE, FALSE]
+        self._of: dict = {}    # formula -> node, by value
+        self._ids: dict = {}   # (kind, args) -> node, args being the
+        # child ids, or (body, var, sort) for a quantifier
+        self._cof: dict = {}   # n * 2U + 2i + pol -> cofactor node
+        self._split: dict = {}
+        # per variable: the mask of the units it occurs free in, built at
+        # the first unlisted quantifier
+        self._free = None
+        for i, u in enumerate(self.units):
+            self._of[u] = self._new(None, (), 1 << i, u)
+        self._listing = units is None
+        self.root = self.node(f)
+        self._listing = False
+        self._width = 2 * len(self.units)
         # -1 has every bit set
         self._decide = -1 if decide is None else sum(
-            1 << self._index[u] for u in set(decide))
-        # per connective: [mask, split, {(i, pol): cofactor}]
-        self._node: dict = {}
-        # per variable: the mask of the units it occurs free in, built at
-        # the first quantifier
-        self._free = None
+            self._mask[self._of[u]] for u in set(decide))
 
-    def _record(self, g: Formula) -> list:
-        rec = self._node.get(g)
-        if rec is None:
-            m = 0
-            if isinstance(g, (And, Or)):
-                for h in g.args:
-                    m |= self.mask(h)
+    def _new(self, kind, args: tuple, mask: int, form) -> int:
+        self._kind.append(kind)
+        self._args.append(args)
+        self._mask.append(mask)
+        self._form.append(form)
+        return len(self._mask) - 1
+
+    def _intern(self, kind, args: tuple) -> int:
+        key = (kind, args)
+        n = self._ids.get(key)
+        if n is None:
+            mask = self._mask
+            if kind is Exists or kind is Forall:
+                m = mask[args[0]] & ~self._mentioning(args[1])
             else:
-                m = self.mask(g.body) & ~self._mentioning(g.var)
-            rec = self._node[g] = [m, None, {}]
-        return rec
+                m = 0
+                for a in args:
+                    m |= mask[a]
+            n = self._ids[key] = self._new(kind, args, m, None)
+        return n
 
     def _mentioning(self, var: str) -> int:
         if self._free is None:
             self._free = {}
             cache: dict = {}
-            for u, i in self._index.items():
+            for i, u in enumerate(self.units):
                 for v in free_names(u, cache):
                     self._free[v] = self._free.get(v, 0) | 1 << i
+            # a cofactor equal to a listed block must be that unit
+            for u in self.units:
+                if isinstance(u, (Exists, Forall)) and not u.sort.is_main:
+                    key = (type(u), (self.node(u.body), u.var, u.sort))
+                    self._ids[key] = self._of[u]
         return self._free.get(var, 0)
 
-    def mask(self, g: Formula) -> int:
-        """Bit i is set when the listed unit i occurs in g."""
+    def node(self, g: Formula) -> int:
+        """The node of g, which `formula` gives back as g itself."""
 
-        if isinstance(g, Not):
-            return self.mask(g.arg)
-        if isinstance(g, (And, Or)):
-            return self._record(g)[0]
-        i = self._index.get(g)
-        if i is not None:
-            return 1 << i
-        if isinstance(g, (Exists, Forall)) and not g.sort.is_main:
-            return self._record(g)[0]
-        return 0
+        n = self._of.get(g)
+        if n is None:
+            if isinstance(g, Not):
+                n = self._intern(Not, (self.node(g.arg),))
+            elif isinstance(g, (And, Or)):
+                n = self._intern(type(g), tuple([self.node(h)
+                                                 for h in g.args]))
+            elif isinstance(g, (Top, Bottom)):
+                return 0 if isinstance(g, Top) else 1
+            elif self._listing:
+                n = self._new(None, (), 1 << len(self.units), g)
+                self.units.append(g)
+            elif isinstance(g, (Exists, Forall)) and not g.sort.is_main:
+                n = self._intern(type(g), (self.node(g.body), g.var, g.sort))
+            else:
+                n = self._new(None, (), 0, g)
+            self._of[g] = n
+        self._form[n] = g
+        return n
 
-    def split(self, g: Formula) -> tuple:
-        """(i, g with unit i true, g with unit i false) for the live listed
-        unit i of g with the lowest index; () when no unit of decide is
+    def formula(self, n: int) -> Formula:
+        """The formula of node n, built on first use."""
+
+        g = self._form[n]
+        if g is None:
+            kind, args = self._kind[n], self._args[n]
+            if kind is And or kind is Or:
+                g = (conj if kind is And else disj)(
+                    [self.formula(a) for a in args])
+            elif kind is Not:
+                g = neg(self.formula(args[0]))
+            else:
+                g = quant(kind, args[1], args[2], self.formula(args[0]))
+            self._form[n] = g
+        return g
+
+    def split(self, n: int) -> tuple:
+        """(i, n with unit i true, n with unit i false) for the live listed
+        unit i of n with the lowest index; () when no unit of decide is
         live."""
 
-        if isinstance(g, Not):
-            node = self.split(g.arg)
-            return (node[0], neg(node[1]), neg(node[2])) if node else ()
-        if not isinstance(g, (And, Or)):
-            i = self._index.get(g)
-            if i is not None:
-                return (i, TRUE, FALSE) if self._decide >> i & 1 else ()
-            if not isinstance(g, (Exists, Forall)) or g.sort.is_main:
-                return ()
-        rec = self._record(g)
-        if rec[1] is None:
-            m = rec[0]
-            i = (m & -m).bit_length() - 1
-            rec[1] = ((i, self.cofactor(g, i, True),
-                       self.cofactor(g, i, False))
-                      if m & self._decide else ())
-        return rec[1]
-
-    def cofactor(self, g: Formula, i: int, pol: bool) -> Formula:
-        """g with the listed unit i set to the truth value pol."""
-
-        if isinstance(g, Not):
-            h = self.cofactor(g.arg, i, pol)
-            return g if h is g.arg else neg(h)
-        if not isinstance(g, (And, Or)):
-            j = self._index.get(g)
-            if (j is not None or not isinstance(g, (Exists, Forall))
-                    or g.sort.is_main):
-                return (TRUE if pol else FALSE) if j == i else g
-        m, _, cof = self._record(g)
-        if not m >> i & 1:
-            return g
-        out = cof.get((i, pol))
+        out = self._split.get(n)
         if out is None:
-            if isinstance(g, And):
-                out = conj(self.cofactor(h, i, pol) for h in g.args)
-            elif isinstance(g, Or):
-                out = disj(self.cofactor(h, i, pol) for h in g.args)
+            m = self._mask[n]
+            out = ()
+            if m & self._decide:
+                i = (m & -m).bit_length() - 1
+                out = (i, self.cofactor(n, i, True),
+                       self.cofactor(n, i, False))
+            self._split[n] = out
+        return out
+
+    def cofactor(self, n: int, i: int, pol: bool) -> int:
+        """Node n with the listed unit i set to the truth value pol."""
+
+        mask, kinds = self._mask, self._kind
+        if not mask[n] >> i & 1:
+            return n
+        kind, args = kinds[n], self._args[n]
+        if kind is None:
+            return 0 if pol else 1
+        if kind is Not:
+            out = self.cofactor(args[0], i, pol)
+            if out < 2:
+                return 1 - out
+            if kinds[out] is Not:
+                return self._args[out][0]
+            return self._intern(Not, (out,))
+        key = n * self._width + 2 * i + pol
+        out = self._cof.get(key)
+        if out is None:
+            if kind is And or kind is Or:
+                # conj or disj of the cofactored arguments
+                out = stop = 1 if kind is And else 0
+                parts: list = []
+                for a in args:
+                    if mask[a] >> i & 1:
+                        a = self.cofactor(a, i, pol)
+                    if a == stop:
+                        break
+                    if a > 1:
+                        if kinds[a] is kind:
+                            parts.extend(self._args[a])
+                        else:
+                            parts.append(a)
+                else:
+                    out = (self._intern(kind, tuple(parts)) if len(parts) > 1
+                           else parts[0] if parts else 1 - stop)
             else:
-                out = quant(type(g), g.var, g.sort,
-                            self.cofactor(g.body, i, pol))
-            cof[i, pol] = out
+                out = self.cofactor(args[0], i, pol)
+                if out > 1:
+                    out = self._intern(kind, (out,) + args[1:])
+            self._cof[key] = out
         return out
 
 
@@ -223,7 +267,8 @@ def unit_involves_main(u: Formula, memo: dict) -> bool:
 
 def disjoint_clauses(f: Formula, units, cap: int, decide=None):
     """The leaves (literals, remainder) of the decision tree of f over the
-    listed units, lazily.
+    listed units (every boolean unit of f, in first-occurrence order, when
+    None), lazily.
 
     Each remainder splits on its live listed unit of lowest index, and a
     leaf is reached once no unit of decide (every listed unit when None) is
@@ -232,29 +277,31 @@ def disjoint_clauses(f: Formula, units, cap: int, decide=None):
     decided).  Two leaves disagree on the unit where their branches split.
     The walk is depth first, true branch first; false leaves are dropped,
     and `ResourceLimit` is raised once more than cap leaves have been
-    emitted.  f must be built with the smart constructors (see
-    `ShannonSplitter`).
+    emitted.  The walk runs on the node ids of one `ShannonSplitter`, and
+    only an emitted remainder is rebuilt as a formula.  f must be built
+    with the smart constructors.
     """
 
-    sp = ShannonSplitter(units, decide)
+    sp = ShannonSplitter(f, units, decide)
+    units = sp.units
     emitted = 0
     # explicit stack: the unit list can be long and recursion depth tracks it
-    stack = [(f, [])]
+    stack = [(sp.root, [])]
     while stack:
-        g, lits = stack.pop()
-        node = sp.split(g)
+        n, lits = stack.pop()
+        node = sp.split(n)
         if node:
             i, hi, lo = node
             u = units[i]
-            if not isinstance(lo, Bottom):
+            if lo != 1:
                 stack.append((lo, lits + [(u, False)]))
-            if not isinstance(hi, Bottom):
+            if hi != 1:
                 stack.append((hi, lits + [(u, True)]))
-        elif not isinstance(g, Bottom):
+        elif n != 1:
             emitted += 1
             if emitted > cap:
                 raise ResourceLimit("disjoint clause cap exceeded")
-            yield lits, g
+            yield lits, sp.formula(n)
 
 
 def dnf_disjoint_tree(f: Formula, cap: int = 4096, units=None,
@@ -265,8 +312,6 @@ def dnf_disjoint_tree(f: Formula, cap: int = 4096, units=None,
     units or a decide set narrower than the default leave, ends with the
     literal (remainder, True)."""
 
-    if units is None:
-        units = boolean_units(f)
     return [lits if isinstance(rest, Top) else lits + [(rest, True)]
             for lits, rest in disjoint_clauses(f, units, cap, decide)]
 

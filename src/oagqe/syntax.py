@@ -694,7 +694,10 @@ def rebuild(f: Formula, on_atom, on_quant=None) -> Formula:
             memo[g] = out
         return out
 
-    return walk(f)
+    try:
+        return walk(f)
+    finally:
+        del walk
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +757,10 @@ def replace_aux_terms(a: Atom, mapping: Mapping[AuxTerm, AuxTerm]) -> Atom:
             return mapping[t]
         return map_terms(t, lambda u: u, rep)
 
-    return map_terms(a, lambda t: t, rep)
+    try:
+        return map_terms(a, lambda t: t, rep)
+    finally:
+        del rep
 
 
 class Fresh:
@@ -829,7 +835,10 @@ def substitute(f: Formula, sub: Subst, fresh: Optional[Fresh] = None) -> Formula
             return type(g)(var, g.sort, body)
         raise TypeError("not a formula: %r" % (g,))
 
-    return walk(f, sub)
+    try:
+        return walk(f, sub)
+    finally:
+        del walk
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Definitions that only the tests use: the definitional spine oracle and
 its residue box, the canonical class maps of one element, the model file
-writer and the main-quantifier test."""
+writer, the main-quantifier test and the walk that lists boolean units."""
 
 import itertools
 from fractions import Fraction
@@ -10,7 +10,8 @@ from oagqe.models import (
     Element, IntComp, LexModel, RatComp, SpinePoint, ae_cut, h_cut, spine,
 )
 from oagqe.syntax import (
-    AC, AE, AEP, Exists, Forall, Formula, Sort, sort_ac, sort_ae, subformulas,
+    AC, AE, AEP, And, Bottom, Exists, Forall, Formula, Not, Or, Sort, Top,
+    sort_ac, sort_ae, subformulas,
 )
 
 
@@ -91,3 +92,26 @@ def has_main_quantifier(f: Formula) -> bool:
     return any(
         isinstance(g, (Exists, Forall)) and g.sort.is_main for g in subformulas(f)
     )
+
+
+def boolean_units(f: Formula) -> list[Formula]:
+    """Maximal non-boolean subformulas (atoms and quantified blocks), in
+    first-occurrence order: the units that `ShannonSplitter` lists when it
+    is given none, by a walk of its own."""
+
+    out: list[Formula] = []
+    visited: set = set()
+    # depth first, children pushed in reverse so that they pop in order
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in visited:
+            continue
+        visited.add(g)
+        if isinstance(g, Not):
+            stack.append(g.arg)
+        elif isinstance(g, (And, Or)):
+            stack.extend(reversed(g.args))
+        elif not isinstance(g, (Top, Bottom)):
+            out.append(g)
+    return out

@@ -208,6 +208,16 @@ def test_model_file_errors(capsys, tmp_path):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unreadable_formula_file_is_an_input_error(capsys, z, tmp_path):
+    # a directory exists but cannot be read as a formula file
+    for argv in (["eliminate", "--formula", str(tmp_path)],
+                 ["check", "--model", z, "--formula", str(tmp_path)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "input error: cannot read formula file" in err, argv
+        assert "Traceback" not in err
+
+
 def test_usage_errors_exit_as_input_errors(capsys, zz):
     # exit status 2 means a resource limit, so a usage error is an input
     # error; each subcommand has only the options it reads

@@ -1,6 +1,7 @@
 """Main-variable elimination: scaling, order analysis, congruence systems,
 all through `eliminate_exists_main` and `qe_driver`."""
 
+import gc
 import math
 
 import pytest
@@ -12,9 +13,10 @@ from oagqe.eliminate import eliminate_exists_main, power_sum_bound, qe_driver
 from oagqe.evaluate import evaluate, family_evaluator
 from oagqe.models import IntComp, LexModel, RatComp
 from oagqe.normal import ResourceLimit
+from oagqe.piecewise import decompose
 from oagqe.syntax import (
-    And, AuxVar, Discr, EqDot, Exists, LinTerm, MainRel, Not, Or, PlainRel,
-    SORT_G, SortMin, conj, free_vars, sort_ac, subformulas,
+    And, AuxLe, AuxVar, Discr, EqDot, Exists, LinTerm, MainRel, Not, Or,
+    PlainRel, SORT_G, SortMin, conj, disj, free_vars, sort_ac, subformulas,
 )
 
 x = LinTerm.var("x")
@@ -240,3 +242,40 @@ def test_traced_qe_path_counts_every_layer():
     for name in ("normal.hoist_main_units", "normal.dnf_disjoint_tree",
                  "normal.extract_can_terms", "translate.syn_qf_to_qe_fuf"):
         assert tracer.counts[name + ".calls"] >= 1, name
+
+
+def test_calls_leave_no_cyclic_garbage():
+    # every walker's memo and every splitter table is freed by reference
+    # counting when its call returns, so the cyclic collector finds nothing
+    # after an elimination whose final case split goes through an
+    # auxiliary block, one stopped by the clause cap, a one-shot evaluation
+    # and a decomposition
+    a1 = AuxVar("a1", sort_ac(2))
+    through_block = Exists("a", sort_ac(2), conj([Discr(A), disj([
+        PlainRel("lt", y, z), AuxLe(A, a1)])]))
+    wide = Exists("x", SORT_G, conj(
+        [PlainRel("lt", LinTerm.var("y%d" % i), x) for i in range(4)]
+        + [PlainRel("lt", x, LinTerm.var("z%d" % i)) for i in range(3)]))
+    one_shot = Exists("x", SORT_G, conj([
+        PlainRel("lt", y, x), PlainRel("lt", x, z), Not(EqDot(1, x - y))]))
+    graph = MainRel("eq", y, x, 0, BOT)
+    gc.collect()
+    gc.disable()
+    try:
+        fuf = qe_driver(through_block)
+        try:
+            qe_driver(wide, cap=2)
+            capped = False
+        except ResourceLimit:
+            capped = True
+        answer = evaluate(Z_MODEL, {"y": Z_MODEL.element([0]),
+                                    "z": Z_MODEL.element([5])}, one_shot)
+        pieces = decompose(Z_MODEL, graph, "y", ["x"]).pieces
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # the main atom was split out of the block, and the other calls ran
+    # as described
+    lit = MainRel("lt", y, z, 0, BOT)
+    assert [cl.psi for cl in fuf.clauses] == [((lit, True),), ((lit, False),)]
+    assert capped and answer is True and len(pieces) == 1

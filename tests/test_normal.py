@@ -8,12 +8,12 @@ from conftest import (
     AUX_FREE, FIXTURE_MODELS, aux_assignment, main_assignment, rand_bool,
     rand_mixed_atom, rand_syn_atom,
 )
-from helpers import has_main_quantifier
+from helpers import boolean_units, has_main_quantifier
 from oagqe.evaluate import evaluate
 from oagqe.models import IntComp, LexModel
 from oagqe.normal import (
     FamilyUnionForm, FUClause, ResourceLimit, ShannonSplitter,
-    atom_involves_main, boolean_units, disjoint_clauses, dnf_disjoint_tree,
+    atom_involves_main, disjoint_clauses, dnf_disjoint_tree,
     hoist_main_units, unit_involves_main,
 )
 from oagqe.syntax import (
@@ -42,27 +42,54 @@ def rand_skeleton(rng, depth):
 
 
 def test_boolean_units_order_and_dedup():
+    # a splitter given no units lists those of its formula as it meets them
     f = conj([disj([atom(2), atom(1)]), Not(atom(2)), atom(3)])
-    assert boolean_units(f) == [atom(2), atom(1), atom(3)]
+    assert ShannonSplitter(f).units == [atom(2), atom(1), atom(3)]
     # a quantified block is opaque: one unit, not its atoms
     q = Exists("x", SORT_G, MainRel("lt", zero, LinTerm.var("x"), 0, BOT))
-    assert boolean_units(conj([q, atom(1)])) == [q, atom(1)]
+    assert ShannonSplitter(conj([q, atom(1)])).units == [q, atom(1)]
+
+
+def cof(sp, g, i, pol):
+    """The formula of the cofactor of g's node in the splitter's table."""
+
+    return sp.formula(sp.cofactor(sp.node(g), i, pol))
+
+
+def split(sp, g):
+    """The split of g's node, with formulas for node ids."""
+
+    node = sp.split(sp.node(g))
+    return node and (node[0], sp.formula(node[1]), sp.formula(node[2]))
 
 
 def test_splitter_cofactors_fold_constants():
     f = conj([disj([atom(1), atom(2)]), atom(3)])
-    sp = ShannonSplitter(boolean_units(f))
-    assert sp.cofactor(f, 0, True) == atom(3)
-    assert sp.cofactor(sp.cofactor(f, 0, False), 1, False) is FALSE
-    assert sp.cofactor(f, 2, True) == disj([atom(1), atom(2)])
+    sp = ShannonSplitter(f, boolean_units(f))
+    assert cof(sp, f, 0, True) == atom(3)
+    assert sp.formula(sp.cofactor(sp.cofactor(sp.root, 0, False), 1,
+                                  False)) is FALSE
+    assert cof(sp, f, 2, True) == disj([atom(1), atom(2)])
     # a subtree without the split unit is its own cofactor
     g = atom(3)
-    assert sp.cofactor(g, 0, True) is g
-    assert sp.split(f) == (0, atom(3), conj([atom(2), atom(3)]))
-    assert sp.split(atom(3))[0] == 2
-    assert sp.split(TRUE) == ()
+    assert cof(sp, g, 0, True) is g
+    assert split(sp, f) == (0, atom(3), conj([atom(2), atom(3)]))
+    assert split(sp, atom(3))[0] == 2
+    assert split(sp, TRUE) == ()
     # units outside the list are opaque leaves
-    assert ShannonSplitter([atom(1)]).cofactor(atom(4), 0, True) == atom(4)
+    assert cof(ShannonSplitter(atom(4), [atom(1)]), atom(4), 0,
+               True) == atom(4)
+    # an argument that folds to the connective's own kind is flattened
+    # into it, so equal formulas share one node
+    g = conj([atom(1), disj([atom(2), conj([atom(3), atom(4)])])])
+    sp = ShannonSplitter(g, boolean_units(g))
+    n = sp.cofactor(sp.root, 1, False)
+    flat = conj([atom(1), atom(3), atom(4)])
+    assert sp.formula(n) == flat and sp.node(flat) == n
+    # and a negation over a cofactor that folds to a negation cancels
+    g = neg(disj([atom(2), neg(atom(3))]))
+    sp = ShannonSplitter(g, boolean_units(g))
+    assert sp.cofactor(sp.root, 0, False) == sp.node(atom(3))
 
 
 def _clause_truth(clause, val):
@@ -360,6 +387,7 @@ def test_hoist_main_units_orders_units_by_first_occurrence():
 
 
 def test_splitter_sees_through_auxiliary_blocks():
+    # _mask holds each node's mask of the listed units it mentions
     a = AuxVar("a", sort_ac(2))
     da = Discr(a)
 
@@ -368,39 +396,47 @@ def test_splitter_sees_through_auxiliary_blocks():
 
     b = blk(conj([da, disj([atom(1), atom(2)])]))
     f = conj([b, atom(3)])
-    sp = ShannonSplitter([atom(1), atom(2), atom(3)])
-    assert sp.mask(f) == 0b111
+    sp = ShannonSplitter(f, [atom(1), atom(2), atom(3)])
+    assert sp._mask[sp.root] == 0b111
     # the cofactor is the same quantifier over the cofactored body
-    assert sp.cofactor(f, 0, True) == conj([blk(da), atom(3)])
-    assert sp.cofactor(b, 0, False) == blk(conj([da, atom(2)]))
-    assert sp.split(b) == (0, blk(da), blk(conj([da, atom(2)])))
-    assert sp.cofactor(b, 2, True) is b
+    assert cof(sp, f, 0, True) == conj([blk(da), atom(3)])
+    assert cof(sp, b, 0, False) == blk(conj([da, atom(2)]))
+    assert split(sp, b) == (0, blk(da), blk(conj([da, atom(2)])))
+    assert cof(sp, b, 2, True) is b
     # a constant body folds: an auxiliary sort is never empty
-    assert sp.cofactor(blk(disj([atom(1), da])), 0, True) is TRUE
-    assert sp.cofactor(blk(atom(1), Forall), 0, False) is FALSE
-    assert sp.cofactor(blk(conj([atom(1), da]), Forall), 0, False) is FALSE
+    assert cof(sp, blk(disj([atom(1), da])), 0, True) is TRUE
+    assert cof(sp, blk(atom(1), Forall), 0, False) is FALSE
+    assert cof(sp, blk(conj([atom(1), da]), Forall), 0, False) is FALSE
     # nested blocks
     nested = blk(blk(conj([da, atom(1)]), Forall))
-    assert sp.cofactor(nested, 0, False) is FALSE
-    assert sp.cofactor(nested, 0, True) == blk(blk(da, Forall))
+    assert cof(sp, nested, 0, False) is FALSE
+    assert cof(sp, nested, 0, True) == blk(blk(da, Forall))
     # a unit that mentions the block's variable means another point inside
     # it, so the block hides that unit
     f = conj([da, blk(conj([da, atom(1)]))])
-    sp = ShannonSplitter([da, atom(1)])
-    assert sp.mask(f) == 0b11 and sp.mask(f.args[1]) == 0b10
-    assert sp.cofactor(f, 0, True) == f.args[1]
-    assert sp.cofactor(f.args[1], 0, False) is f.args[1]
-    assert sp.cofactor(f, 1, True) == conj([da, blk(da)])
+    sp = ShannonSplitter(f, [da, atom(1)])
+    assert sp._mask[sp.root] == 0b11
+    assert sp._mask[sp.node(f.args[1])] == 0b10
+    assert cof(sp, f, 0, True) == f.args[1]
+    assert cof(sp, f.args[1], 0, False) is f.args[1]
+    assert cof(sp, f, 1, True) == conj([da, blk(da)])
     # a main-sort quantifier stays opaque
     mq = Exists("x", SORT_G, conj([atom(1), PlainRel(
         "lt", zero, LinTerm.var("x"))]))
-    assert sp.mask(mq) == 0 and sp.split(mq) == ()
-    assert sp.cofactor(mq, 0, True) is mq
+    assert sp._mask[sp.node(mq)] == 0 and split(sp, mq) == ()
+    assert cof(sp, mq, 0, True) is mq
     # so does a listed block: it is a unit
-    listed = ShannonSplitter([b, atom(1)])
-    assert listed.mask(b) == 0b01
-    assert listed.cofactor(b, 1, True) is b
-    assert listed.cofactor(b, 0, True) is TRUE
+    listed = ShannonSplitter(b, [b, atom(1)])
+    assert listed._mask[listed.root] == 0b01
+    assert cof(listed, b, 1, True) is b
+    assert cof(listed, b, 0, True) is TRUE
+    # and a block's cofactor equal to a listed block is that unit, which
+    # the branch then decides again
+    g = conj([blk(da), blk(conj([da, atom(1)]))])
+    sp = ShannonSplitter(g, [blk(da), atom(1)])
+    assert split(sp, g) == (0, blk(conj([da, atom(1)])), FALSE)
+    assert list(disjoint_clauses(g, [blk(da), atom(1)], 4)) == [
+        ([(blk(da), True), (atom(1), True), (blk(da), True)], TRUE)]
 
 
 def test_disjoint_clauses_decide_only_what_they_must():
@@ -510,11 +546,11 @@ def test_well_formed_matches_reference():
 # leaves.
 
 def _ref_truth_table_rows(f, units):
-    sp = ShannonSplitter(units)
+    sp = ShannonSplitter(f, units)
     rows = []
 
     def go(xi, row):
-        if isinstance(xi, Bottom):
+        if xi == 1:   # FALSE
             return
         if len(row) == len(units):
             rows.append(row)
@@ -522,7 +558,7 @@ def _ref_truth_table_rows(f, units):
         for b in (True, False):
             go(sp.cofactor(xi, len(row), b), row + (b,))
 
-    go(f, ())
+    go(sp.root, ())
     return rows
 
 
@@ -542,14 +578,14 @@ def test_disjoint_clauses_are_branches():
         f = rand_bool(rng, rng.randint(1, 4), _main_and_aux_leaf)
         units = [u for u in boolean_units(f) if atom_involves_main(u)]
         leaves = list(disjoint_clauses(f, units, 1 << len(units)))
-        sp = ShannonSplitter(units)
+        sp = ShannonSplitter(f, units)
         for lits, rest in leaves:
-            g = f
+            g = sp.root
             for u, pol in lits:
                 i, hi, lo = sp.split(g)
                 assert units[i] == u
                 g = hi if pol else lo
-            assert sp.split(g) == () and rest == g
+            assert sp.split(g) == () and rest == sp.formula(g)
         rows = _ref_truth_table_rows(f, units)
         assert len(leaves) <= len(rows)
         fewer += len(leaves) < len(rows)

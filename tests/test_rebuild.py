@@ -4,9 +4,13 @@ split against the walkers they replaced.
 Each reference below is the identity-keyed walk that a pass used before it
 went through `rebuild`; the atom-level rules (`qe_atom_to_syn`,
 `_syn_atom_rewrite`, `replace_aux_terms`) are the program's own.  The
-exception is the family union builder as it was before its case split went
-through the auxiliary blocks: `_ref_syn_qf_to_qe_fuf` keeps it whole, with
-its atom rule and its hoisting, as the reference for `syn_qf_to_qe_fuf`.
+exceptions are the family union builder as it was before its case split
+went through the auxiliary blocks: `_ref_syn_qf_to_qe_fuf` keeps it whole,
+with its atom rule and its hoisting, as the reference for
+`syn_qf_to_qe_fuf`; and the Shannon splitter as it was before it worked on
+a table of integer nodes: `_RefSplitter` and `_ref_disjoint_clauses` keep it
+whole, caching cofactors per formula node, as the reference for
+`disjoint_clauses`.
 The random formulas draw their nodes from a growing pool, so subformulas
 recur both by identity (a pooled node reused) and by value only (a deep
 copy), and some connectives are built raw.
@@ -22,12 +26,13 @@ from conftest import (
     AUX_FREE, FIXTURE_MODELS, aux_assignment, main_assignment, rand_bool,
     rand_syn_atom, rand_term,
 )
+from helpers import boolean_units
 from oagqe.eliminate import eliminate_exists_main
 from oagqe.evaluate import evaluator, family_evaluator
 from oagqe.models import prime_power_parts
 from oagqe.normal import (
     FamilyUnionForm, FUClause, ResourceLimit, ShannonSplitter, _can_subterms,
-    boolean_units, dnf_disjoint_tree, extract_can_terms, hoist_main_units,
+    disjoint_clauses, dnf_disjoint_tree, extract_can_terms, hoist_main_units,
     unit_involves_main,
 )
 from oagqe.syntax import (
@@ -200,7 +205,7 @@ def _ref_hoist_block(q, body, involves, free):
     if len(units) > 10:
         raise ResourceLimit("%d main-sort atoms under one auxiliary "
                             "quantifier" % len(units))
-    sp = ShannonSplitter(units)
+    sp = _RefSplitter(units)
     memo = {}
 
     def expand(g):
@@ -298,10 +303,123 @@ def _ref_hoist_units(f):
     return out
 
 
+# The Shannon splitter before its integer node table: every connective is
+# a formula node, its record (mask, split, cofactors) is cached by value,
+# and each cofactor is rebuilt with the smart constructors.
+
+class _RefSplitter:
+    def __init__(self, units, decide=None):
+        self._index = {u: i for i, u in enumerate(units)}
+        self._decide = -1 if decide is None else sum(
+            1 << self._index[u] for u in set(decide))
+        self._node = {}
+        self._free = None
+
+    def _record(self, g):
+        rec = self._node.get(g)
+        if rec is None:
+            m = 0
+            if isinstance(g, (And, Or)):
+                for h in g.args:
+                    m |= self.mask(h)
+            else:
+                m = self.mask(g.body) & ~self._mentioning(g.var)
+            rec = self._node[g] = [m, None, {}]
+        return rec
+
+    def _mentioning(self, var):
+        if self._free is None:
+            self._free = {}
+            cache = {}
+            for u, i in self._index.items():
+                for v in free_names(u, cache):
+                    self._free[v] = self._free.get(v, 0) | 1 << i
+        return self._free.get(var, 0)
+
+    def mask(self, g):
+        if isinstance(g, Not):
+            return self.mask(g.arg)
+        if isinstance(g, (And, Or)):
+            return self._record(g)[0]
+        i = self._index.get(g)
+        if i is not None:
+            return 1 << i
+        if isinstance(g, (Exists, Forall)) and not g.sort.is_main:
+            return self._record(g)[0]
+        return 0
+
+    def split(self, g):
+        if isinstance(g, Not):
+            node = self.split(g.arg)
+            return (node[0], neg(node[1]), neg(node[2])) if node else ()
+        if not isinstance(g, (And, Or)):
+            i = self._index.get(g)
+            if i is not None:
+                return (i, TRUE, FALSE) if self._decide >> i & 1 else ()
+            if not isinstance(g, (Exists, Forall)) or g.sort.is_main:
+                return ()
+        rec = self._record(g)
+        if rec[1] is None:
+            m = rec[0]
+            i = (m & -m).bit_length() - 1
+            rec[1] = ((i, self.cofactor(g, i, True),
+                       self.cofactor(g, i, False))
+                      if m & self._decide else ())
+        return rec[1]
+
+    def cofactor(self, g, i, pol):
+        if isinstance(g, Not):
+            h = self.cofactor(g.arg, i, pol)
+            return g if h is g.arg else neg(h)
+        if not isinstance(g, (And, Or)):
+            j = self._index.get(g)
+            if (j is not None or not isinstance(g, (Exists, Forall))
+                    or g.sort.is_main):
+                return (TRUE if pol else FALSE) if j == i else g
+        m, _, cof = self._record(g)
+        if not m >> i & 1:
+            return g
+        out = cof.get((i, pol))
+        if out is None:
+            if isinstance(g, And):
+                out = conj(self.cofactor(h, i, pol) for h in g.args)
+            elif isinstance(g, Or):
+                out = disj(self.cofactor(h, i, pol) for h in g.args)
+            else:
+                out = quant(type(g), g.var, g.sort,
+                            self.cofactor(g.body, i, pol))
+            cof[i, pol] = out
+        return out
+
+
+def _ref_disjoint_clauses(f, units, cap, decide=None):
+    sp = _RefSplitter(units, decide)
+    emitted = 0
+    stack = [(f, [])]
+    while stack:
+        g, lits = stack.pop()
+        node = sp.split(g)
+        if node:
+            i, hi, lo = node
+            u = units[i]
+            if not isinstance(lo, Bottom):
+                stack.append((lo, lits + [(u, False)]))
+            if not isinstance(hi, Bottom):
+                stack.append((hi, lits + [(u, True)]))
+        elif not isinstance(g, Bottom):
+            emitted += 1
+            if emitted > cap:
+                raise ResourceLimit("disjoint clause cap exceeded")
+            yield lits, g
+
+
 # ---------------------------------------------------------------------------
 # Random formulas with shared and equal-but-distinct subformulas
 
-def rand_dag(rng, leaves, steps, quantify=True):
+def rand_dag(rng, leaves, steps, quantify=True, raw=True):
+    """The last node of a growing pool; with raw false every node is built
+    with the smart constructors."""
+
     pool = list(leaves)
 
     def pick():
@@ -317,12 +435,14 @@ def rand_dag(rng, leaves, steps, quantify=True):
         elif c == 1:
             node = disj(parts)
         elif c in (2, 3):
-            node = (And if c == 2 else Or)(tuple(parts))
+            node = ((And if c == 2 else Or)(tuple(parts)) if raw
+                    else (conj if c == 2 else disj)(parts))
         else:
-            node = (neg if c == 4 else Not)(parts[0])
+            node = (neg if c == 4 or not raw else Not)(parts[0])
         if quantify and rng.random() < 0.1:
-            node = (Exists if rng.random() < 0.5 else Forall)(
-                "a", sort_ac(2), node)
+            kind = Exists if rng.random() < 0.5 else Forall
+            node = (kind("a", sort_ac(2), node) if raw
+                    else quant(kind, "a", sort_ac(2), node))
         pool.append(node)
     return pool[-1]
 
@@ -505,6 +625,118 @@ def test_hoist_main_units_matches_reference():
         assert got == _outcome(_ref_hoist_units, f), f
         raised += isinstance(got, tuple)
     assert 5 <= raised <= 100
+
+
+def _leaves(gen):
+    """The leaves that a generator of `disjoint_clauses` yields, and how it
+    ended: None, or the limit it raised."""
+
+    out = []
+    try:
+        for leaf in gen:
+            out.append(leaf)
+    except ResourceLimit as e:
+        return out, str(e)
+    return out, None
+
+
+def _split_cases(rng, f):
+    """(units, decide) pairs for the splitter on f: no units (the splitter
+    lists them), every boolean unit, the units of the final case split
+    with all or the main-sort ones to decide, a random subset to decide and
+    a random shuffled sublist of units."""
+
+    bu = boolean_units(f)
+    cases = [(None, None), (bu, None)]
+    try:
+        hoisted = hoist_main_units(f)
+    except ValueError:
+        hoisted = None
+    if hoisted is not None:
+        involves = {}
+        main = {u for u in hoisted if unit_involves_main(u, involves)}
+        cases += [(hoisted, None), (hoisted, main)]
+    for units in (bu, hoisted):
+        if units:
+            cases.append((units, set(rng.sample(
+                units, rng.randint(0, len(units))))))
+            cases.append((rng.sample(units, rng.randint(1, len(units))),
+                          None))
+    return cases
+
+
+def _rand_split_formula(rng):
+    """A random DAG in smart-constructor form, as the splitter requires,
+    over blocks that hold main atoms, nested blocks, an atom that mentions
+    a block's variable and an opaque main quantifier."""
+
+    mq = Exists("x", SORT_G, conj([rand_syn_atom(rng), Discr(A)]))
+    leaves = ([_rand_block(rng) for _ in range(2)]
+              + [rand_syn_atom(rng) for _ in range(2)]
+              + [rng.choice([Discr(A), AuxLe(A, AUX_FREE[0])]), mq])
+    return rand_dag(rng, leaves, rng.randint(2, 9), raw=False)
+
+
+def test_disjoint_clauses_matches_reference():
+    # the integer node table against the splitter that cached formula
+    # nodes: the same leaves in the same order, and the cap raised after
+    # the same leaf, for every cap from 0 up to the leaf count
+    rng = random.Random(29)
+    checked = capped = 0
+    for _ in range(150):
+        f = _rand_split_formula(rng)
+        for units, decide in _split_cases(rng, f):
+            ref_units = boolean_units(f) if units is None else units
+            want, end = _leaves(_ref_disjoint_clauses(f, ref_units, 10 ** 6,
+                                                      decide))
+            assert end is None
+            if units is None:
+                assert ShannonSplitter(f).units == ref_units, f
+            for cap in range(len(want) + 1):
+                got = _leaves(disjoint_clauses(f, units, cap, decide))
+                assert got == _leaves(_ref_disjoint_clauses(
+                    f, ref_units, cap, decide)), (f, units, decide, cap)
+                capped += got[1] is not None
+            assert got == (want, None)
+            checked += 1
+    assert checked >= 800 and capped >= 1000
+
+
+def test_splitter_table_folds_as_syntax_builds():
+    # every connective of the table, entered or built by a cofactor, has
+    # the formula that conj, disj, neg or quant give its children's
+    # formulas, and entering that formula again gives the same node, so
+    # equal formulas never get two nodes
+    rng = random.Random(30)
+    built = 0
+    for _ in range(80):
+        f = _rand_split_formula(rng)
+        for units, decide in _split_cases(rng, f):
+            sp = ShannonSplitter(f, units, decide)
+            entered = len(sp._kind)
+            # split every node that the decision tree reaches
+            stack, seen = [sp.root], set()
+            while stack:
+                n = stack.pop()
+                if n not in seen:
+                    seen.add(n)
+                    stack.extend(sp.split(n)[1:])
+            for n in range(2, len(sp._kind)):
+                kind, args = sp._kind[n], sp._args[n]
+                if kind is None:
+                    continue
+                if kind in (And, Or):
+                    parts = [sp.formula(a) for a in args]
+                    want = conj(parts) if kind is And else disj(parts)
+                elif kind is Not:
+                    want = neg(sp.formula(args[0]))
+                else:
+                    want = quant(kind, args[1], args[2],
+                                 sp.formula(args[0]))
+                assert sp.formula(n) == want, (f, n)
+                assert sp.node(want) == n, (f, n)
+                built += n >= entered
+    assert built >= 500
 
 
 def test_free_names_equals_free_vars():

@@ -384,6 +384,47 @@ def test_aux_comparisons_are_built_folding():
     assert calls == []
 
 
+def _own_scope(fn):
+    """The nodes of fn's body, without descending into the functions,
+    lambdas and classes that it defines."""
+
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _undeleted_recursive_closures(trees):
+    out = []
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            scope = list(_own_scope(fn))
+            deleted = {t.id for node in scope if isinstance(node, ast.Delete)
+                       for t in node.targets if isinstance(t, ast.Name)}
+            for inner in scope:
+                if (isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and inner.name not in deleted
+                        and any(isinstance(n, ast.Name) and n.id == inner.name
+                                and isinstance(n.ctx, ast.Load)
+                                for n in ast.walk(inner))):
+                    out.append("%s.%s.%s" % (name, fn.name, inner.name))
+    return out
+
+
+def test_recursive_closures_are_deleted():
+    # a nested function that refers to its own name holds itself through
+    # its closure cell: that cycle keeps the function, its memo and all
+    # that it built alive until the cyclic collector runs.  Deleting the
+    # name in the enclosing function, once the closure is done, frees them
+    # when the call returns.
+    assert _undeleted_recursive_closures(_src_trees()) == []
+
+
 # Imported names that their module does not read, with the reason each
 # stays imported.
 KEPT_IMPORTS = {

@@ -7,7 +7,7 @@ assignment), piecewise (piecewise-linear decomposition of a graph formula).
 
 Exit codes: 0 success, 1 input error (a usage error such as an unknown
 flag included) or detected mismatch, 2 resource limit, 3 unknown
-evaluation outcome.
+evaluation outcome (the evaluator reached one of its limits).
 """
 
 import argparse

@@ -1,15 +1,15 @@
 """Exact evaluation of formulas in concrete models.
 
 Atoms are evaluated exactly.  Auxiliary quantifiers range over the finite
-spine and are expanded.  A single main-sort existential is decided completely
-by grounding its matrix (resolving every auxiliary term, case-splitting the
+spine and are expanded.  A main-sort existential is decided completely by
+grounding its matrix (resolving every auxiliary term, case-splitting the
 canonical maps applied to terms containing the bound variable) and running
 the per-coordinate witness search of the solver module on the leaves of its
-decision tree, taken lazily: the first witness ends the search.  Matrices
-with further main-sort quantifiers, or more than LEAF_CAP (512) leaves
-before a witness, fall back to a bounded candidate search (the main values
-of the quantified formula's own free variables, then a box of radius 8 per
-coordinate, 3 on models of rank 3 or more) and can report Unknown.
+decision tree, taken lazily: the first witness ends the search.  Main-sort
+quantifiers nested in the matrix are first eliminated relative to the
+auxiliary sorts (`eliminate._push_out_main`).  A decision answers Unknown
+only when it reaches a limit: the eliminator's, the solver's, or more than
+LEAF_CAP (512) leaves or solver clauses before a witness.
 
 A formula is compiled as it is written, once, when its `evaluator` or
 `family_evaluator` is built, into a tree of closures that is then called
@@ -21,11 +21,9 @@ or equality at a constant anchor then stops at the first nonzero
 coordinate above the cut, without building an element (see `_atom_fn`).
 Results are memoized only at the nodes where a lookup can hit (see
 `_compile`), and the memos live as long as the compiled tree.  A node's
-free names are read only where something uses them: its memo key, and the
-fallback's candidates, built when the fallback first runs.  The root of an
-`evaluator` keeps no memo, as its key would be the whole assignment, so a
-one-shot call on a main-quantified formula that the complete search
-decides reads no names at all.
+free names are read only for its memo key.  The root of an `evaluator`
+keeps no memo, as its key would be the whole assignment, so a one-shot
+call on a main-quantified formula reads no names at all.
 """
 
 from __future__ import annotations
@@ -41,13 +39,14 @@ from .models import (
     h_cut, spine, spine_min,
 )
 from .models import _ac_cuts  # realized cut sets, shared with spine()
+from .eliminate import _push_out_main
 from .normal import ResourceLimit, disjoint_clauses
 from .syntax import (
     AE, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, CongDot, Discr,
-    DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula,
+    DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula, Fresh,
     LinTerm, MainRel, Not, Or, PlainRel, Sc, Se, SortMin, SpineRef, SuccPlus,
-    Top, TRUE, atom_aux_terms, conj, disj, free_names, main_rel, main_vars,
-    neg, replace_aux_terms, sort_ac, sort_ae, substitute,
+    Top, TRUE, all_names, atom_aux_terms, conj, disj, free_names, main_rel,
+    main_vars, neg, replace_aux_terms, sort_ac, sort_ae, substitute,
 )
 
 Value = Union[Element, SpinePoint]
@@ -55,8 +54,8 @@ Assignment = dict[str, Value]
 Tri = Optional[bool]
 
 
-class Uncompilable(Exception):
-    """The matrix cannot be grounded for the complete search."""
+class _MainQuantifier(Exception):
+    """Grounding met a main-sort quantifier, which `_decide` eliminates."""
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +339,7 @@ def _classify(model: LexModel, term: AuxTerm):
     elif isinstance(term, Se):
         op, m, sort = "eq", 0, sort_ae(term.p)
     else:
-        raise Uncompilable("cannot case-split %r" % (term,))
+        raise TypeError("cannot case-split %r" % (term,))
 
     def inside(c: int) -> Formula:
         return main_rel(op, term.arg, LinTerm.zero(), 0,
@@ -371,7 +370,7 @@ def ground_for_var(model: LexModel, asg: Assignment, var: str,
         return disj(ground_for_var(model, asg, var, g) for g in f.args)
     if isinstance(f, (Exists, Forall)):
         if f.sort.is_main:
-            raise Uncompilable("nested main-sort quantifier")
+            raise _MainQuantifier(f)
         parts = []
         for pt in spine(model, f.sort):
             body = substitute(f.body, {f.var: _ref(pt)})
@@ -411,7 +410,8 @@ def ground_for_var(model: LexModel, asg: Assignment, var: str,
 # ---------------------------------------------------------------------------
 # Disjoint clauses over the remaining atoms
 
-# leaves of one grounded matrix before the decision goes to the fallback
+# leaves of one grounded matrix, and solver clauses compiled from them,
+# before the decision answers unknown
 LEAF_CAP = 512
 
 
@@ -455,7 +455,7 @@ def _literal_alternatives(model, asg, var, atom: Atom, positive: bool):
     semantics."""
 
     if not isinstance(atom, (MainRel, PlainRel)):
-        raise Uncompilable("atom %r not compilable" % (atom,))
+        raise TypeError("atom %r not compilable" % (atom,))
     pairs = _difference(atom.lhs, atom.rhs)
     r = dict(pairs).get(var, 0)
     if r == 0:
@@ -515,48 +515,30 @@ def compile_clause(model, asg, var, lits) -> list[solver.Clause]:
 # ---------------------------------------------------------------------------
 # Formula evaluation
 
-def decide_exists_main(model, asg: Assignment, var: str, body: Formula,
-                       fallback) -> Tri:
+def decide_exists_main(model, asg: Assignment, var: str,
+                       body: Formula) -> Tri:
     """Exists var. body, for one assignment of the other variables.
 
     The grounded search is complete; each leaf of the grounded matrix is
-    compiled and solved as it comes, and the first witness ends it.  When
-    the body cannot be grounded, has more than LEAF_CAP leaves before a
-    witness or reaches a solver limit, the answer is fallback(asg), the
-    bounded search of `_decide`."""
+    compiled and its solver clauses are solved as they come, and the first
+    witness ends it.  The answer is None once more than LEAF_CAP leaves or
+    solver clauses are taken without a witness, or the solver reaches its
+    limit.  Grounding raises `_MainQuantifier` on a main-sort quantifier in
+    body."""
 
     try:
         g = ground_for_var(model, asg, var, body)
+        solved = 0
         for lits, _ in dnf_clauses(g):
             for cl in compile_clause(model, asg, var, lits):
+                solved += 1
+                if solved > LEAF_CAP:
+                    return None
                 if solver.solve_clause(model, cl) is not None:
                     return True
         return False
-    except (Uncompilable, ResourceLimit, solver.SolverLimit):
-        return fallback(asg)
-
-
-def _fallback_candidates(model, values):
-    """The main values among values, then the box of radius 8 per
-    coordinate (3 on models of rank 3 or more, where the box grows as
-    7^rank)."""
-
-    seen = set()
-    for e in values:
-        if isinstance(e, tuple) and e not in seen:
-            seen.add(e)
-            yield e
-    radius = 3 if model.rank >= 3 else 8
-    # adding each component's zero makes the coordinate an int on Z and a
-    # Fraction elsewhere
-    axes = [[z + c for c in range(-radius, radius + 1)]
-            for z in model.zero()]
-    for e in itertools.product(*axes):
-        if model.sum_mod is not None and sum(e) % model.sum_mod != 0:
-            continue
-        if e not in seen:
-            seen.add(e)
-            yield e
+    except (ResourceLimit, solver.SolverLimit):
+        return None
 
 
 _MISS = object()
@@ -615,12 +597,11 @@ def _compile(model: LexModel, varied, roots, free: dict,
     outside them share one entry.  Free names are read only for these memo
     decisions: with memo_roots false the roots keep no memo and read none,
     so a formula whose root is a main-sort quantifier compiles without a
-    walk (see `evaluator` and `_decide`).  The body of a main-sort
-    quantifier is compiled when the bounded fallback first needs it; the
-    complete search grounds the body itself.  The memos live as long as the
-    returned closures: no closure refers back to the table of compiled
-    nodes and `comp` is deleted on return, so dropping the closures frees
-    the memos at once."""
+    walk (see `evaluator`).  The body of a main-sort quantifier is not
+    compiled: `_decide` grounds it at each assignment.  The memos live as
+    long as the returned closures: no closure refers back to the table of
+    compiled nodes and `comp` is deleted on return, so dropping the
+    closures frees the memos at once."""
 
     runs: dict = {}
 
@@ -641,7 +622,7 @@ def _compile(model: LexModel, varied, roots, free: dict,
         elif isinstance(g, (And, Or)):
             run = _fold([comp(h) for h in g.args], isinstance(g, Or))
         elif main:
-            run = _decide(model, varied, g)
+            run = _decide(model, g)
         elif isinstance(g, (Exists, Forall)):
             run = _sweep(comp(g.body), g.var, spine(model, g.sort),
                          k_any if isinstance(g, Exists) else k_all)
@@ -660,36 +641,37 @@ def _compile(model: LexModel, varied, roots, free: dict,
         del comp
 
 
-def _decide(model: LexModel, varied, g: Formula):
+def _decide(model: LexModel, g: Formula):
     """A main-sort quantifier: `decide_exists_main` on its body, negated
-    for Forall.  Its bounded fallback tries the main values of the sorted
-    free names of g, then a box (`_fallback_candidates`), and runs the
-    compiled body at each; the names and the body are read the first time
-    the fallback runs, so a call that the complete search decides never
-    walks the formula."""
+    for Forall.  The first time grounding meets a main-sort quantifier in
+    the body, every main quantifier of the body is eliminated, innermost
+    first, with `qe_driver`'s default limits and fresh names that avoid
+    every name of g; the result is decided from then on.  An elimination
+    that reaches a limit, or meets a main atom that depends on an auxiliary
+    variable bound inside the quantifier (outside the eliminator's
+    fragment), makes every answer None.  A body without main quantifiers is grounded as
+    written, and never walked otherwise."""
 
     var = g.var
-    body = g.body if isinstance(g, Exists) else Not(g.body)
-    built: list = []   # [names, run_body], once the fallback has run
+    # [body], with its main quantifiers eliminated once grounding met one;
+    # [] when that elimination failed
+    body = [g.body if isinstance(g, Exists) else Not(g.body)]
 
-    def fallback(asg: Assignment) -> Tri:
-        # only a True answer is ever definite here
-        if not built:
-            free: dict = {}
-            built.append(tuple(sorted(free_names(g, free))))
-            built.extend(_compile(model, varied, [body], free))
-        names, run_body = built
-        for cand in _fallback_candidates(model, [asg.get(v) for v in names]):
-            asg2 = dict(asg)
-            asg2[var] = cand
-            if run_body(asg2) is True:
-                return True
+    def decide(asg: Assignment) -> Tri:
+        while body:
+            try:
+                return decide_exists_main(model, asg, var, body[0])
+            except _MainQuantifier:
+                try:
+                    body[0] = _push_out_main(body[0], Fresh("b", all_names(g)),
+                                             cap=4096, max_branches=200000)
+                except (ResourceLimit, ValueError):
+                    body.clear()
         return None
 
     if isinstance(g, Exists):
-        return lambda asg: decide_exists_main(model, asg, var, body, fallback)
-    return lambda asg: k_not(decide_exists_main(model, asg, var, body,
-                                                fallback))
+        return decide
+    return lambda asg: k_not(decide(asg))
 
 
 def _sweep(run_body, var: str, pts, fold):
@@ -723,17 +705,16 @@ def evaluator(model: LexModel, f: Formula):
     assignment in which its own variable is set, so a name bound twice, or
     bound and also free, or given a value by the caller, is shadowed as the
     semantics say, and each memo is keyed by the values its node reads
-    there.  A bounded fallback tries the main values of its quantified
-    formula's own free variables first, which its memo key holds, so the
-    answer does not depend on the order of the calls.  The caller varies
-    the free variables of f, so a node keeps a memo only when it is a
-    main-sort quantifier or its free variables are a strict subset of those
-    of f: for example a literal over x alone, asked at one x for many y.
-    The root keeps none, since its key would be the whole assignment; so
-    the free names of f are read only when a node below the root makes its
-    memo decision or a fallback runs, and a one-shot call on a formula
-    whose root is a main-sort quantifier, decided by the complete search,
-    never walks the formula.
+    there.  The caller varies the free variables of f, so a node keeps a
+    memo only when it is a main-sort quantifier or its free variables are a
+    strict subset of those of f: for example a literal over x alone, asked
+    at one x for many y.  The root keeps none, since its key would be the
+    whole assignment; so the free names of f are read only when a node
+    below the root makes its memo decision, and a one-shot call on a
+    formula whose root is a main-sort quantifier never walks the formula
+    outside its grounding.  A main-sort quantifier nested in another is
+    eliminated, once per compiled node (see `_decide`), so an answer is
+    None only where a limit was reached.
 
     The memos live as long as the returned function and grow by one entry
     per memoized node and distinct restricted assignment.  Callers that

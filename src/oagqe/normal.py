@@ -274,29 +274,40 @@ def disjoint_clauses(f: Formula, units, cap: int, decide=None):
     leaf is reached once no unit of decide (every listed unit when None) is
     live: its literals are the units on its branch and its remainder is
     what the other units leave (`TRUE` when every unit is listed and
-    decided).  Two leaves disagree on the unit where their branches split.
-    The walk is depth first, true branch first; false leaves are dropped,
-    and `ResourceLimit` is raised once more than cap leaves have been
-    emitted.  The walk runs on the node ids of one `ShannonSplitter`, and
-    only an emitted remainder is rebuilt as a formula.  f must be built
+    decided).  A unit is decided at most once per branch: when a cofactor
+    brings back a unit that the branch already decided (an unlisted block
+    that turns into a listed one), the walk follows that polarity and adds
+    no literal.  Two leaves disagree on the unit where their branches
+    split.  The walk is depth first, true branch first; false leaves are
+    dropped, and `ResourceLimit` is raised once more than cap leaves have
+    been emitted.  The walk runs on the node ids of one `ShannonSplitter`,
+    and only an emitted remainder is rebuilt as a formula.  f must be built
     with the smart constructors.
     """
 
     sp = ShannonSplitter(f, units, decide)
     units = sp.units
     emitted = 0
-    # explicit stack: the unit list can be long and recursion depth tracks it
-    stack = [(sp.root, [])]
+    # explicit stack: the unit list can be long and recursion depth tracks
+    # it; on and val are the bit masks of the units the branch decided and
+    # of those it set true
+    stack = [(sp.root, [], 0, 0)]
     while stack:
-        n, lits = stack.pop()
+        n, lits, on, val = stack.pop()
         node = sp.split(n)
         if node:
             i, hi, lo = node
+            bit = 1 << i
+            if on & bit:
+                n = hi if val & bit else lo
+                if n != 1:
+                    stack.append((n, lits, on, val))
+                continue
             u = units[i]
             if lo != 1:
-                stack.append((lo, lits + [(u, False)]))
+                stack.append((lo, lits + [(u, False)], on | bit, val))
             if hi != 1:
-                stack.append((hi, lits + [(u, True)]))
+                stack.append((hi, lits + [(u, True)], on | bit, val | bit))
         elif n != 1:
             emitted += 1
             if emitted > cap:

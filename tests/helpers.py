@@ -1,6 +1,7 @@
 """Definitions that only the tests use: the definitional spine oracle and
 its residue box, the canonical class maps of one element, the model file
-writer, the main-quantifier test and the walk that lists boolean units."""
+writer, the main-quantifier test, the walk that lists boolean units and the
+candidates of the evaluator's deleted box search."""
 
 import itertools
 from fractions import Fraction
@@ -92,6 +93,31 @@ def has_main_quantifier(f: Formula) -> bool:
     return any(
         isinstance(g, (Exists, Forall)) and g.sort.is_main for g in subformulas(f)
     )
+
+
+def _fallback_candidates(model, values):
+    """The main values among values, then the box of radius 8 per
+    coordinate (3 on models of rank 3 or more, where the box grows as
+    7^rank).  The candidates of the bounded search that decided a main
+    quantifier nested in another before the evaluator eliminated it; the
+    reference of tests/test_evaluate.py."""
+
+    seen = set()
+    for e in values:
+        if isinstance(e, tuple) and e not in seen:
+            seen.add(e)
+            yield e
+    radius = 3 if model.rank >= 3 else 8
+    # adding each component's zero makes the coordinate an int on Z and a
+    # Fraction elsewhere
+    axes = [[z + c for c in range(-radius, radius + 1)]
+            for z in model.zero()]
+    for e in itertools.product(*axes):
+        if model.sum_mod is not None and sum(e) % model.sum_mod != 0:
+            continue
+        if e not in seen:
+            seen.add(e)
+            yield e
 
 
 def boolean_units(f: Formula) -> list[Formula]:

@@ -100,13 +100,13 @@ def test_eval_truth_and_exit_codes(capsys, zz):
     assert rc == 0 and capsys.readouterr().out.strip() == "false"
 
 
-def test_eval_unknown_exit_code(capsys, tmp_path):
-    # a true universal with a nested existential over a dense model is
-    # beyond both the one-variable solver and bounded search
-    q = tmp_path / "q.model"
-    q.write_text("Q\n")
-    rc = main(["eval", "--model", str(q),
-               "--formula", "(A x G (E z G (eq c2min (* 2 z) x 0)))"])
+def test_eval_unknown_exit_code(capsys, zz):
+    # no leaf has a witness, since each needs x < 0 and 0 < x, and the 1024
+    # leaves pass the evaluator's cap before the search ends
+    pairs = " ".join("(or (plainlt 0 (* %d x)) (plainlt (* %d x) 0))"
+                     % (i, i) for i in range(2, 12))
+    f = "(E x G (and (plainlt x 0) (plainlt 0 x) %s))" % pairs
+    rc = main(["eval", "--model", zz, "--formula", f])
     assert rc == 3 and capsys.readouterr().out.strip() == "unknown"
 
 

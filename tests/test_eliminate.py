@@ -15,8 +15,9 @@ from oagqe.models import IntComp, LexModel, RatComp
 from oagqe.normal import ResourceLimit
 from oagqe.piecewise import decompose
 from oagqe.syntax import (
-    And, AuxLe, AuxVar, Discr, EqDot, Exists, LinTerm, MainRel, Not, Or,
-    PlainRel, SORT_G, SortMin, conj, disj, free_vars, sort_ac, subformulas,
+    And, AuxLe, AuxVar, Discr, EqDot, Exists, Forall, LinTerm, MainRel, Not,
+    Or, PlainRel, SORT_G, SortMin, conj, disj, free_vars, sort_ac,
+    subformulas,
 )
 
 x = LinTerm.var("x")
@@ -249,7 +250,7 @@ def test_calls_leave_no_cyclic_garbage():
     # counting when its call returns, so the cyclic collector finds nothing
     # after an elimination whose final case split goes through an
     # auxiliary block, one stopped by the clause cap, a one-shot evaluation
-    # and a decomposition
+    # of a flat and of a nested formula, and a decomposition
     a1 = AuxVar("a1", sort_ac(2))
     through_block = Exists("a", sort_ac(2), conj([Discr(A), disj([
         PlainRel("lt", y, z), AuxLe(A, a1)])]))
@@ -258,6 +259,10 @@ def test_calls_leave_no_cyclic_garbage():
         + [PlainRel("lt", x, LinTerm.var("z%d" % i)) for i in range(3)]))
     one_shot = Exists("x", SORT_G, conj([
         PlainRel("lt", y, x), PlainRel("lt", x, z), Not(EqDot(1, x - y))]))
+    nested = Exists("x", SORT_G, conj([
+        PlainRel("lt", y, x),
+        Forall("z", SORT_G, Not(PlainRel("lt", LinTerm.var("z") + x,
+                                         LinTerm.var("z"))))]))
     graph = MainRel("eq", y, x, 0, BOT)
     gc.collect()
     gc.disable()
@@ -270,6 +275,7 @@ def test_calls_leave_no_cyclic_garbage():
             capped = True
         answer = evaluate(Z_MODEL, {"y": Z_MODEL.element([0]),
                                     "z": Z_MODEL.element([5])}, one_shot)
+        eliminated = evaluate(Z_MODEL, {"y": Z_MODEL.element([0])}, nested)
         pieces = decompose(Z_MODEL, graph, "y", ["x"]).pieces
         assert gc.collect() == 0
     finally:
@@ -278,4 +284,5 @@ def test_calls_leave_no_cyclic_garbage():
     # as described
     lit = MainRel("lt", y, z, 0, BOT)
     assert [cl.psi for cl in fuf.clauses] == [((lit, True),), ((lit, False),)]
-    assert capped and answer is True and len(pieces) == 1
+    assert capped and answer is True and eliminated is True
+    assert len(pieces) == 1

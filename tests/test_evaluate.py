@@ -10,16 +10,16 @@ from conftest import (
     AUX_FREE, FIXTURE_MODELS, SUM_MODEL, TYPED_MODELS, Z_MODEL,
     aux_assignment, main_assignment, rand_bool, rand_mixed_atom, rand_term,
 )
-from helpers import ac_class_of
+from helpers import _fallback_candidates, ac_class_of, has_main_quantifier
 from oagqe import solver
 from oagqe.eliminate import qe_driver
 from oagqe.evaluate import (
-    Uncompilable, _discrete_cuts, _fallback_candidates, compile_clause,
-    eval_atom, eval_lin, evaluate, evaluator, family_evaluator,
-    ground_for_var, k_all, k_any, k_not, resolve_aux,
+    _discrete_cuts, compile_clause, eval_atom, eval_lin, evaluate, evaluator,
+    family_evaluator, ground_for_var, k_all, k_any, k_not, resolve_aux,
 )
 from oagqe.models import (
-    IntComp, LexModel, LocComp, RatComp, dim_query, h_cut, spine, spine_min,
+    IntComp, LexModel, LocComp, RatComp, dim_query, h_cut, sample_element,
+    spine, spine_min,
 )
 from oagqe.normal import ResourceLimit, extract_can_terms
 from oagqe.syntax import (
@@ -315,7 +315,13 @@ def ref_atom(model, asg, a):
 # from the Shannon splitter: a negation normal form, then a disjunctive
 # normal form that is not disjoint, built in full, with a cap of 512 clauses
 # that sends the decision to the bounded fallback.  Kept as the reference
-# that the lazy disjoint leaves must agree with.
+# that the lazy disjoint leaves must agree with, together with that
+# fallback, the box search that decided a main quantifier nested in another
+# before the evaluator eliminated it.
+
+class _RefCapExceeded(Exception):
+    pass
+
 
 def _ref_nnf(f):
     if isinstance(f, (Atom, Top, Bottom)):
@@ -351,7 +357,7 @@ def _ref_dnf_clauses(f, cap=512):
             for h in g.args:
                 out.extend(go(h))
                 if len(out) > cap:
-                    raise Uncompilable("clause cap exceeded")
+                    raise _RefCapExceeded
             return out
         acc = [{}]
         for h in g.args:
@@ -363,7 +369,7 @@ def _ref_dnf_clauses(f, cap=512):
                            for a, pol in right.items()):
                         nxt.append(merged)
             if len(nxt) > cap:
-                raise Uncompilable("clause cap exceeded")
+                raise _RefCapExceeded
             acc = nxt
         return acc
 
@@ -372,13 +378,14 @@ def _ref_dnf_clauses(f, cap=512):
 
 def ref_decide(model, asg, var, body, memo):
     try:
-        g = ground_for_var(model, asg, var, body)
-        for lits in _ref_dnf_clauses(g):
-            for cl in compile_clause(model, asg, var, lits.items()):
-                if solver.solve_clause(model, cl) is not None:
-                    return True
-        return False
-    except (Uncompilable, solver.SolverLimit):
+        if not has_main_quantifier(body):
+            g = ground_for_var(model, asg, var, body)
+            for lits in _ref_dnf_clauses(g):
+                for cl in compile_clause(model, asg, var, lits.items()):
+                    if solver.solve_clause(model, cl) is not None:
+                        return True
+            return False
+    except (_RefCapExceeded, solver.SolverLimit):
         pass
     # the fallback reads the values of the quantified formula's free names
     names = sorted(_free_names(body, memo["free"]) - {var})
@@ -476,7 +483,7 @@ def rand_quantified(rng, model):
     """A random formula over x, y, z, a1, e1 with constant anchors at every
     spine point, auxiliary quantifiers (one of them rebinding the free a1),
     main quantifiers, and, on models of rank at most 2, a main quantifier
-    nested in another (the bounded fallback)."""
+    nested in another (eliminated; the reference's box search)."""
 
     refs = [SpineRef(pt.sort, pt.class_id) for pt in spine(model, sort_ac(2))]
 
@@ -524,17 +531,51 @@ def assignments(model, rng, n):
 
 
 def test_evaluator_matches_reference(rng):
-    unknown = 0
+    # the reference is definite where its complete search or its box search
+    # decides; the box search's undecided answers are where elimination
+    # must decide instead
+    decided = 0
     for trial in range(120):
         model = TYPED_MODELS[trial % len(TYPED_MODELS)]
         f = rand_quantified(rng, model)
         run, ref = evaluator(model, f), ref_evaluator(model, f)
         for asg in assignments(model, rng, 8):
-            want = ref(asg)
-            assert run(asg) == want, (f, asg)
-            assert evaluate(model, asg, f) == want
-            unknown += want is None
-    assert unknown > 0   # the fallback's undecided answers were compared
+            want, got = ref(asg), run(asg)
+            assert evaluate(model, asg, f) == got
+            if want is None:
+                decided += got is not None
+            else:
+                assert got == want, (f, asg)
+    assert decided > 0
+
+
+def test_nested_decisions_against_the_box_search():
+    # the benchmark's nested shape, E x or A x over body & (A z psi), on
+    # every model shape: no definite answer of the deleted box search
+    # disagrees; at a sampled x0 the inner A z is flat, so no elimination
+    # runs there, and a body that holds refutes a false E x, one that fails
+    # a true A x; and fewer answers are unknown than the box search's
+    rng = random.Random(31)
+    unknown = ref_unknown = 0
+    for trial in range(8 * len(TYPED_MODELS)):
+        model = TYPED_MODELS[trial % len(TYPED_MODELS)]
+        body = conj([rand_bool(rng, rng.randint(1, 3), rand_mixed_atom),
+                     Forall("z", SORT_G, rand_bool(rng, 1, rand_mixed_atom))])
+        kind = Exists if rng.random() < 0.6 else Forall
+        f = kind("x", SORT_G, body)
+        asg = main_assignment(model, rng, ["y", "z"])
+        asg.update(aux_assignment(model, rng))
+        got, want = evaluate(model, asg, f), ref_evaluator(model, f)(asg)
+        assert None in (got, want) or got == want, (model, f, asg)
+        unknown += got is None
+        ref_unknown += want is None
+        for _ in range(2):
+            asg2 = dict(asg)
+            asg2["x"] = sample_element(model, rng, 6, (1, 2, 3))
+            v = evaluate(model, asg2, body)
+            assert not (v is True and kind is Exists and got is False)
+            assert not (v is False and kind is Forall and got is True)
+    assert unknown < ref_unknown
 
 
 def _pairs_over_x(n):
@@ -566,60 +607,66 @@ def test_first_satisfiable_leaf_ends_the_search(monkeypatch):
     assert len(calls) == 1
 
 
-def test_leaf_cap_goes_to_the_fallback(monkeypatch):
+def test_leaf_cap_answers_unknown(monkeypatch):
     # every leaf needs x < 0 and 0 < x, so no leaf has a witness; after 512
-    # leaves the cap sends the decision to the bounded search
+    # solver clauses the decision answers unknown
     calls = _count_solves(monkeypatch)
     never = [PlainRel("lt", x, zero), PlainRel("lt", zero, x)]
     f = Exists("x", SORT_G, conj(never + _pairs_over_x(10)))
     assert evaluate(ZZ, {}, f) is None
     assert len(calls) == 512
-    # the witness x = y lies beyond the cap; the fallback tries y first
+    # the cap counts solver clauses, not leaves: with x odd, which compiles
+    # to one clause per component, 256 leaves fill it and the first clause
+    # of the next one passes it
+    leaves = []
+    compile_ = EV.compile_clause
+
+    def counted(model, asg, var, lits):
+        leaves.append(lits)
+        return compile_(model, asg, var, lits)
+
+    monkeypatch.setattr(EV, "compile_clause", counted)
+    calls.clear()
+    odd = Not(PlainRel("cong", x, zero, m=2))
+    assert evaluate(ZZ, {}, Exists("x", SORT_G, conj(
+        never + [odd] + _pairs_over_x(10)))) is None
+    assert len(calls) == 512 and len(leaves) == 257
+    # the witness x = y lies beyond the cap, and nothing else looks for it
     same = [neg(PlainRel("lt", x, y)), neg(PlainRel("lt", y, x))]
     g = Exists("x", SORT_G, disj([conj(never + _pairs_over_x(10)),
                                   conj(same)]))
-    assert evaluate(ZZ, {"y": ZZ.element([3, 0])}, g) is True
-
-
-def test_fallback_answer_does_not_depend_on_call_order():
-    # the inner A z sends E x to the bounded fallback, whose memo is keyed
-    # by y alone; the witness x = y + 50 lies outside the box, and w, which
-    # the formula does not read, must not offer it as a candidate
-    z = LinTerm.var("z")
-    f = Exists("x", SORT_G, conj([
-        MainRel("eq", x, y, 50, BOT),
-        Forall("z", SORT_G, Not(PlainRel("lt", z + x, z)))]))
-    pt = Z_MODEL.element
-    a = {"y": pt([0]), "w": pt([0])}
-    b = {"y": pt([0]), "w": pt([50])}
-    for order in ((a, b), (b, a)):
-        run = evaluator(Z_MODEL, f)
-        assert [run(asg) for asg in order] == [None, None]
+    assert evaluate(ZZ, {"y": ZZ.element([3, 0])}, g) is None
 
 
 def test_flat_one_shot_call_reads_no_free_names(monkeypatch):
     # a main quantifier at the root of an evaluator keeps no memo, and the
     # complete search needs no names, so a flat call never walks the
-    # formula; the bounded fallback reads them when it first runs
-    calls = []
-    names = EV.free_names
+    # formula outside its grounding and never runs the eliminator; a
+    # nested main quantifier is eliminated once
+    calls, pushed = [], []
+    names, push = EV.free_names, EV._push_out_main
 
     def counted(f, cache):
         calls.append(f)
         return names(f, cache)
 
+    def counted_push(f, *args, **kw):
+        pushed.append(f)
+        return push(f, *args, **kw)
+
     monkeypatch.setattr(EV, "free_names", counted)
+    monkeypatch.setattr(EV, "_push_out_main", counted_push)
     asg = {"y": ZZ.element([3, 0])}
     body = conj([PlainRel("lt", y, x), Not(PlainRel("cong", x, zero, m=2))])
     assert evaluate(ZZ, asg, Exists("x", SORT_G, body)) is True
     assert evaluate(ZZ, asg, Forall("x", SORT_G, body)) is False
-    assert calls == []
+    assert calls == [] and pushed == []
     z = LinTerm.var("z")
     nested = Exists("x", SORT_G, conj([
         PlainRel("lt", y, x),
         Forall("z", SORT_G, Not(PlainRel("lt", z + x, z)))]))
     assert evaluate(ZZ, asg, nested) is True
-    assert calls
+    assert calls == [] and pushed == [nested.body]
 
 
 def test_family_evaluator_matches_reference(rng):
@@ -705,10 +752,24 @@ def test_quantifier_alternation():
     f = Forall("x", SORT_G, Exists("z", SORT_G,
                                    MainRel("eq", twoz, x, 0, BOT)))
     assert evaluate(Z_MODEL, {}, f) is False
-    # over Q the claim is true, but a bounded search cannot certify a
-    # universal over an infinite domain, so the oracle stays undecided
+    # over Q the claim is true: eliminating E z leaves a formula that the
+    # complete search refutes for the negated universal
     dense = LexModel((RatComp(),))
-    assert evaluate(dense, {}, f) is None
+    assert evaluate(dense, {}, f) is True
+
+
+def test_nested_quantifier_outside_the_fragment_answers_unknown():
+    # the inner A z holds a main atom anchored at an auxiliary variable
+    # bound inside it, which the eliminator rejects, so E x is unknown; at
+    # a free anchor the same atom is eliminated and E x decided
+    z = LinTerm.var("z")
+    bound = Exists("x", SORT_G, Forall("z", SORT_G, Exists(
+        "a", sort_ac(2), MainRel("lt", z, x, 0, AuxVar("a", sort_ac(2))))))
+    free = Exists("x", SORT_G, Forall("z", SORT_G, MainRel("lt", z, x, 0,
+                                                           A1)))
+    assert evaluate(Z_MODEL, {}, bound) is None
+    for pt in spine(Z_MODEL, sort_ac(2)):
+        assert evaluate(Z_MODEL, {"a1": pt}, free) is False
 
 
 # ---------------------------------------------------------------------------
@@ -767,14 +828,16 @@ def test_renaming_rule_matches_reference(case, rng):
     # the reference renames every binder apart before it evaluates; the
     # evaluator runs the formula as written, each quantifier setting its own
     # name in a copy of the assignment, and must give the same answers
+    # wherever both are definite: the reference's box search, or a limit of
+    # the evaluator's elimination and search, may leave one undecided
     for trial in range(24):
         model = FIXTURE_MODELS[trial % len(FIXTURE_MODELS)]
         f = case(rng)
         run, ref = evaluator(model, f), ref_evaluator(model, f)
         for asg in assignments(model, rng, 4):
-            want = ref(asg)
-            assert run(asg) == want, (f, asg)
-            assert evaluate(model, asg, f) == want, (f, asg)
+            want, got = ref(asg), run(asg)
+            assert None in (want, got) or got == want, (f, asg)
+            assert evaluate(model, asg, f) == got, (f, asg)
 
 
 def test_caller_value_of_a_bound_name_is_shadowed():

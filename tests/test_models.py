@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_MODELS, SUM_MODEL, TYPED_MODELS
 from helpers import (
-    ac_class_of, ae_class_of, definitional_spine_oracle, format_model,
-    residue_box,
+    _fallback_candidates, ac_class_of, ae_class_of,
+    definitional_spine_oracle, format_model, residue_box,
 )
-from oagqe.evaluate import (
-    _difference, _fallback_candidates, _term_fn, eval_lin,
-)
+from oagqe.evaluate import _difference, _term_fn, eval_lin
 from oagqe.models import (
     IntComp, LexModel, LocComp, RatComp, TOPG, aep_of, comp_divisible,
     dim_query, parse_model, prime_power_parts, sample_element, spine,

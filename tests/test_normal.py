@@ -431,12 +431,12 @@ def test_splitter_sees_through_auxiliary_blocks():
     assert cof(listed, b, 1, True) is b
     assert cof(listed, b, 0, True) is TRUE
     # and a block's cofactor equal to a listed block is that unit, which
-    # the branch then decides again
+    # the branch has decided already: the walk follows that polarity
     g = conj([blk(da), blk(conj([da, atom(1)]))])
     sp = ShannonSplitter(g, [blk(da), atom(1)])
     assert split(sp, g) == (0, blk(conj([da, atom(1)])), FALSE)
     assert list(disjoint_clauses(g, [blk(da), atom(1)], 4)) == [
-        ([(blk(da), True), (atom(1), True), (blk(da), True)], TRUE)]
+        ([(blk(da), True), (atom(1), True)], TRUE)]
 
 
 def test_disjoint_clauses_decide_only_what_they_must():

@@ -677,29 +677,52 @@ def _rand_split_formula(rng):
     return rand_dag(rng, leaves, rng.randint(2, 9), raw=False)
 
 
+def _decided_once(leaves):
+    """The reference's leaves with each unit decided once per branch: a
+    repeated literal removed, and a leaf that carries a unit and its
+    negation dropped."""
+
+    out = []
+    for lits, rest in leaves:
+        seen: dict = {}
+        for u, pol in lits:
+            if seen.setdefault(u, pol) != pol:
+                break
+        else:
+            out.append((list(seen.items()), rest))
+    return out
+
+
 def test_disjoint_clauses_matches_reference():
     # the integer node table against the splitter that cached formula
-    # nodes: the same leaves in the same order, and the cap raised after
-    # the same leaf, for every cap from 0 up to the leaf count
+    # nodes, which may decide a unit twice on one branch: the same leaves,
+    # each unit decided once, in the same order, and the cap raised after
+    # the cap-th of them, for every cap from 0 up to the leaf count.  Each
+    # random f comes also inside a block beside the block E a. discr(a),
+    # which a cofactor of the first block can turn into
     rng = random.Random(29)
-    checked = capped = 0
+    blk = quant(Exists, "a", sort_ac(2), Discr(A))
+    checked = capped = repeated = 0
     for _ in range(150):
         f = _rand_split_formula(rng)
-        for units, decide in _split_cases(rng, f):
-            ref_units = boolean_units(f) if units is None else units
-            want, end = _leaves(_ref_disjoint_clauses(f, ref_units, 10 ** 6,
-                                                      decide))
-            assert end is None
-            if units is None:
-                assert ShannonSplitter(f).units == ref_units, f
-            for cap in range(len(want) + 1):
-                got = _leaves(disjoint_clauses(f, units, cap, decide))
-                assert got == _leaves(_ref_disjoint_clauses(
-                    f, ref_units, cap, decide)), (f, units, decide, cap)
-                capped += got[1] is not None
-            assert got == (want, None)
-            checked += 1
-    assert checked >= 800 and capped >= 1000
+        for g in (f, conj([blk, quant(Exists, "a", sort_ac(2),
+                                      conj([Discr(A), f]))])):
+            for units, decide in _split_cases(rng, g):
+                ref_units = boolean_units(g) if units is None else units
+                ref, end = _leaves(_ref_disjoint_clauses(
+                    g, ref_units, 10 ** 6, decide))
+                assert end is None
+                want = _decided_once(ref)
+                repeated += want != ref
+                if units is None:
+                    assert ShannonSplitter(g).units == ref_units, g
+                for cap in range(len(want) + 1):
+                    got = _leaves(disjoint_clauses(g, units, cap, decide))
+                    assert got[0] == want[:cap], (g, units, decide, cap)
+                    assert (got[1] is None) == (cap == len(want))
+                    capped += got[1] is not None
+                checked += 1
+    assert checked >= 1600 and capped >= 2000 and repeated >= 20
 
 
 def test_splitter_table_folds_as_syntax_builds():

@@ -13,7 +13,7 @@ from conftest import (
 )
 from oagqe import solver
 from oagqe.evaluate import (
-    Uncompilable, compile_clause, dnf_clauses, evaluate, ground_for_var,
+    compile_clause, dnf_clauses, evaluate, ground_for_var,
 )
 from oagqe.models import IntComp, RatComp, comp_contains, comp_divisible
 from oagqe.normal import ResourceLimit
@@ -169,7 +169,7 @@ class _RefSearch:
 
 def _clauses(model, rng):
     """(assignment, body, clauses) for a random body over x, y, z grounded
-    for x, or None when the body cannot be grounded."""
+    for x, or None when its decision tree exceeds the leaf cap."""
 
     asg = main_assignment(model, rng, ["y", "z"])
     asg.update(aux_assignment(model, rng) or {})
@@ -177,7 +177,7 @@ def _clauses(model, rng):
     try:
         g = ground_for_var(model, asg, "x", body)
         lits = [ls for ls, _ in dnf_clauses(g)]
-    except (Uncompilable, ResourceLimit):
+    except ResourceLimit:
         return None
     return asg, body, [cl for ls in lits
                        for cl in compile_clause(model, asg, "x", ls)]

@@ -625,8 +625,12 @@ def eliminate_exists_main(var: str, lits, fresh: Fresh = None, *,
                 [disj(clause_fs)])
 
 
-def _push_out_main(f: Formula, fresh: Fresh, cap: int,
-                   max_branches: int) -> Formula:
+# qe_driver's default limits, which the evaluator also eliminates with
+_CAP, _MAX_BRANCHES = 4096, 200000
+
+
+def _push_out_main(f: Formula, fresh: Fresh, cap: int = _CAP,
+                   max_branches: int = _MAX_BRANCHES) -> Formula:
     def on_quant(q, body):
         if not q.sort.is_main:
             return quant(type(q), q.var, q.sort, body)
@@ -658,8 +662,8 @@ def _main_exists(var: str, body: Formula, fresh: Fresh, cap: int,
     return disj(parts)
 
 
-def qe_driver(f: Formula, *, cap: int = 4096,
-              max_branches: int = 200000) -> FamilyUnionForm:
+def qe_driver(f: Formula, *, cap: int = _CAP,
+              max_branches: int = _MAX_BRANCHES) -> FamilyUnionForm:
     """Full relative elimination: remove every main-sort quantifier and
     return the result in family union form.
 

@@ -40,7 +40,7 @@ from .models import (
 )
 from .models import _ac_cuts  # realized cut sets, shared with spine()
 from .eliminate import _push_out_main
-from .normal import ResourceLimit, disjoint_clauses
+from .normal import OutsideFragment, ResourceLimit, disjoint_clauses
 from .syntax import (
     AE, And, Atom, AuxAsymp, AuxLe, AuxTerm, AuxVar, Bottom, CongDot, Discr,
     DimFloor, DimSucc, DPred, EqDot, Exists, FALSE, Forall, Formula, Fresh,
@@ -486,6 +486,9 @@ def _literal_alternatives(model, asg, var, atom: Atom, positive: bool):
 
 
 def compile_clause(model, asg, var, lits) -> list[solver.Clause]:
+    """The first LEAF_CAP + 1 solver clauses of one leaf, one per choice of
+    an alternative for each literal: a decision stops after LEAF_CAP."""
+
     alt_lists = []
     for atom, pol in lits:
         alts = _literal_alternatives(model, asg, var, atom, pol)
@@ -495,7 +498,8 @@ def compile_clause(model, asg, var, lits) -> list[solver.Clause]:
             return []
         alt_lists.append(alts)
     out = []
-    for combo in itertools.product(*alt_lists):
+    for combo in itertools.islice(itertools.product(*alt_lists),
+                                  LEAF_CAP + 1):
         cl = solver.Clause(lex=[], div=[], ndiv=[], sums=[])
         for rec in combo:
             if isinstance(rec, solver.Lex):
@@ -643,14 +647,11 @@ def _compile(model: LexModel, varied, roots, free: dict,
 
 def _decide(model: LexModel, g: Formula):
     """A main-sort quantifier: `decide_exists_main` on its body, negated
-    for Forall.  The first time grounding meets a main-sort quantifier in
-    the body, every main quantifier of the body is eliminated, innermost
-    first, with `qe_driver`'s default limits and fresh names that avoid
-    every name of g; the result is decided from then on.  An elimination
-    that reaches a limit, or meets a main atom that depends on an auxiliary
-    variable bound inside the quantifier (outside the eliminator's
-    fragment), makes every answer None.  A body without main quantifiers is grounded as
-    written, and never walked otherwise."""
+    for Forall.  The body is grounded as written until grounding meets a
+    main quantifier in it; then every main quantifier of the body is
+    eliminated once, innermost first, with `qe_driver`'s limits and names
+    that avoid every name of g, and the result is decided from then on.
+    A limit of that elimination, or `OutsideFragment`, answers None."""
 
     var = g.var
     # [body], with its main quantifiers eliminated once grounding met one;
@@ -663,9 +664,8 @@ def _decide(model: LexModel, g: Formula):
                 return decide_exists_main(model, asg, var, body[0])
             except _MainQuantifier:
                 try:
-                    body[0] = _push_out_main(body[0], Fresh("b", all_names(g)),
-                                             cap=4096, max_branches=200000)
-                except (ResourceLimit, ValueError):
+                    body[0] = _push_out_main(body[0], Fresh("b", all_names(g)))
+                except (ResourceLimit, OutsideFragment):
                     body.clear()
         return None
 

@@ -46,6 +46,10 @@ class ResourceLimit(Exception):
     """Raised when a rewriting step exceeds its configured size budget."""
 
 
+class OutsideFragment(ValueError):
+    """Raised on a main-sort unit that depends on a block's variable."""
+
+
 # ---------------------------------------------------------------------------
 # Boolean skeleton
 
@@ -288,9 +292,8 @@ def disjoint_clauses(f: Formula, units, cap: int, decide=None):
     sp = ShannonSplitter(f, units, decide)
     units = sp.units
     emitted = 0
-    # explicit stack: the unit list can be long and recursion depth tracks
-    # it; on and val are the bit masks of the units the branch decided and
-    # of those it set true
+    # explicit stack, as the unit list can be long; on and val are the bit
+    # masks of the units that the branch decided and of those it set true
     stack = [(sp.root, [], 0, 0)]
     while stack:
         n, lits, on, val = stack.pop()
@@ -336,7 +339,7 @@ def hoist_main_units(f: Formula) -> list[Formula]:
     The splitter sees through those blocks (see `ShannonSplitter`), except
     for a unit that mentions the block's variable, which it cannot lift
     out: so a main-sort unit that mentions a variable of a block around
-    it raises ValueError.  Blocks that hold no main-sort unit stay units
+    it raises OutsideFragment.  Blocks that hold no main-sort unit stay units
     themselves.  A subformula is walked once per set of enclosing block
     variables, and the memos are keyed by value and live for this call.
     """
@@ -367,7 +370,7 @@ def hoist_main_units(f: Formula) -> list[Formula]:
             stack.append((g.body, bound | {g.var}))
         else:
             if not bound.isdisjoint(free_names(g, free)):
-                raise ValueError(
+                raise OutsideFragment(
                     "main-sort atom depends on an auxiliary bound variable; "
                     "outside the supported fragment")
             out[g] = None

@@ -12,8 +12,8 @@ from helpers import boolean_units, has_main_quantifier
 from oagqe.evaluate import evaluate
 from oagqe.models import IntComp, LexModel
 from oagqe.normal import (
-    FamilyUnionForm, FUClause, ResourceLimit, ShannonSplitter,
-    atom_involves_main, disjoint_clauses, dnf_disjoint_tree,
+    FamilyUnionForm, FUClause, OutsideFragment, ResourceLimit,
+    ShannonSplitter, atom_involves_main, disjoint_clauses, dnf_disjoint_tree,
     hoist_main_units, unit_involves_main,
 )
 from oagqe.syntax import (
@@ -356,7 +356,7 @@ def test_hoist_rejects_bound_dependence():
                                              disj([Discr(a), at_b]))),
               # also when the atom occurs free first
               conj([at_a, Exists("a", sort_ac(2), conj([Discr(a), at_a]))])):
-        with pytest.raises(ValueError, match="bound variable"):
+        with pytest.raises(OutsideFragment, match="bound variable"):
             hoist_main_units(f)
     # an atom over a variable that no enclosing block binds is lifted
     free_a = Exists("c", sort_ac(2), inner)

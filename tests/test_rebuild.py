@@ -31,9 +31,9 @@ from oagqe.eliminate import eliminate_exists_main
 from oagqe.evaluate import evaluator, family_evaluator
 from oagqe.models import prime_power_parts
 from oagqe.normal import (
-    FamilyUnionForm, FUClause, ResourceLimit, ShannonSplitter, _can_subterms,
-    disjoint_clauses, dnf_disjoint_tree, extract_can_terms, hoist_main_units,
-    unit_involves_main,
+    FamilyUnionForm, FUClause, OutsideFragment, ResourceLimit,
+    ShannonSplitter, _can_subterms, disjoint_clauses, dnf_disjoint_tree,
+    extract_can_terms, hoist_main_units, unit_involves_main,
 )
 from oagqe.syntax import (
     FALSE, TRUE, And, Atom, AuxLe, AuxVar, Bottom, CongDot, Discr, DPred,
@@ -199,7 +199,7 @@ def _ref_hoist_block(q, body, involves, free):
         return type(q)(q.var, q.sort, body)
     for u in units:
         if q.var in free_names(u, free):
-            raise ValueError(
+            raise OutsideFragment(
                 "main-sort atom depends on an auxiliary bound variable; "
                 "outside the supported fragment")
     if len(units) > 10:
@@ -293,7 +293,7 @@ def _ref_hoist_units(f):
             walk(g.body, bound | {g.var})
         else:
             if bound & set(free_vars(g, {})):
-                raise ValueError(
+                raise OutsideFragment(
                     "main-sort atom depends on an auxiliary bound variable; "
                     "outside the supported fragment")
             if g not in out:
